@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``run``      execute every (optimizer, alpha) cell of a config and write
-               one trace CSV per cell;
+* ``run``      execute every (optimizer, alpha) cell of a config, all cells
+               advancing in lockstep, and write one trace CSV per cell;
 * ``compare``  run the sweep, pick the best alpha per optimizer, and emit
                compare.csv plus compare.svg for the winners;
 * ``check``    validate trace CSVs: increment band and weight positivity
@@ -35,6 +35,7 @@ from .regret import (
     measure_constants,
     region_stepsize_table,
     run_online,
+    run_sweep,
     theoretical_bound,
 )
 from .svgchart import write_compare_svg
@@ -68,11 +69,9 @@ def _seed(args, cfg: RunConfig) -> int:
 def _run_cells(cfg: RunConfig, seed: int):
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
-    results = []
-    for cell in sweep_cells(cfg):
-        trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)
-        results.append((cell, trace))
-    return problem, region, results
+    cells = sweep_cells(cfg)
+    traces = run_sweep(problem, cells, region, cfg.run.horizon, seed)
+    return problem, region, list(zip(cells, traces))
 
 
 def cmd_run(args) -> int:

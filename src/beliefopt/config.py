@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .optim import OPTIMIZER_KINDS, HyperParams, box_region, validate_hyperparams
 from .problems import QuadraticProblem, SoftmaxL2Problem, load_csv, synth_classification
+from .regret import Cell
 
 _SCHEDULES = ("constant", "inverse_t", "inverse_sqrt_t")
 
@@ -138,10 +139,18 @@ def _raw_sections(text: str):
     return sections
 
 
+def _finite(text: str, lineno: int, key: str) -> float:
+    """``float(text)``, refusing inf, nan and values that overflow to inf."""
+    number = float(text)
+    if not np.isfinite(number):
+        raise _fail(lineno, f"{key} must be a finite number, got {text!r}")
+    return number
+
+
 def _as_float(entry, key):
     value, lineno = entry
     try:
-        return float(value)
+        return _finite(value, lineno, key)
     except ValueError:
         raise _fail(lineno, f"{key} must be a number, got {value!r}") from None
 
@@ -212,7 +221,7 @@ def _parse_optimizer(raw: dict, header_line: int) -> OptimizerSpec:
     if "alpha" in raw:
         value, lineno = raw["alpha"]
         try:
-            alphas = tuple(float(part) for part in value.split(","))
+            alphas = tuple(_finite(part, lineno, "alpha") for part in value.split(","))
         except ValueError:
             raise _fail(lineno, f"alpha must be a comma-separated number list, got {value!r}") from None
         if not alphas:
@@ -274,6 +283,8 @@ def _parse_run(raw: dict, header_line: int) -> RunSpec:
                 raise _fail(lineno, "checkpoints must be auto or a comma-separated integer list") from None
             if any(p < 1 for p in points):
                 raise _fail(lineno, "checkpoints must be >= 1")
+            if max(points) > spec.horizon:
+                raise _fail(lineno, f"checkpoint {max(points)} lies beyond horizon {spec.horizon}")
             spec.checkpoints = points
     if spec.horizon < 1:
         raise _fail(header_line, "horizon must be >= 1")
@@ -342,15 +353,6 @@ def build_problem(cfg: RunConfig):
 
 def build_region(cfg: RunConfig, dim: int):
     return box_region(cfg.run.region_lo, cfg.run.region_hi, dim)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One (optimizer, alpha) point of the sweep grid."""
-
-    label: str
-    kind: str
-    hp: HyperParams
 
 
 def sweep_cells(cfg: RunConfig) -> list[Cell]:

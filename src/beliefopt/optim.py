@@ -25,7 +25,8 @@ Default stepsize schedules: ``alpha/t`` for sadam and fastadabelief,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +80,8 @@ class HyperParams:
     bound_gamma: float = 1e-3
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not 0.0 < self.lam <= 1.0:
@@ -91,16 +92,16 @@ class HyperParams:
             raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
         if self.beta2_mode == "sadam" and not 0.0 < self.beta2_c < 1.0:
             raise ValueError(f"beta2_c must lie in (0, 1), got {self.beta2_c}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.step_schedule is not None and self.step_schedule not in _SCHEDULES:
             raise ValueError(f"step_schedule must be one of {_SCHEDULES}, got {self.step_schedule!r}")
-        if not self.eta_final > 0:
-            raise ValueError(f"eta_final must be positive, got {self.eta_final}")
-        if not self.bound_gamma > 0:
-            raise ValueError(f"bound_gamma must be positive, got {self.bound_gamma}")
+        if not 0.0 < self.eta_final < math.inf:
+            raise ValueError(f"eta_final must be positive and finite, got {self.eta_final}")
+        if not 0.0 < self.bound_gamma < math.inf:
+            raise ValueError(f"bound_gamma must be positive and finite, got {self.bound_gamma}")
 
     def beta1_at(self, t: int) -> float:
         return self.beta1 * self.lam ** t
@@ -124,12 +125,18 @@ def validate_hyperparams(kind: str, hp: HyperParams) -> None:
 
 def alpha_at(kind: str, hp: HyperParams, t: int) -> float:
     """Stepsize at step t under the rule's schedule (or the override in hp)."""
+    return scheduled_alpha(kind, hp, hp.alpha, t)
+
+
+def scheduled_alpha(kind: str, hp: HyperParams, alpha, t):
+    """``alpha_at`` for a base stepsize ``alpha``; alpha and t may be arrays
+    that broadcast, e.g. a (lanes, 1) column against a (T,) step range."""
     schedule = hp.step_schedule or _DEFAULT_SCHEDULE[kind]
     if schedule == "inverse_t":
-        return hp.alpha / t
+        return alpha / t
     if schedule == "inverse_sqrt_t":
-        return hp.alpha / np.sqrt(t)
-    return hp.alpha
+        return alpha / np.sqrt(t)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -250,155 +257,127 @@ def _check_gradient(state: OptimizerState, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _finish(state: OptimizerState, t: int, x_next: np.ndarray, m: np.ndarray,
-            s: np.ndarray, s_hat: np.ndarray, outcome: StepOutcome) -> tuple[OptimizerState, StepOutcome]:
-    if not (np.isfinite(x_next).all() and np.isfinite(m).all()
-            and np.isfinite(s).all() and np.isfinite(s_hat).all()):
-        raise NumericFailure(f"nonfinite optimizer state after step {t}")
-    new = OptimizerState(kind=state.kind, t=t, x=x_next, m=m, s=s, s_hat=s_hat)
-    return new, outcome
+def step_betas(kind: str, hp: HyperParams, t: int) -> tuple[float, float]:
+    """(beta1_t, beta2_t) as rule ``kind`` uses and records them at step t.
+
+    Only fastadabelief decays its first-moment coefficient; sgd_momentum
+    keeps no second moment and records beta2_t = 0.
+    """
+    b1 = hp.beta1_at(t) if kind == "fastadabelief" else hp.beta1
+    b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(t)
+    return b1, b2
 
 
-def sgd_momentum_step(state, g, hp, region):
+# Rule kernels: (g, m, s, s_hat) at step t -> (m', s', s_hat', scale), where
+# scale is the elementwise stepsize multiplying m'.  Arrays are (n,) for one
+# run, or (lanes, n) for a sweep with a_t a (lanes, 1) column of per-lane
+# stepsizes.  Every operation is elementwise and nothing is written in place,
+# so a lane's values never depend on the other lanes or on the lane count.
+
+
+def _sgd_momentum(hp, t, a_t, b1, b2, g, m, s, s_hat):
     """Heavy-ball update m' = beta1*m + g (no EMA damping on the gradient)."""
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("sgd_momentum", hp, t)
-    m = hp.beta1 * state.m + g
-    scale = np.full_like(m, a_t)
-    delta = -a_t * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, hp.beta1, 0.0, delta, scale)
-    return _finish(state, t, x_next, m, state.s.copy(), state.s_hat.copy(), out)
+    m = b1 * m + g
+    return m, s, s_hat, np.full_like(m, a_t)
 
 
-def adam_step(state, g, hp, region):
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("adam", hp, t)
-    b2 = hp.beta2_at(t)
-    m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-    v = b2 * state.s + (1.0 - b2) * g * g
-    scale = a_t / (np.sqrt(v) + hp.epsilon)
-    delta = -scale * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, hp.beta1, b2, delta, scale)
-    return _finish(state, t, x_next, m, v, state.s_hat.copy(), out)
+def _adam(hp, t, a_t, b1, b2, g, m, s, s_hat):
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * s + (1.0 - b2) * g * g
+    return m, v, s_hat, a_t / (np.sqrt(v) + hp.epsilon)
 
 
-def yogi_step(state, g, hp, region):
+def _yogi(hp, t, a_t, b1, b2, g, m, s, s_hat):
     """Adam-shaped, but the second moment moves additively:
     v' = v - (1-beta2) * sign(v - g^2) * g^2."""
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("yogi", hp, t)
-    b2 = hp.beta2_at(t)
-    m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
+    m = b1 * m + (1.0 - b1) * g
     g2 = g * g
-    v = state.s - (1.0 - b2) * np.sign(state.s - g2) * g2
-    scale = a_t / (np.sqrt(v) + hp.epsilon)
-    delta = -scale * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, hp.beta1, b2, delta, scale)
-    return _finish(state, t, x_next, m, v, state.s_hat.copy(), out)
+    v = s - (1.0 - b2) * np.sign(s - g2) * g2
+    return m, v, s_hat, a_t / (np.sqrt(v) + hp.epsilon)
 
 
-def adabound_step(state, g, hp, region):
+def _adabound(hp, t, a_t, b1, b2, g, m, s, s_hat):
     """Adam with the per-coordinate rate alpha_t/sqrt(v) clipped into the
     closing interval [eta_l(t), eta_u(t)] around eta_final."""
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("adabound", hp, t)
-    b2 = hp.beta2_at(t)
-    m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-    v = b2 * state.s + (1.0 - b2) * g * g
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * s + (1.0 - b2) * g * g
     eta_l = hp.eta_final * (1.0 - 1.0 / (hp.bound_gamma * t + 1.0))
     eta_u = hp.eta_final * (1.0 + 1.0 / (hp.bound_gamma * t))
-    with np.errstate(divide="ignore"):
-        raw = np.where(v > 0, a_t / np.sqrt(v), np.inf)
-    scale = np.clip(raw, eta_l, eta_u)
-    delta = -scale * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, hp.beta1, b2, delta, scale)
-    return _finish(state, t, x_next, m, v, state.s_hat.copy(), out)
+    # Where v = 0 the raw rate is unbounded and the clip lands on eta_u.
+    raw = np.divide(a_t, np.sqrt(v), out=np.full(v.shape, np.inf), where=v > 0)
+    return m, v, s_hat, np.clip(raw, eta_l, eta_u)
 
 
-def adabelief_step(state, g, hp, region):
+def _adabelief(hp, t, a_t, b1, b2, g, m, s, s_hat):
     """Belief rule: the second moment averages (g - m')^2 and a running max
     keeps the divisor sqrt(s_hat) + epsilon nondecreasing."""
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("adabelief", hp, t)
-    b2 = hp.beta2_at(t)
-    m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
+    m = b1 * m + (1.0 - b1) * g
     resid = g - m
-    s = b2 * state.s + (1.0 - b2) * resid * resid
-    s_hat = np.maximum(state.s_hat, s)
-    scale = a_t / (np.sqrt(s_hat) + hp.epsilon)
-    delta = -scale * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, hp.beta1, b2, delta, scale)
-    return _finish(state, t, x_next, m, s, s_hat, out)
+    s = b2 * s + (1.0 - b2) * resid * resid
+    s_hat = np.maximum(s_hat, s)
+    return m, s, s_hat, a_t / (np.sqrt(s_hat) + hp.epsilon)
 
 
-def sadam_step(state, g, hp, region):
+def _sadam(hp, t, a_t, b1, b2, g, m, s, s_hat):
     """Squared-gradient average with the 1 - c/t schedule, divided linearly:
     x' = P(x - a_t * m' / (v' + delta/t))."""
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("sadam", hp, t)
-    b2 = hp.beta2_at(t)
-    m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-    v = b2 * state.s + (1.0 - b2) * g * g
-    denom = v + hp.delta / t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = a_t / denom
-    delta = -scale * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, hp.beta1, b2, delta, scale)
-    return _finish(state, t, x_next, m, v, state.s_hat.copy(), out)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * s + (1.0 - b2) * g * g
+    return m, v, s_hat, a_t / (v + hp.delta / t)
 
 
-def fastadabelief_step(state, g, hp, region):
+def _fastadabelief(hp, t, a_t, b1, b2, g, m, s, s_hat):
     """Belief second moment with running max, divided linearly with the
     vanishing offset:  x' = P(x - (alpha/t) * m' / (s_hat' + delta/t)).
 
     The first-moment coefficient decays as beta1 * lam**t; with the default
     lam = 1 it stays constant.
     """
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at("fastadabelief", hp, t)
-    b1 = hp.beta1_at(t)
-    b2 = hp.beta2_at(t)
-    m = b1 * state.m + (1.0 - b1) * g
+    m = b1 * m + (1.0 - b1) * g
     resid = g - m
-    s = b2 * state.s + (1.0 - b2) * resid * resid
-    s_hat = np.maximum(state.s_hat, s)
-    denom = s_hat + hp.delta / t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = a_t / denom
-    delta = -scale * m
-    x_next = region.project(state.x + delta)
-    out = StepOutcome(a_t, b1, b2, delta, scale)
-    return _finish(state, t, x_next, m, s, s_hat, out)
+    s = b2 * s + (1.0 - b2) * resid * resid
+    s_hat = np.maximum(s_hat, s)
+    return m, s, s_hat, a_t / (s_hat + hp.delta / t)
 
 
-_STEP_FUNCS = {
-    "sgd_momentum": sgd_momentum_step,
-    "adam": adam_step,
-    "yogi": yogi_step,
-    "adabound": adabound_step,
-    "adabelief": adabelief_step,
-    "sadam": sadam_step,
-    "fastadabelief": fastadabelief_step,
+_KERNELS = {
+    "sgd_momentum": _sgd_momentum,
+    "adam": _adam,
+    "yogi": _yogi,
+    "adabound": _adabound,
+    "adabelief": _adabelief,
+    "sadam": _sadam,
+    "fastadabelief": _fastadabelief,
 }
+
+
+def advance(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,
+            g: np.ndarray, x: np.ndarray, m: np.ndarray, s: np.ndarray,
+            s_hat: np.ndarray, region: FeasibleRegion):
+    """Apply rule ``kind`` at step t to one state or a stack of lane states.
+
+    Returns (x', m', s', s_hat', delta, scale) with delta = -scale * m' the
+    pre-projection step and x' = P(x + delta).  Shapes follow the kernels:
+    (n,) arrays with a scalar a_t, or (lanes, n) with an a_t column.
+    """
+    m, s, s_hat, scale = _KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
+    delta = -scale * m
+    return region.project(x + delta), m, s, s_hat, delta, scale
 
 
 def step(state: OptimizerState, g: np.ndarray, hp: HyperParams,
          region: FeasibleRegion) -> tuple[OptimizerState, StepOutcome]:
-    """Dispatch one step by state.kind."""
-    return _STEP_FUNCS[state.kind](state, g, hp, region)
+    """One step of rule state.kind: the one-lane case of ``advance``."""
+    g = _check_gradient(state, g)
+    t = state.t + 1
+    a_t = alpha_at(state.kind, hp, t)
+    b1, b2 = step_betas(state.kind, hp, t)
+    x, m, s, s_hat, delta, scale = advance(state.kind, hp, t, a_t, b1, b2, g,
+                                           state.x, state.m, state.s, state.s_hat, region)
+    if not np.isfinite([x, m, s, s_hat]).all():
+        raise NumericFailure(f"nonfinite optimizer state after step {t}")
+    new = OptimizerState(kind=state.kind, t=t, x=x, m=m, s=s, s_hat=s_hat)
+    return new, StepOutcome(a_t, b1, b2, delta, scale)
 
 
 def stepsize_probe(kind: str, m: np.ndarray, s: np.ndarray, t: int,

@@ -156,8 +156,8 @@ def sample_batch(dataset: Dataset, m: int, t: int, seed: int) -> MiniBatch:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
@@ -174,36 +174,62 @@ def pack_params(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ravel(w), np.ravel(b)])
 
 
+# The softmax objective is computed for a stack of packed parameter rows
+# (lanes, K*(d+1)) at once.  Each lane goes through the same BLAS call and
+# the same reduction layout as a lone parameter vector would, so its values
+# are bit-identical to a one-lane evaluation.
+
+
+class _SoftmaxLanes:
+    """Log-probabilities of the given rows under each lane's parameters."""
+
+    def __init__(self, params, dataset: Dataset, indices):
+        k, d = dataset.n_classes, dataset.n_features
+        lanes = params.shape[0]
+        self.w = params[:, :k * d].reshape(lanes, k, d)
+        self.b = params[:, k * d:]
+        self.x = dataset.features[indices]
+        self.y = dataset.labels[indices]
+        self.rows = np.arange(len(self.y))
+        self.logp = _log_softmax(self.x @ self.w.transpose(0, 2, 1) + self.b[:, None, :])
+
+    def loss(self, sigma1, sigma2, weights=None) -> np.ndarray:
+        # The gather comes back in a lane-minor layout; a row sum over that
+        # layout rounds differently from the contiguous one-lane sum.
+        picked = np.ascontiguousarray(self.logp[:, self.rows, self.y])
+        if weights is None:
+            data_term = -picked.mean(axis=1)
+        else:
+            data_term = -np.array([row @ weights for row in picked])
+        return (data_term + sigma1 * np.sum(self.w * self.w, axis=(1, 2))
+                + sigma2 * np.sum(self.b * self.b, axis=1))
+
+    def grad(self, sigma1, sigma2, weights=None) -> np.ndarray:
+        p = np.exp(self.logp)
+        p[:, self.rows, self.y] -= 1.0
+        if weights is None:
+            p /= len(self.y)
+        else:
+            p *= weights[:, None]
+        gw = p.transpose(0, 2, 1) @ self.x + 2.0 * sigma1 * self.w
+        gb = p.sum(axis=1) + 2.0 * sigma2 * self.b
+        return np.concatenate([gw.reshape(len(p), -1), gb], axis=1)
+
+
+def _one_lane(params, dataset: Dataset, indices) -> _SoftmaxLanes:
+    unpack_params(params, dataset.n_classes, dataset.n_features)  # shape check
+    return _SoftmaxLanes(np.asarray(params, dtype=np.float64)[None], dataset, indices)
+
+
 def softmax_l2_loss(params, dataset, indices, sigma1=0.01, sigma2=0.01,
                     weights=None) -> float:
     """Objective over the given sample rows (optionally weighted)."""
-    w, b = unpack_params(params, dataset.n_classes, dataset.n_features)
-    x = dataset.features[indices]
-    y = dataset.labels[indices]
-    logp = _log_softmax(x @ w.T + b)
-    picked = logp[np.arange(len(y)), y]
-    if weights is None:
-        data_term = -picked.mean()
-    else:
-        data_term = -float(picked @ weights)
-    return float(data_term + sigma1 * np.sum(w * w) + sigma2 * np.sum(b * b))
+    return float(_one_lane(params, dataset, indices).loss(sigma1, sigma2, weights)[0])
 
 
 def softmax_l2_grad(params, dataset, indices, sigma1=0.01, sigma2=0.01,
                     weights=None) -> np.ndarray:
-    w, b = unpack_params(params, dataset.n_classes, dataset.n_features)
-    x = dataset.features[indices]
-    y = dataset.labels[indices]
-    logp = _log_softmax(x @ w.T + b)
-    p = np.exp(logp)
-    p[np.arange(len(y)), y] -= 1.0
-    if weights is None:
-        p /= len(y)
-    else:
-        p *= weights[:, None]
-    gw = p.T @ x + 2.0 * sigma1 * w
-    gb = p.sum(axis=0) + 2.0 * sigma2 * b
-    return pack_params(gw, gb)
+    return _one_lane(params, dataset, indices).grad(sigma1, sigma2, weights)[0]
 
 
 # ------------------------------------------------------------------ quadratic
@@ -261,6 +287,8 @@ class QuadraticProblem:
         self.sigma = sigma
         self.x0 = np.zeros(a.shape[0]) if x0 is None else np.asarray(x0, dtype=np.float64)
         self.x0_jitter = float(x0_jitter)
+        if not np.isfinite(self.x0_jitter):
+            raise ValueError(f"x0_jitter must be finite, got {self.x0_jitter}")
 
     @property
     def dim(self) -> int:
@@ -274,7 +302,22 @@ class QuadraticProblem:
         return region.project(x)
 
     def round_loss_grad(self, x: np.ndarray, t: int, seed: int):
-        return quadratic_loss(x, self.a, self.b), quadratic_grad(x, self.a, self.b)
+        loss, grad = self.lanes_loss_grad(x[None], t, seed)
+        return float(loss[0]), grad[0]
+
+    def lanes_loss_grad(self, xs: np.ndarray, t: int, seed: int):
+        """Round losses (lanes,) and gradients (lanes, n) at stacked iterates.
+
+        Each lane keeps the one-iterate matrix-vector and dot products, so
+        its values do not depend on how many lanes are stacked.
+        """
+        losses = np.empty(len(xs))
+        grads = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            ax = self.a @ x
+            losses[i] = 0.5 * x @ ax + self.b @ x
+            grads[i] = ax + self.b
+        return losses, grads
 
     def full_loss(self, x: np.ndarray) -> float:
         return quadratic_loss(x, self.a, self.b)
@@ -324,6 +367,7 @@ class SoftmaxL2Problem:
         self.sigma1 = float(sigma1)
         self.sigma2 = float(sigma2)
         self.sigma = 2.0 * min(sigma1, sigma2)
+        self._counted = (None, 0, None)  # (seed, rounds, per-sample draw counts)
 
     @property
     def dim(self) -> int:
@@ -333,10 +377,31 @@ class SoftmaxL2Problem:
         return region.project(np.zeros(self.dim))
 
     def round_loss_grad(self, x: np.ndarray, t: int, seed: int):
+        loss, grad = self.lanes_loss_grad(x[None], t, seed)
+        return float(loss[0]), grad[0]
+
+    def lanes_loss_grad(self, xs: np.ndarray, t: int, seed: int):
+        """Round losses (lanes,) and gradients (lanes, n) at stacked iterates,
+        all on the one minibatch of round t."""
         idx = sample_batch(self.dataset, self.batch_size, t, seed).indices
-        loss = softmax_l2_loss(x, self.dataset, idx, self.sigma1, self.sigma2)
-        grad = softmax_l2_grad(x, self.dataset, idx, self.sigma1, self.sigma2)
-        return loss, grad
+        lanes = _SoftmaxLanes(xs, self.dataset, idx)
+        return (lanes.loss(self.sigma1, self.sigma2),
+                lanes.grad(self.sigma1, self.sigma2))
+
+    def _draw_counts(self, upto: int, seed: int) -> np.ndarray:
+        """How often each sample was drawn in rounds 1..upto.
+
+        The counts of the last prefix asked for are kept and extended, so a
+        run of growing checkpoints draws each round once.
+        """
+        counted_seed, done, counts = self._counted
+        if counted_seed != seed or done > upto:
+            done, counts = 0, np.zeros(self.dataset.n_samples, dtype=np.int64)
+        for t in range(done + 1, upto + 1):
+            idx = sample_batch(self.dataset, self.batch_size, t, seed).indices
+            counts += np.bincount(idx, minlength=self.dataset.n_samples)
+        self._counted = (seed, upto, counts)
+        return counts
 
     def full_loss(self, x: np.ndarray) -> float:
         return softmax_l2_loss(x, self.dataset, np.arange(self.dataset.n_samples),
@@ -350,10 +415,7 @@ class SoftmaxL2Problem:
         prefix solve costs one pass over the dataset per gradient instead
         of one pass per round.
         """
-        counts = np.zeros(self.dataset.n_samples, dtype=np.int64)
-        for t in range(1, upto + 1):
-            idx = sample_batch(self.dataset, self.batch_size, t, seed).indices
-            counts += np.bincount(idx, minlength=self.dataset.n_samples)
+        counts = self._draw_counts(upto, seed)
         total = upto * self.batch_size
         weights = counts / float(total)
         rows = np.arange(self.dataset.n_samples)

@@ -16,7 +16,7 @@ linear-divisor rules is stated in terms of:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,9 +25,12 @@ from .optim import (
     OPTIMIZER_KINDS,
     FeasibleRegion,
     HyperParams,
+    advance,
     box_region,
     init_state,
+    scheduled_alpha,
     step,
+    step_betas,
     stepsize_probe,
     validate_hyperparams,
 )
@@ -79,54 +82,168 @@ class TrajectoryTrace:
         )
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One (optimizer, alpha) point of a sweep grid: a lane of ``run_sweep``."""
+
+    label: str
+    kind: str
+    hp: HyperParams
+
+
+#: steps between two finiteness scans of the recorded trace
+_CHECK_EVERY = 256
+
+_NONFINITE = {1: "nonfinite loss at step {t}",
+              2: "nonfinite gradient at step {t}",
+              3: "nonfinite optimizer state after step {t}"}
+
+
+def _lanes_oracle(problem):
+    """``problem.lanes_loss_grad``, or a per-lane loop over ``round_loss_grad``
+    for problems that serve one iterate at a time."""
+    lanes = getattr(problem, "lanes_loss_grad", None)
+    if lanes is not None:
+        return lanes
+
+    def per_lane(xs, t, seed):
+        losses = np.empty(len(xs))
+        grads = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            f, g = problem.round_loss_grad(x.copy(), t, seed)
+            g = np.asarray(g, dtype=np.float64)
+            if g.shape != x.shape:
+                raise ValueError(
+                    f"gradient shape {g.shape} does not match state shape {x.shape}")
+            losses[i] = f
+            grads[i] = g
+        return losses, grads
+
+    return per_lane
+
+
+def _first_nonfinite(lo, hi, cell_rows, loss, xs, gs, ms, ss, shs):
+    """(step offset, cell, code) of the earliest nonfinite value over steps
+    lo+1..hi, or None; ``cell_rows`` lists the stacked row of each cell.
+    Within a step the first cell comes first, and within a cell the loss,
+    then the gradient, then the state after the step (the moments and the
+    next iterate), in the order a one-cell run meets them."""
+    loss = loss[:, lo:hi]
+    grad = gs[:, lo:hi]
+    state = (ms[:, lo:hi], ss[:, lo:hi], shs[:, lo:hi], xs[:, lo + 1:hi + 1])
+    if np.isfinite(loss).all() and all(np.isfinite(a).all() for a in (grad, *state)):
+        return None
+    bad_state = ~np.logical_and.reduce([np.isfinite(a).all(axis=2) for a in state])
+    code = np.select([~np.isfinite(loss), ~np.isfinite(grad).all(axis=2), bad_state],
+                     [1, 2, 3])[cell_rows]
+    offset, cell = np.argwhere(code.T)[0]
+    return int(offset), int(cell), int(code[cell, offset])
+
+
+def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
+              seed: int) -> list[TrajectoryTrace]:
+    """Run the online protocol for every cell in lockstep; one trace per cell.
+
+    All cells start from the problem's initial point and see the same
+    (seed, t) rounds, so one time loop serves them all.  The iterates are
+    stacked as (lanes, n); each step makes one oracle call for all lanes
+    (``lanes_loss_grad``, or a per-lane loop over ``round_loss_grad`` where a
+    problem has none) and one kernel call per lane group: the cells that
+    share a rule and every hyperparameter but alpha, which becomes a
+    per-lane column.  Every operation is elementwise per lane, so each trace
+    is bit-identical to a one-cell run; the traces are views into stacked
+    (lanes, T, n) arrays.
+
+    A nonfinite loss, gradient or optimizer state raises NumericFailure for
+    the earliest step at which any cell has one, naming that cell when
+    there is more than one.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not cells:
+        raise ValueError("a sweep needs at least one cell")
+    for cell in cells:
+        validate_hyperparams(cell.kind, cell.hp)
+    if problem.dim != region.dim:
+        raise ValueError(f"problem dimension {problem.dim} != region dimension {region.dim}")
+    x0 = init_state(cells[0].kind, problem.initial_point(region, seed), region).x
+    groups = {}
+    for j, cell in enumerate(cells):
+        groups.setdefault((cell.kind, replace(cell.hp, alpha=1.0)), []).append(j)
+    lanes = [j for members in groups.values() for j in members]  # stacked row -> cell
+    cell_rows = np.argsort(lanes)
+    n_lanes, n = len(cells), region.dim
+    loss = np.empty((n_lanes, horizon))
+    xs = np.empty((n_lanes, horizon + 1, n))  # row T holds the final iterate
+    gs, ms, ss, shs = (np.empty((n_lanes, horizon, n)) for _ in range(4))
+    alpha, beta1, beta2, step_inf = (np.empty((n_lanes, horizon)) for _ in range(4))
+    steps = np.arange(1, horizon + 1)
+    plan = []
+    lo = 0
+    for members in groups.values():
+        rows = slice(lo, lo + len(members))
+        lo = rows.stop
+        kind, hp = cells[members[0]].kind, cells[members[0]].hp
+        column = np.array([[cells[j].hp.alpha] for j in members])
+        alpha[rows] = scheduled_alpha(kind, hp, column, steps)
+        betas = np.fromiter((step_betas(kind, hp, t) for t in range(1, horizon + 1)),
+                            dtype=(np.float64, 2), count=horizon)
+        beta1[rows] = betas[:, 0]
+        beta2[rows] = betas[:, 1]
+        zeros = np.zeros((len(members), n))
+        plan.append([rows, kind, hp, alpha[rows].T[:, :, None], betas[:, 0], betas[:, 1],
+                     zeros, zeros, zeros])
+    oracle = _lanes_oracle(problem)
+    x = np.tile(x0, (n_lanes, 1))
+    xs[:, 0] = x
+    checked = 0
+    # Nonfinite values are reported through the scans below, not as warnings.
+    with np.errstate(all="ignore"):
+        for t in range(1, horizon + 1):
+            i = t - 1
+            f, g = oracle(x, t, seed)
+            loss[:, i] = f
+            gs[:, i] = g
+            for group in plan:
+                rows, kind, hp, a_t, b1, b2, m, s, s_hat = group
+                x[rows], m, s, s_hat, delta, _ = advance(
+                    kind, hp, t, a_t[i], b1[i], b2[i], g[rows], x[rows], m, s, s_hat, region)
+                ms[rows, i] = m
+                ss[rows, i] = s
+                shs[rows, i] = s_hat
+                step_inf[rows, i] = np.abs(delta).max(axis=1)
+                group[6:] = m, s, s_hat
+            xs[:, t] = x
+            if t - checked == _CHECK_EVERY or t == horizon:
+                failure = _first_nonfinite(checked, t, cell_rows, loss, xs, gs, ms, ss, shs)
+                if failure is not None:
+                    offset, j, code = failure
+                    message = _NONFINITE[code].format(t=checked + offset + 1)
+                    if n_lanes > 1:
+                        message += f" in cell {cells[j].label}"
+                    raise NumericFailure(message)
+                checked = t
+    traces = [None] * n_lanes
+    for row, j in enumerate(lanes):
+        traces[j] = TrajectoryTrace(
+            kind=cells[j].kind, hp=cells[j].hp, seed=seed, region=region, horizon=horizon,
+            problem_kind=problem.kind, sigma=float(problem.sigma),
+            loss=loss[row], x=xs[row, :horizon], g=gs[row], m=ms[row], s=ss[row],
+            s_hat=shs[row], alpha=alpha[row], beta1=beta1[row], beta2=beta2[row],
+            step_inf=step_inf[row], x_final=xs[row, horizon],
+        )
+    return traces
+
+
 def run_online(problem, kind: str, hp: HyperParams, region: FeasibleRegion,
                horizon: int, seed: int) -> TrajectoryTrace:
-    """Run the online protocol for ``horizon`` rounds.
+    """Run the online protocol for ``horizon`` rounds: a one-cell ``run_sweep``.
 
     Each round evaluates the problem's loss and gradient at the current
     iterate, records them, then applies one optimizer step.  Identical
     inputs give identical traces; NaN anywhere aborts with the step index.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    validate_hyperparams(kind, hp)
-    if problem.dim != region.dim:
-        raise ValueError(f"problem dimension {problem.dim} != region dimension {region.dim}")
-    n = region.dim
-    state = init_state(kind, problem.initial_point(region, seed), region)
-    loss = np.empty(horizon)
-    xs = np.empty((horizon, n))
-    gs = np.empty((horizon, n))
-    ms = np.empty((horizon, n))
-    ss = np.empty((horizon, n))
-    shs = np.empty((horizon, n))
-    alphas = np.empty(horizon)
-    beta1s = np.empty(horizon)
-    beta2s = np.empty(horizon)
-    stepn = np.empty(horizon)
-    for t in range(1, horizon + 1):
-        f_t, g_t = problem.round_loss_grad(state.x, t, seed)
-        if not np.isfinite(f_t):
-            raise NumericFailure(f"nonfinite loss at step {t}")
-        i = t - 1
-        loss[i] = f_t
-        xs[i] = state.x
-        gs[i] = g_t
-        state, out = step(state, g_t, hp, region)
-        ms[i] = state.m
-        ss[i] = state.s
-        shs[i] = state.s_hat
-        alphas[i] = out.alpha_t
-        beta1s[i] = out.beta1_t
-        beta2s[i] = out.beta2_t
-        stepn[i] = out.step_inf_norm
-    return TrajectoryTrace(
-        kind=kind, hp=hp, seed=seed, region=region, horizon=horizon,
-        problem_kind=problem.kind, sigma=float(problem.sigma),
-        loss=loss, x=xs, g=gs, m=ms, s=ss, s_hat=shs,
-        alpha=alphas, beta1=beta1s, beta2=beta2s, step_inf=stepn,
-        x_final=state.x,
-    )
+    return run_sweep(problem, [Cell(kind, kind, hp)], region, horizon, seed)[0]
 
 
 # ------------------------------------------------------------- hindsight

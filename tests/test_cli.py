@@ -277,3 +277,29 @@ class TestProbe:
         result = cli("probe")
         assert result.returncode == 0
         assert "probe wrote" not in result.stdout
+
+
+class TestNonFiniteInputs:
+    """Values that parse as numbers but make a run meaningless, or crash it
+    later, are config errors that name their line."""
+
+    @pytest.mark.parametrize("old, new, line, words", [
+        ("alpha = 0.001", "alpha = 1e400", 10, "alpha must be a finite number"),
+        ("alpha = 0.001", "alpha = 0.001, inf", 10, "alpha must be a finite number"),
+        ("delta = 0.1", "delta = inf", 13, "delta must be a finite number"),
+        ("x_star = 0.5", "x_star = 0.5\nx0_jitter = inf", 7, "x0_jitter must be a finite"),
+        ("x_star = 0.5", "x_star = nan", 6, "x_star must be a finite number"),
+        ("eig_max = 1.0", "eig_max = inf", 5, "eig_max must be a finite number"),
+        ("region_lo = -2", "region_lo = -inf", 17, "region_lo must be a finite number"),
+        ("seed = 3", "seed = 3\ncheckpoints = 10,20,999", 20, "beyond horizon 50"),
+    ])
+    def test_rejected_with_exit_2_and_the_line(self, tmp_path, old, new, line, words):
+        assert old in QUADRATIC
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(QUADRATIC.replace(old, new))
+        result = cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"line {line}: " in result.stderr
+        assert words in result.stderr
+        assert not (tmp_path / "out").exists()

@@ -227,6 +227,13 @@ def test_hyperparams_validation_messages_name_fields():
         HyperParams(lam=1.5)
 
 
+@pytest.mark.parametrize("field", ["alpha", "delta", "epsilon", "eta_final", "bound_gamma"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_hyperparams_reject_nonfinite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        HyperParams(**{field: value})
+
+
 def test_adabound_zero_second_moment_hits_upper_envelope():
     # a zero gradient leaves v = 0, making alpha_t/sqrt(v) infinite; the
     # clip must bring the rate down to eta_u(1) instead of propagating inf

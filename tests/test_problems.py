@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from beliefopt import problems
 from beliefopt.optim import box_region
 from beliefopt.problems import (
     Dataset,
@@ -383,6 +384,39 @@ class TestSoftmaxProblem:
                             for t in range(1, upto + 1)], axis=0)
         np.testing.assert_allclose(grad(x), g_rounds, rtol=1e-10, atol=1e-14)
         assert l_est > 0
+
+    def test_prefix_counts_extend_across_checkpoints(self, monkeypatch):
+        # A growing checkpoint chain draws each round once, and every prefix
+        # (also after a step back or a seed change) equals one counted from
+        # scratch on a fresh problem.
+        prob = self.make()
+        drawn = []
+        real = problems.sample_batch
+
+        def counting(dataset, m, t, seed):
+            drawn.append((t, seed))
+            return real(dataset, m, t, seed)
+
+        monkeypatch.setattr(problems, "sample_batch", counting)
+        chain = [(4, 3), (9, 3), (13, 3), (6, 3), (6, 5)]
+        got = [prob.prefix_objective(upto, seed) for upto, seed in chain]
+        assert drawn[:13] == [(t, 3) for t in range(1, 14)]
+        assert len(drawn) == 13 + 6 + 6
+        x = np.random.default_rng(4).standard_normal(prob.dim) * 0.3
+        for (upto, seed), (f, grad, l_est) in zip(chain, got):
+            f0, grad0, l0 = self.make().prefix_objective(upto, seed)
+            assert f(x) == f0(x)
+            np.testing.assert_array_equal(grad(x), grad0(x))
+            assert l_est == l0
+
+    def test_lanes_match_one_iterate_at_a_time(self):
+        prob = self.make()
+        xs = np.random.default_rng(5).standard_normal((6, prob.dim)) * 0.3
+        losses, grads = prob.lanes_loss_grad(xs, t=4, seed=1)
+        for x, f, g in zip(xs, losses, grads):
+            idx = sample_batch(prob.dataset, 5, t=4, seed=1).indices
+            assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
+            np.testing.assert_array_equal(g, softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
 
     def test_validates_penalties(self):
         ds = synth_classification(seed=0, n_classes=2, n_features=2, n_samples=4)

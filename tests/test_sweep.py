@@ -1,0 +1,318 @@
+"""The lane-batched sweep engine.
+
+Every lane of a sweep must be bit-identical to a run of its cell alone, and
+to a plain per-step loop over ``round_loss_grad`` and ``step`` (the reference
+below, kept independent of the engine).  Failures report the earliest step
+across lanes and, in a multi-cell sweep, the cell.
+"""
+
+import numpy as np
+import pytest
+
+from beliefopt import (
+    Cell,
+    HyperParams,
+    NumericFailure,
+    QuadraticProblem,
+    build_problem,
+    build_region,
+    box_region,
+    init_state,
+    parse_config,
+    run_online,
+    run_sweep,
+    step,
+    sweep_cells,
+)
+from beliefopt.cli import main
+
+TRACE_ARRAYS = ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2",
+                "step_inf", "x_final")
+
+# All seven rules at two alphas each.  adam appears in three blocks: the
+# second differs in beta1 (cell labels need distinct alphas, too), so it is
+# a lane group of its own, and the third shares the first block's
+# hyperparameters, so its lane joins that group from a later position in
+# the cell order.
+OPTIMIZERS = """\
+[optimizer]
+kind = fastadabelief
+alpha = 0.1, 0.01
+lam = 0.999
+beta2_mode = sadam
+delta = 1.0
+
+[optimizer]
+kind = sadam
+alpha = 0.1, 0.01
+beta2_mode = sadam
+delta = 1.0
+
+[optimizer]
+kind = adam
+alpha = 0.1, 0.01
+
+[optimizer]
+kind = adabelief
+alpha = 0.1, 0.01
+
+[optimizer]
+kind = adam
+alpha = 0.05, 0.005
+beta1 = 0.5
+
+[optimizer]
+kind = yogi
+alpha = 0.1, 0.01
+
+[optimizer]
+kind = adabound
+alpha = 0.1, 0.01
+
+[optimizer]
+kind = sgd_momentum
+alpha = 0.1, 0.01
+
+[optimizer]
+kind = adam
+alpha = 0.001
+"""
+
+QUADRATIC = """\
+[problem]
+kind = quadratic
+dim = 5
+eig_min = 0.1
+eig_max = 2.0
+x_star = 0.5
+x0 = zeros
+x0_jitter = 1e-3
+
+[run]
+horizon = 300
+region_lo = -1
+region_hi = 1
+seed = 4
+"""
+
+# A batch of 12 rows is past the 8-element block where numpy's row sums
+# start to depend on memory layout, which is what a lane-minor gather of
+# the picked log-probabilities would change.
+SOFTMAX = """\
+[problem]
+kind = softmax
+classes = 3
+features = 3
+samples = 200
+separation = 1.0
+batch_size = 12
+
+[run]
+horizon = 300
+region_lo = -5
+region_hi = 5
+seed = 4
+"""
+
+FAMILIES = {"quadratic": QUADRATIC, "softmax": SOFTMAX}
+
+
+def setup(family):
+    cfg = parse_config(FAMILIES[family] + "\n" + OPTIMIZERS)
+    problem = build_problem(cfg)
+    return problem, build_region(cfg, problem.dim), sweep_cells(cfg), cfg.run
+
+
+def reference_run(problem, cell, region, horizon, seed):
+    """Per-step loop over round_loss_grad and step, recording what a trace holds."""
+    state = init_state(cell.kind, problem.initial_point(region, seed), region)
+    rows = {name: [] for name in TRACE_ARRAYS if name != "x_final"}
+    for t in range(1, horizon + 1):
+        f, g = problem.round_loss_grad(state.x, t, seed)
+        rows["loss"].append(f)
+        rows["x"].append(state.x)
+        rows["g"].append(g)
+        state, out = step(state, g, cell.hp, region)
+        for name in ("m", "s", "s_hat"):
+            rows[name].append(getattr(state, name))
+        rows["alpha"].append(out.alpha_t)
+        rows["beta1"].append(out.beta1_t)
+        rows["beta2"].append(out.beta2_t)
+        rows["step_inf"].append(out.step_inf_norm)
+    arrays = {name: np.array(values) for name, values in rows.items()}
+    arrays["x_final"] = state.x
+    return arrays
+
+
+def assert_same(trace, want):
+    for name in TRACE_ARRAYS:
+        got = getattr(trace, name)
+        assert np.array_equal(got, want[name]), name
+        assert got.dtype == np.float64 and got.shape == np.shape(want[name]), name
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_grid_has_every_rule_and_shared_groups(family):
+    _, _, cells, _ = setup(family)
+    assert len(cells) == 17
+    assert {c.kind for c in cells} == {"sgd_momentum", "adam", "yogi", "adabound",
+                                       "adabelief", "sadam", "fastadabelief"}
+    adam_beta1 = {c.hp.beta1 for c in cells if c.kind == "adam"}
+    assert adam_beta1 == {0.9, 0.5}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("lanes", [5, 17])
+def test_each_lane_equals_its_cell_run_alone(family, lanes):
+    problem, region, cells, run = setup(family)
+    cells = cells[-lanes:]
+    traces = run_sweep(problem, cells, region, run.horizon, run.seed)
+    assert [t.kind for t in traces] == [c.kind for c in cells]
+    for cell, trace in zip(cells, traces):
+        assert trace.hp == cell.hp
+        alone = run_online(problem, cell.kind, cell.hp, region, run.horizon, run.seed)
+        assert_same(trace, {name: getattr(alone, name) for name in TRACE_ARRAYS})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_lane_equals_the_per_step_reference(family):
+    problem, region, cells, run = setup(family)
+    traces = run_sweep(problem, cells, region, run.horizon, run.seed)
+    for cell, trace in zip(cells, traces):
+        assert_same(trace, reference_run(problem, cell, region, run.horizon, run.seed))
+
+
+class OneAtATime:
+    """Duck-typed problem with no lanes_loss_grad: the sweep loops over lanes."""
+
+    kind = "quadratic"
+
+    def __init__(self, inner, poison=None):
+        self.inner = inner
+        self.sigma = inner.sigma
+        self.dim = inner.dim
+        self.poison = poison  # (t, what) to corrupt
+
+    def initial_point(self, region, seed):
+        return self.inner.initial_point(region, seed)
+
+    def round_loss_grad(self, x, t, seed):
+        f, g = self.inner.round_loss_grad(x, t, seed)
+        if self.poison is not None and self.poison[0] == t:
+            what = self.poison[1]
+            if what == "loss":
+                f = float("nan")
+            elif what == "gradient":
+                g = np.full_like(g, np.nan)
+            else:  # finite, but its square overflows the second moment
+                g = np.full_like(g, 1e200)
+        return f, g
+
+
+def test_duck_typed_problem_goes_through_the_per_lane_adapter():
+    problem, region, cells, run = setup("quadratic")
+    duck = OneAtATime(problem)
+    assert not hasattr(duck, "lanes_loss_grad")
+    got = run_sweep(duck, cells, region, run.horizon, run.seed)
+    want = run_sweep(problem, cells, region, run.horizon, run.seed)
+    for a, b in zip(got, want):
+        assert_same(a, {name: getattr(b, name) for name in TRACE_ARRAYS})
+
+
+def test_adapter_checks_the_gradient_shape():
+    class WrongShape(OneAtATime):
+        def round_loss_grad(self, x, t, seed):
+            return 0.0, np.zeros(self.dim + 1)
+
+    problem, region, cells, run = setup("quadratic")
+    with pytest.raises(ValueError, match="gradient shape"):
+        run_sweep(WrongShape(problem), cells[:2], region, 3, run.seed)
+
+
+def test_sweep_validates_its_inputs():
+    problem, region, cells, _ = setup("quadratic")
+    with pytest.raises(ValueError, match="horizon"):
+        run_sweep(problem, cells, region, 0, 0)
+    with pytest.raises(ValueError, match="at least one cell"):
+        run_sweep(problem, [], region, 5, 0)
+    with pytest.raises(ValueError, match="dimension"):
+        run_sweep(problem, cells, box_region(-1.0, 1.0, problem.dim + 1), 5, 0)
+
+
+# --------------------------------------------------------------- failures
+
+
+def bowl():
+    return QuadraticProblem(np.eye(2), np.full(2, -0.5), x0=np.zeros(2))
+
+
+ADAM = Cell("adam_alpha0.01", "adam", HyperParams(alpha=0.01))
+
+
+@pytest.mark.parametrize("what, message", [
+    ("loss", "nonfinite loss at step 300"),
+    ("gradient", "nonfinite gradient at step 300"),
+    ("state", "nonfinite optimizer state after step 300"),
+])
+def test_one_cell_keeps_the_plain_failure_message(what, message):
+    # Step 300 lies past the first finiteness scan, so the scan offsets count.
+    duck = OneAtATime(bowl(), poison=(300, what))
+    with pytest.raises(NumericFailure) as info:
+        run_online(duck, "adam", HyperParams(alpha=0.01), box_region(-2.0, 2.0, 2), 600, 0)
+    assert str(info.value) == message
+
+
+def test_multi_cell_failure_names_the_earliest_cell():
+    # On 0.5*x^2 - 0.5*x from 0, sgd_momentum at alpha 1e200 overflows the
+    # loss at step 2 and at alpha 1e100 at step 3; the healthy adam lane
+    # comes first, the later failure second.
+    problem = QuadraticProblem(np.eye(1), np.array([-0.5]), x0=np.zeros(1))
+    cells = [
+        Cell("adam_alpha0.1", "adam", HyperParams(alpha=0.1)),
+        Cell("sgd_momentum_alpha1e+100", "sgd_momentum", HyperParams(alpha=1e100)),
+        Cell("sgd_momentum_alpha1e+200", "sgd_momentum", HyperParams(alpha=1e200)),
+    ]
+    region = box_region(-1e300, 1e300, 1)
+    with pytest.raises(NumericFailure) as info:
+        run_sweep(problem, cells, region, 5, 0)
+    assert str(info.value) == "nonfinite loss at step 2 in cell sgd_momentum_alpha1e+200"
+    with pytest.raises(NumericFailure, match="step 3 in cell sgd_momentum_alpha1e"):
+        run_sweep(problem, cells[:2], region, 5, 0)
+
+
+def test_same_step_failures_name_the_first_cell_in_order():
+    duck = OneAtATime(bowl(), poison=(7, "gradient"))
+    cells = [Cell("sadam_alpha0.1", "sadam", HyperParams(alpha=0.1, beta2_mode="sadam")), ADAM]
+    with pytest.raises(NumericFailure) as info:
+        run_sweep(duck, cells, box_region(-2.0, 2.0, 2), 20, 0)
+    assert str(info.value) == "nonfinite gradient at step 7 in cell sadam_alpha0.1"
+
+
+def test_cli_reports_the_failing_cell_with_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("""\
+[problem]
+kind = quadratic
+dim = 1
+eig_min = 1.0
+eig_max = 1.0
+x_star = 0.5
+x0 = zeros
+x0_jitter = 0
+
+[optimizer]
+kind = adam
+alpha = 0.1
+
+[optimizer]
+kind = sgd_momentum
+alpha = 1e100, 1e200
+
+[run]
+horizon = 5
+region_lo = -1e300
+region_hi = 1e300
+""")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: nonfinite loss at step 2 in cell sgd_momentum_alpha1e+200" in err
