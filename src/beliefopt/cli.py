@@ -29,6 +29,7 @@ import numpy as np
 from .config import RunConfig, build_problem, build_region, load_config, parse_config, sweep_cells
 from .errors import CheckFailure, ConfigError, NumericFailure
 from .regret import (
+    BAND_TOL,
     PROBE_KINDS,
     check_condition3,
     compute_regret,
@@ -138,13 +139,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    """``int(text)`` for a seed; numpy's generators take no negative seeds."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
+
+
+def _meta_value(tf, path: str, key: str, parse):
+    try:
+        return parse(tf.meta[key])
+    except ValueError:
+        raise ConfigError(f"{path}: metadata '# {key}: {tf.meta[key]}' is not valid") from None
+
+
 def _check_one(path: str) -> list[str]:
     failures = []
     tf = read_trace(path)
     for key in ("optimizer", "alpha", "seed", "cond4_upper"):
         if key not in tf.meta:
             raise CheckFailure(f"{path}: metadata line '# {key}: ...' missing")
-    upper = float(tf.meta["cond4_upper"]) + 1e-12
+    upper = _meta_value(tf, path, "cond4_upper", float) + BAND_TOL
+    alpha = _meta_value(tf, path, "alpha", float)
+    seed = _meta_value(tf, path, "seed", nonnegative_int)
     cols = tf.columns
     cond4_ok = bool(np.all(cols["cond4_min"] >= 0.0) and np.all(cols["cond4_max"] <= upper))
     gamma_ok = bool(np.all(cols["gamma_min"] >= 0.0))
@@ -160,9 +178,7 @@ def _check_one(path: str) -> list[str]:
     if not tf.config_text:
         raise CheckFailure(f"{path}: no embedded config to re-run")
     cfg = parse_config(tf.config_text)
-    seed = int(tf.meta["seed"])
     kind = tf.meta["optimizer"]
-    alpha = float(tf.meta["alpha"])
     cell = next((c for c in sweep_cells(cfg)
                  if c.kind == kind and c.hp.alpha == alpha), None)
     if cell is None:
@@ -245,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run every sweep cell and write traces")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=nonnegative_int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="sweep, select best alpha per optimizer, plot")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
+    p_cmp.add_argument("--seed", type=nonnegative_int, default=None)
     p_cmp.add_argument("--select-alpha", choices=("final_loss", "final_regret"),
                        default="final_loss")
     p_cmp.set_defaults(func=cmd_compare)
@@ -263,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd = sub.add_parser("bound", help="closed-form budget vs measured regret")
     p_bnd.add_argument("--config", required=True)
     p_bnd.add_argument("--out", default=None)
-    p_bnd.add_argument("--seed", type=int, default=None)
+    p_bnd.add_argument("--seed", type=nonnegative_int, default=None)
     p_bnd.set_defaults(func=cmd_bound)
 
     p_prb = sub.add_parser("probe", help="stepsize table on the gradient scripts")

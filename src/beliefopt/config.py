@@ -8,90 +8,92 @@ Unknown sections or keys fail with the offending line number rather than
 being silently dropped, since a typoed key would otherwise change results.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .optim import OPTIMIZER_KINDS, HyperParams, box_region, validate_hyperparams
+from .optim import (BETA2_MODES, OPTIMIZER_KINDS, SCHEDULES, HyperParams, box_region,
+                    validate_hyperparams)
 from .problems import QuadraticProblem, SoftmaxL2Problem, load_csv, synth_classification
 from .regret import Cell
 
-_SCHEDULES = ("constant", "inverse_t", "inverse_sqrt_t")
+# A spec dataclass is the schema of its section: each field whose type is
+# listed here is a key parsed by that type alone.  Fields of other types
+# (the alpha grid, the "auto" markers) are parsed by their section.
+_PLAIN_TYPES = (int, float, float | None, str, str | None)
 
-_PROBLEM_KEYS = {
-    "kind", "dim", "eig_min", "eig_max", "x_star", "x0", "x0_jitter", "sigma",
-    "source", "classes", "features", "samples", "separation", "data_seed",
-    "sigma1", "sigma2", "batch_size",
-}
-_QUADRATIC_KEYS = {"kind", "dim", "eig_min", "eig_max", "x_star", "x0", "x0_jitter", "sigma"}
-_SOFTMAX_KEYS = {
-    "kind", "source", "classes", "features", "samples", "separation",
-    "data_seed", "sigma1", "sigma2", "batch_size",
-}
-_OPTIMIZER_KEYS = {
-    "kind", "alpha", "beta1", "lam", "beta2_mode", "beta2", "beta2_c",
-    "delta", "epsilon", "schedule", "eta_final", "bound_gamma",
-}
-_RUN_KEYS = {
-    "horizon", "region_lo", "region_hi", "seed", "out_dir", "thin_stride",
-    "checkpoints",
-}
+
+def _choice(*words: str):
+    """A word-valued field; the first word is the default."""
+    return field(default=words[0], metadata={"choices": words})
+
+
+def _at_least(low: int, default: int):
+    """An integer field with a lower bound."""
+    return field(default=default, metadata={"min": low})
 
 
 @dataclass
-class ProblemSpec:
-    kind: str
-    dim: int = 10
+class QuadraticSpec:
+    """[problem] keys of kind = quadratic; ``kind`` itself is not a field."""
+
+    kind = "quadratic"
+    dim: int = _at_least(1, default=10)
     eig_min: float = 0.1
     eig_max: float = 1.0
     x_star: float = 0.5
-    x0: str = "minimizer"
+    x0: str = _choice("minimizer", "zeros")
     x0_jitter: float = 1e-5
     sigma: float | None = None
+
+
+@dataclass
+class SoftmaxSpec:
+    """[problem] keys of kind = softmax."""
+
+    kind = "softmax"
     source: str = "synth"
     classes: int = 10
     features: int = 20
     samples: int = 2000
     separation: float = 1.0
-    data_seed: int = 7
+    data_seed: int = _at_least(0, default=7)
     sigma1: float = 0.01
     sigma2: float = 0.01
-    batch_size: int = 512
+    batch_size: int = _at_least(1, default=512)
+
+
+_PROBLEM_SPECS = {spec.kind: spec for spec in (QuadraticSpec, SoftmaxSpec)}
 
 
 @dataclass
 class OptimizerSpec:
     kind: str
-    alphas: tuple[float, ...] = (0.001,)
-    beta1: float = 0.9
-    lam: float = 1.0
-    beta2_mode: str = "constant"
-    beta2: float = 0.999
-    beta2_c: float = 0.9
-    delta: float = 0.1
-    epsilon: float = 1e-8
+    alphas: tuple[float, ...] = (HyperParams.alpha,)
+    beta1: float = HyperParams.beta1
+    lam: float = HyperParams.lam
+    beta2_mode: str = _choice(*BETA2_MODES)
+    beta2: float = HyperParams.beta2
+    beta2_c: float = HyperParams.beta2_c
+    delta: float = HyperParams.delta
+    epsilon: float = HyperParams.epsilon
     schedule: str | None = None
-    eta_final: float = 0.1
-    bound_gamma: float = 1e-3
+    eta_final: float = HyperParams.eta_final
+    bound_gamma: float = HyperParams.bound_gamma
 
     def hyperparams(self, alpha: float) -> HyperParams:
-        return HyperParams(
-            alpha=alpha, beta1=self.beta1, lam=self.lam,
-            beta2_mode=self.beta2_mode, beta2=self.beta2, beta2_c=self.beta2_c,
-            delta=self.delta, epsilon=self.epsilon, step_schedule=self.schedule,
-            eta_final=self.eta_final, bound_gamma=self.bound_gamma,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(HyperParams)
+                  if f.name in self.__dataclass_fields__}
+        return HyperParams(alpha=alpha, step_schedule=self.schedule, **shared)
 
 
 @dataclass
 class RunSpec:
-    horizon: int = 1000
+    horizon: int = _at_least(1, default=1000)
     region_lo: float = -5.0
     region_hi: float = 5.0
-    seed: int = 0
+    seed: int = _at_least(0, default=0)
     out_dir: str | None = None
     thin_stride: str | int = "auto"
     checkpoints: str | tuple[int, ...] = "auto"
@@ -99,7 +101,7 @@ class RunSpec:
 
 @dataclass
 class RunConfig:
-    problem: ProblemSpec
+    problem: QuadraticSpec | SoftmaxSpec
     optimizers: list[OptimizerSpec]
     run: RunSpec
     text: str = field(repr=False, default="")
@@ -147,103 +149,82 @@ def _finite(text: str, lineno: int, key: str) -> float:
     return number
 
 
-def _as_float(entry, key):
-    value, lineno = entry
+def _integer(text: str, lineno: int, key: str, low: int | None = None) -> int:
     try:
-        return _finite(value, lineno, key)
+        number = int(text)
     except ValueError:
-        raise _fail(lineno, f"{key} must be a number, got {value!r}") from None
+        raise _fail(lineno, f"{key} must be an integer, got {text!r}") from None
+    if low is not None and number < low:
+        raise _fail(lineno, f"{key} must be >= {low}")
+    return number
 
 
-def _as_int(entry, key):
-    value, lineno = entry
-    try:
-        return int(value)
-    except ValueError:
-        raise _fail(lineno, f"{key} must be an integer, got {value!r}") from None
+def _plain_fields(spec_type) -> dict:
+    return {f.name: f for f in fields(spec_type) if f.type in _PLAIN_TYPES}
 
 
-def _pop(raw: dict, key: str):
-    return raw.pop(key, None)
+def _parse_plain(spec, raw: dict, section: str, special=()) -> None:
+    """Set every key of ``raw`` but the ``special`` ones on ``spec``, parsed by
+    the declared type of its field; a key with no plain field is unknown."""
+    plain = _plain_fields(type(spec))
+    for key, (value, lineno) in raw.items():
+        if key in special:
+            continue
+        if key not in plain:
+            raise _fail(lineno, f"unknown [{section}] key {key!r}")
+        f = plain[key]
+        words = f.metadata.get("choices")
+        if words and value not in words:
+            raise _fail(lineno, f"{key} must be {' or '.join(words)}, got {value!r}")
+        if f.type is int:
+            value = _integer(value, lineno, key, f.metadata.get("min"))
+        elif f.type in (float, float | None):
+            try:
+                value = _finite(value, lineno, key)
+            except ValueError:
+                raise _fail(lineno, f"{key} must be a number, got {value!r}") from None
+        setattr(spec, key, value)
 
 
-def _parse_problem(raw: dict, header_line: int) -> ProblemSpec:
-    entry = _pop(raw, "kind")
+def _pop_kind(raw: dict, header_line: int, section: str, kinds) -> str:
+    entry = raw.pop("kind", None)
     if entry is None:
-        raise _fail(header_line, "[problem] requires kind = quadratic | softmax")
-    kind, kind_line = entry
-    if kind not in ("quadratic", "softmax"):
-        raise _fail(kind_line, f"unknown problem kind {kind!r}")
-    allowed = _QUADRATIC_KEYS if kind == "quadratic" else _SOFTMAX_KEYS
+        raise _fail(header_line, f"[{section}] requires kind = {' | '.join(kinds)}")
+    kind, lineno = entry
+    if kind not in kinds:
+        raise _fail(lineno, f"unknown {section} kind {kind!r}; expected one of {', '.join(kinds)}")
+    return kind
+
+
+def _parse_problem(raw: dict, header_line: int) -> QuadraticSpec | SoftmaxSpec:
+    kind = _pop_kind(raw, header_line, "problem", tuple(_PROBLEM_SPECS))
+    spec = _PROBLEM_SPECS[kind]()
+    own = _plain_fields(type(spec))
     for key, (_, lineno) in raw.items():
-        if key not in _PROBLEM_KEYS:
-            raise _fail(lineno, f"unknown [problem] key {key!r}")
-        if key not in allowed:
+        if key not in own and any(key in _plain_fields(other) for other in _PROBLEM_SPECS.values()):
             raise _fail(lineno, f"key {key!r} does not apply to {kind} problems")
-    spec = ProblemSpec(kind=kind)
-    for key in ("dim", "classes", "features", "samples", "data_seed", "batch_size"):
-        if key in raw:
-            setattr(spec, key, _as_int(raw[key], key))
-    for key in ("eig_min", "eig_max", "x_star", "x0_jitter", "sigma",
-                "separation", "sigma1", "sigma2"):
-        if key in raw:
-            setattr(spec, key, _as_float(raw[key], key))
-    if "source" in raw:
-        spec.source = raw["source"][0]
-    if "x0" in raw:
-        value, lineno = raw["x0"]
-        if value not in ("minimizer", "zeros"):
-            raise _fail(lineno, f"x0 must be minimizer or zeros, got {value!r}")
-        spec.x0 = value
-    if kind == "quadratic":
-        if spec.dim < 1:
-            raise _fail(header_line, "dim must be >= 1")
-        if not 0 < spec.eig_min <= spec.eig_max:
-            raise _fail(header_line, "need 0 < eig_min <= eig_max")
-    else:
-        if spec.batch_size < 1:
-            raise _fail(header_line, "batch_size must be >= 1")
+    _parse_plain(spec, raw, "problem")
+    if kind == "quadratic" and not 0 < spec.eig_min <= spec.eig_max:
+        raise _fail(header_line, "need 0 < eig_min <= eig_max")
     return spec
 
 
 def _parse_optimizer(raw: dict, header_line: int) -> OptimizerSpec:
-    entry = _pop(raw, "kind")
-    if entry is None:
-        raise _fail(header_line, "[optimizer] requires a kind")
-    kind, kind_line = entry
-    if kind not in OPTIMIZER_KINDS:
-        raise _fail(kind_line,
-                    f"unknown optimizer kind {kind!r}; expected one of {', '.join(OPTIMIZER_KINDS)}")
-    for key, (_, lineno) in raw.items():
-        if key not in _OPTIMIZER_KEYS:
-            raise _fail(lineno, f"unknown [optimizer] key {key!r}")
+    kind = _pop_kind(raw, header_line, "optimizer", OPTIMIZER_KINDS)
     spec = OptimizerSpec(kind=kind)
+    _parse_plain(spec, raw, "optimizer", special=("alpha", "schedule"))
     if "alpha" in raw:
         value, lineno = raw["alpha"]
         try:
             alphas = tuple(_finite(part, lineno, "alpha") for part in value.split(","))
         except ValueError:
             raise _fail(lineno, f"alpha must be a comma-separated number list, got {value!r}") from None
-        if not alphas:
-            raise _fail(lineno, "alpha grid is empty")
         spec.alphas = alphas
-    for key in ("beta1", "lam", "beta2", "beta2_c", "delta", "epsilon",
-                "eta_final", "bound_gamma"):
-        if key in raw:
-            setattr(spec, key, _as_float(raw[key], key))
-    if "beta2_mode" in raw:
-        value, lineno = raw["beta2_mode"]
-        if value not in ("constant", "sadam"):
-            raise _fail(lineno, f"beta2_mode must be constant or sadam, got {value!r}")
-        spec.beta2_mode = value
     if "schedule" in raw:
         value, lineno = raw["schedule"]
-        if value == "auto":
-            spec.schedule = None
-        elif value in _SCHEDULES:
-            spec.schedule = value
-        else:
-            raise _fail(lineno, f"schedule must be auto or one of {', '.join(_SCHEDULES)}")
+        if value != "auto" and value not in SCHEDULES:
+            raise _fail(lineno, f"schedule must be auto or one of {', '.join(SCHEDULES)}")
+        spec.schedule = None if value == "auto" else value
     # Surface bad hyperparameter combinations at parse time, with the
     # section's location, instead of deep inside a run.
     for alpha in spec.alphas:
@@ -255,25 +236,12 @@ def _parse_optimizer(raw: dict, header_line: int) -> OptimizerSpec:
 
 
 def _parse_run(raw: dict, header_line: int) -> RunSpec:
-    for key, (_, lineno) in raw.items():
-        if key not in _RUN_KEYS:
-            raise _fail(lineno, f"unknown [run] key {key!r}")
     spec = RunSpec()
-    for key in ("horizon", "seed"):
-        if key in raw:
-            setattr(spec, key, _as_int(raw[key], key))
-    for key in ("region_lo", "region_hi"):
-        if key in raw:
-            setattr(spec, key, _as_float(raw[key], key))
-    if "out_dir" in raw:
-        spec.out_dir = raw["out_dir"][0]
+    _parse_plain(spec, raw, "run", special=("thin_stride", "checkpoints"))
     if "thin_stride" in raw:
         value, lineno = raw["thin_stride"]
         if value != "auto":
-            stride = _as_int(raw["thin_stride"], "thin_stride")
-            if stride < 1:
-                raise _fail(lineno, "thin_stride must be >= 1")
-            spec.thin_stride = stride
+            spec.thin_stride = _integer(value, lineno, "thin_stride", low=1)
     if "checkpoints" in raw:
         value, lineno = raw["checkpoints"]
         if value != "auto":
@@ -286,8 +254,6 @@ def _parse_run(raw: dict, header_line: int) -> RunSpec:
             if max(points) > spec.horizon:
                 raise _fail(lineno, f"checkpoint {max(points)} lies beyond horizon {spec.horizon}")
             spec.checkpoints = points
-    if spec.horizon < 1:
-        raise _fail(header_line, "horizon must be >= 1")
     if not spec.region_lo < spec.region_hi:
         raise _fail(header_line, "need region_lo < region_hi")
     return spec
@@ -333,22 +299,26 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig):
+    """The problem a config describes; a value it rejects is a ConfigError."""
     ps = cfg.problem
-    if ps.kind == "quadratic":
-        eigs = np.logspace(np.log10(ps.eig_min), np.log10(ps.eig_max), ps.dim)
-        a = np.diag(eigs)
-        x_star = ps.x_star * np.where(np.arange(ps.dim) % 2 == 0, 1.0, -1.0)
-        b = -a @ x_star
-        x0 = x_star if ps.x0 == "minimizer" else np.zeros(ps.dim)
-        return QuadraticProblem(a, b, x0=x0, x0_jitter=ps.x0_jitter, sigma=ps.sigma)
-    if ps.source == "synth":
-        dataset = synth_classification(
-            seed=ps.data_seed, n_classes=ps.classes, n_features=ps.features,
-            n_samples=ps.samples, separation=ps.separation)
-    else:
-        dataset = load_csv(ps.source)
-    return SoftmaxL2Problem(dataset, batch_size=ps.batch_size,
-                            sigma1=ps.sigma1, sigma2=ps.sigma2)
+    try:
+        if ps.kind == "quadratic":
+            eigs = np.logspace(np.log10(ps.eig_min), np.log10(ps.eig_max), ps.dim)
+            a = np.diag(eigs)
+            x_star = ps.x_star * np.where(np.arange(ps.dim) % 2 == 0, 1.0, -1.0)
+            b = -a @ x_star
+            x0 = x_star if ps.x0 == "minimizer" else np.zeros(ps.dim)
+            return QuadraticProblem(a, b, x0=x0, x0_jitter=ps.x0_jitter, sigma=ps.sigma)
+        if ps.source == "synth":
+            dataset = synth_classification(
+                seed=ps.data_seed, n_classes=ps.classes, n_features=ps.features,
+                n_samples=ps.samples, separation=ps.separation)
+        else:
+            dataset = load_csv(ps.source)
+        return SoftmaxL2Problem(dataset, batch_size=ps.batch_size,
+                                sigma1=ps.sigma1, sigma2=ps.sigma2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[problem] {ps.kind}: {exc}") from None
 
 
 def build_region(cfg: RunConfig, dim: int):

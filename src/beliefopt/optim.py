@@ -53,7 +53,8 @@ _DEFAULT_SCHEDULE = {
     "fastadabelief": "inverse_t",
 }
 
-_SCHEDULES = ("inverse_t", "inverse_sqrt_t", "constant")
+SCHEDULES = ("constant", "inverse_t", "inverse_sqrt_t")
+BETA2_MODES = ("constant", "sadam")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class HyperParams:
             raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if self.beta2_mode not in ("constant", "sadam"):
+        if self.beta2_mode not in BETA2_MODES:
             raise ValueError(f"beta2_mode must be 'constant' or 'sadam', got {self.beta2_mode!r}")
         if self.beta2_mode == "constant" and not 0.0 <= self.beta2 < 1.0:
             raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
@@ -96,8 +97,8 @@ class HyperParams:
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if self.step_schedule is not None and self.step_schedule not in _SCHEDULES:
-            raise ValueError(f"step_schedule must be one of {_SCHEDULES}, got {self.step_schedule!r}")
+        if self.step_schedule is not None and self.step_schedule not in SCHEDULES:
+            raise ValueError(f"step_schedule must be one of {SCHEDULES}, got {self.step_schedule!r}")
         if not 0.0 < self.eta_final < math.inf:
             raise ValueError(f"eta_final must be positive and finite, got {self.eta_final}")
         if not 0.0 < self.bound_gamma < math.inf:

@@ -58,14 +58,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class MiniBatch:
-    """Row indices drawn for round t."""
-
-    indices: np.ndarray
-    t: int
-
-
 def synth_classification(seed: int, n_classes: int = 10, n_features: int = 20,
                          n_samples: int = 2000, separation: float = 3.0) -> Dataset:
     """Gaussian blobs with unit covariance, one per class.
@@ -82,7 +74,9 @@ def synth_classification(seed: int, n_classes: int = 10, n_features: int = 20,
             f"standard-basis means for {n_classes} classes need at least "
             f"{n_classes} features, got {n_features}")
     if n_samples < n_classes:
-        raise ValueError("need at least one sample per class")
+        raise ValueError(
+            f"need at least one sample per class, got n_samples={n_samples} "
+            f"for n_classes={n_classes}")
     # Scaled standard-basis corners have pairwise distance sqrt(2); recenter
     # so the blob cloud is mean-zero.
     means = np.zeros((n_classes, n_features))
@@ -141,15 +135,14 @@ def load_csv(path: str) -> Dataset:
                    n_classes=len(label_ids))
 
 
-def sample_batch(dataset: Dataset, m: int, t: int, seed: int) -> MiniBatch:
-    """Draw m indices with replacement, deterministic in (seed, t)."""
+def sample_batch(dataset: Dataset, m: int, t: int, seed: int) -> np.ndarray:
+    """Draw m row indices with replacement, deterministic in (seed, t)."""
     if m < 1:
         raise ValueError("batch size must be at least 1")
     if t < 1:
         raise ValueError("t must be >= 1")
     rng = np.random.default_rng([seed, t])
-    idx = rng.integers(0, dataset.n_samples, size=m)
-    return MiniBatch(indices=idx, t=t)
+    return rng.integers(0, dataset.n_samples, size=m)
 
 
 # ------------------------------------------------------------------ softmax
@@ -277,14 +270,17 @@ class QuadraticProblem:
             raise ValueError("A must be symmetric (tolerance 1e-12)")
         self.a = a
         self.b = b
-        eigmin = float(np.linalg.eigvalsh(a)[0])
+        eigs = np.linalg.eigvalsh(a)
+        eigmin = float(eigs[0])
         if sigma is None:
             sigma = eigmin
         elif sigma > eigmin + 1e-12:
             raise ValueError(f"declared sigma {sigma} exceeds the smallest eigenvalue {eigmin}")
         if sigma <= 0:
-            raise ValueError("quadratic must be strongly convex (smallest eigenvalue > 0)")
+            raise ValueError(
+                f"quadratic must be strongly convex (smallest eigenvalue > 0), got sigma = {sigma}")
         self.sigma = sigma
+        self._eig_max = float(eigs[-1])
         self.x0 = np.zeros(a.shape[0]) if x0 is None else np.asarray(x0, dtype=np.float64)
         self.x0_jitter = float(x0_jitter)
         if not np.isfinite(self.x0_jitter):
@@ -330,21 +326,7 @@ class QuadraticProblem:
         def grad(x):
             return quadratic_grad(x, self.a, self.b)
 
-        return f, grad, self._lipschitz_estimate()
-
-    def _lipschitz_estimate(self, iters: int = 200) -> float:
-        """Largest eigenvalue of A by power iteration."""
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(self.dim)
-        v /= np.linalg.norm(v)
-        lam = 1.0
-        for _ in range(iters):
-            w = self.a @ v
-            lam = float(np.linalg.norm(w))
-            if lam == 0.0:
-                return 1.0
-            v = w / lam
-        return lam
+        return f, grad, self._eig_max
 
 
 class SoftmaxL2Problem:
@@ -383,7 +365,7 @@ class SoftmaxL2Problem:
     def lanes_loss_grad(self, xs: np.ndarray, t: int, seed: int):
         """Round losses (lanes,) and gradients (lanes, n) at stacked iterates,
         all on the one minibatch of round t."""
-        idx = sample_batch(self.dataset, self.batch_size, t, seed).indices
+        idx = sample_batch(self.dataset, self.batch_size, t, seed)
         lanes = _SoftmaxLanes(xs, self.dataset, idx)
         return (lanes.loss(self.sigma1, self.sigma2),
                 lanes.grad(self.sigma1, self.sigma2))
@@ -398,7 +380,7 @@ class SoftmaxL2Problem:
         if counted_seed != seed or done > upto:
             done, counts = 0, np.zeros(self.dataset.n_samples, dtype=np.int64)
         for t in range(done + 1, upto + 1):
-            idx = sample_batch(self.dataset, self.batch_size, t, seed).indices
+            idx = sample_batch(self.dataset, self.batch_size, t, seed)
             counts += np.bincount(idx, minlength=self.dataset.n_samples)
         self._counted = (seed, upto, counts)
         return counts

@@ -493,6 +493,10 @@ def theoretical_bound(c: BoundConstants) -> float:
 # ------------------------------------------------------------- conditions
 
 
+#: Rounding slack allowed above the condition-4 band's upper edge.
+BAND_TOL = 1e-12
+
+
 @dataclass
 class Condition4Result:
     """Per-step extremes of (t/alpha)*sqrt(s_t) - ((t-1)/alpha)*sqrt(s_{t-1})."""
@@ -515,7 +519,7 @@ def _cond4_values(trace: TrajectoryTrace, variant: str) -> np.ndarray:
 
 
 def check_condition4(trace: TrajectoryTrace, sigma: float,
-                     tol: float = 1e-12, variant: str = "t") -> Condition4Result:
+                     tol: float = BAND_TOL, variant: str = "t") -> Condition4Result:
     """Band check 0 <= increment <= sigma*(1 - beta1) + tol at every step.
 
     ``variant="t"`` uses the t/alpha weighting of the strongly convex
@@ -604,7 +608,7 @@ class ConditionReport:
 
 
 def condition_report(trace: TrajectoryTrace, sigma: float | None = None,
-                     tol: float = 1e-12) -> ConditionReport:
+                     tol: float = BAND_TOL) -> ConditionReport:
     sigma = trace.sigma if sigma is None else sigma
     gseries = gamma_series(trace)
     return ConditionReport(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .regret import TrajectoryTrace, _cond4_values, checkpoint_grid, gamma_series
+from .regret import TrajectoryTrace, check_condition4, checkpoint_grid, gamma_series
 
 TRACE_HEADER = ("t, loss, cum_loss, grad_inf_norm, step_inf_norm, "
                 "alpha_t, beta2_t, cond4_min, cond4_max, gamma_min")
@@ -56,13 +56,10 @@ def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
     if stride < 1:
         raise ValueError("thin_stride must be >= 1")
     steps = kept_steps(trace.horizon, stride, checkpoints)
-    cond4 = _cond4_values(trace, "t")
-    cond4_min = cond4.min(axis=1)
-    cond4_max = cond4.max(axis=1)
+    band = check_condition4(trace, trace.sigma)
     gamma = gamma_series(trace)
     cum_loss = np.cumsum(trace.loss)
     grad_inf = np.max(np.abs(trace.g), axis=1)
-    upper = trace.sigma * (1.0 - trace.hp.beta1)
     meta = [
         ("seed", str(trace.seed)),
         ("optimizer", trace.kind),
@@ -71,7 +68,7 @@ def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
         ("sigma", _fmt(trace.sigma)),
         ("horizon", str(trace.horizon)),
         ("problem", trace.problem_kind),
-        ("cond4_upper", _fmt(upper)),
+        ("cond4_upper", _fmt(band.upper)),
         ("thin_stride", str(stride)),
     ]
     lines = [f"# {key}: {value}" for key, value in meta]
@@ -88,8 +85,8 @@ def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
             _fmt(trace.step_inf[i]),
             _fmt(trace.alpha[i]),
             _fmt(trace.beta2[i]),
-            _fmt(cond4_min[i]),
-            _fmt(cond4_max[i]),
+            _fmt(band.lhs_min[i]),
+            _fmt(band.lhs_max[i]),
             _fmt(gamma[i]),
         )
         lines.append(", ".join(row))
@@ -116,33 +113,37 @@ def read_trace(path: str) -> TraceFile:
     cfg_lines: list[str] = []
     header: list[str] | None = None
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#cfg:"):
-                cfg_lines.append(line[5:].removeprefix(" "))
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].partition(":")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = [part.strip() for part in line.split(",")]
-                expected = [part.strip() for part in TRACE_HEADER.split(",")]
-                if header != expected:
-                    raise ConfigError(f"{path}: unexpected trace header at line {lineno}")
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if len(parts) != len(header):
-                raise ConfigError(
-                    f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}")
-            try:
-                rows.append([float(part) for part in parts])
-            except ValueError:
-                raise ConfigError(f"{path}: non-numeric field at line {lineno}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#cfg:"):
+            cfg_lines.append(line[5:].removeprefix(" "))
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition(":")
+            if sep:
+                meta[key.strip()] = value.strip()
+            continue
+        if header is None:
+            header = [part.strip() for part in line.split(",")]
+            expected = [part.strip() for part in TRACE_HEADER.split(",")]
+            if header != expected:
+                raise ConfigError(f"{path}: unexpected trace header at line {lineno}")
+            continue
+        parts = [part.strip() for part in line.split(",")]
+        if len(parts) != len(header):
+            raise ConfigError(
+                f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}")
+        try:
+            rows.append([float(part) for part in parts])
+        except ValueError:
+            raise ConfigError(f"{path}: non-numeric field at line {lineno}") from None
     if header is None:
         raise ConfigError(f"{path}: no header row found")
     table = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))

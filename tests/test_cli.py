@@ -303,3 +303,94 @@ class TestNonFiniteInputs:
         assert f"line {line}: " in result.stderr
         assert words in result.stderr
         assert not (tmp_path / "out").exists()
+
+
+SOFTMAX = """\
+[problem]
+kind = softmax
+classes = 2
+features = 2
+samples = 40
+batch_size = 4
+
+[optimizer]
+kind = adam
+
+[run]
+horizon = 5
+"""
+
+
+def _run(text, *extra):
+    def argv(tmp_path, trace_text):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text.replace("{tmp}", str(tmp_path)))
+        return ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]
+    return argv
+
+
+def _check_path(name):
+    return lambda tmp_path, trace_text: ["check", str(tmp_path / name)]
+
+
+def _check_binary(tmp_path, trace_text):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\xff\xfe# seed: 0\n")
+    return ["check", str(path)]
+
+
+def _check_tampered(old, new):
+    def argv(tmp_path, trace_text):
+        assert old in trace_text
+        path = tmp_path / "trace.csv"
+        path.write_text(trace_text.replace(old, new))
+        return ["check", str(path)]
+    return argv
+
+
+class TestExitCodeContract:
+    """Inputs that a library call rejects end with their documented exit
+    code and a message naming the file, line or key, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trace_text(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("contract")
+        (tmp / "quad.cfg").write_text(QUADRATIC)
+        assert cli("run", "--config", str(tmp / "quad.cfg"), "--out", str(tmp)).returncode == 0
+        return (tmp / "trace_fastadabelief_alpha0.001.csv").read_text()
+
+    @pytest.mark.parametrize("argv, code, words", [
+        pytest.param(_run(SOFTMAX.replace("classes = 2", "classes = 5")), 2,
+                     "5 classes need at least 5 features", id="classes-above-features"),
+        pytest.param(_run(SOFTMAX.replace("classes = 2", "classes = 1")), 2,
+                     "two classes", id="one-class"),
+        pytest.param(_run(SOFTMAX.replace("samples = 40", "samples = 1")), 2,
+                     "n_samples=1", id="one-sample"),
+        pytest.param(_run(SOFTMAX.replace("batch_size = 4",
+                                          "batch_size = 4\nsource = {tmp}/missing.csv")), 2,
+                     "{tmp}/missing.csv", id="missing-source"),
+        pytest.param(_run(SOFTMAX.replace("batch_size = 4", "batch_size = 4\nsigma1 = 0")), 2,
+                     "sigma1", id="zero-sigma1"),
+        pytest.param(_run(QUADRATIC.replace("x_star = 0.5", "x_star = 0.5\nsigma = 5")), 2,
+                     "declared sigma 5.0", id="sigma-above-eig-min"),
+        pytest.param(_run(QUADRATIC.replace("x_star = 0.5", "x_star = 0.5\nsigma = -1")), 2,
+                     "sigma = -1.0", id="negative-sigma"),
+        pytest.param(_run(QUADRATIC.replace("seed = 3", "seed = -2")), 2,
+                     "line 19: seed must be >= 0", id="negative-config-seed"),
+        pytest.param(_run(QUADRATIC, "--seed", "-1"), 1, "--seed", id="negative-seed-option"),
+        pytest.param(_check_path("missing.csv"), 2, "{tmp}/missing.csv", id="check-missing-file"),
+        pytest.param(_check_path(""), 2, "cannot read trace {tmp}", id="check-directory"),
+        pytest.param(_check_binary, 2, "cannot read trace {tmp}/trace.csv",
+                     id="check-binary-file"),
+        pytest.param(_check_tampered("# alpha: 0.001", "# alpha: fast"), 2,
+                     "trace.csv: metadata '# alpha: fast'", id="check-bad-alpha"),
+        pytest.param(_check_tampered("# seed: 3", "# seed: three"), 2,
+                     "trace.csv: metadata '# seed: three'", id="check-bad-seed"),
+        pytest.param(_check_tampered("# seed: 3", "# seed: -1"), 2,
+                     "trace.csv: metadata '# seed: -1'", id="check-negative-seed"),
+    ])
+    def test_exits_with_the_documented_code(self, tmp_path, trace_text, argv, code, words):
+        result = cli(*argv(tmp_path, trace_text))
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        assert words.replace("{tmp}", str(tmp_path)) in result.stderr

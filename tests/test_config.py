@@ -1,8 +1,13 @@
 """Config parsing, validation diagnostics, and object construction."""
 
+import pathlib
+from dataclasses import asdict
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefopt import (
     ConfigError,
@@ -21,6 +26,9 @@ from beliefopt.canonical import (
     CANONICAL_QUADRATIC,
     CANONICAL_SOFTMAX,
 )
+from beliefopt.config import OptimizerSpec, QuadraticSpec, RunSpec, SoftmaxSpec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 [problem]
@@ -329,3 +337,82 @@ class TestCanonicalConfigs:
 
         root = pathlib.Path(__file__).resolve().parent.parent
         assert (root / "configs" / name).read_text() == text
+
+    def test_readme_example_parses(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Config format", 1)[1].split("```")[1]
+        cfg = parse_config(block)
+        assert cfg.problem.kind == "quadratic"
+        assert cfg.optimizers[0].alphas == (0.1, 0.01, 0.001, 0.0001)
+        assert cfg.run.horizon == 5000
+
+
+# Config texts for the property test: sections built from schema keys with
+# plausible and hostile values, now and then a junk line.
+_SECTION_KEYS = {
+    "problem": sorted({*QuadraticSpec.__dataclass_fields__, *SoftmaxSpec.__dataclass_fields__}),
+    "optimizer": sorted({"alpha", *OptimizerSpec.__dataclass_fields__} - {"alphas", "kind"}),
+    "run": sorted(RunSpec.__dataclass_fields__),
+}
+_SECTION_KINDS = {"problem": ["quadratic", "softmax", "cubic"],
+                  "optimizer": [*OPTIMIZER_KINDS, "adamw"], "run": []}
+_PLAUSIBLE = st.sampled_from([
+    "0", "1", "2", "10", "-1", "0.5", "0.9", "0.1, 0.01", "8, 16", "1e400", "nan",
+    "auto", "zeros", "sadam", "inverse_t", "x", "",
+])
+_HOSTILE = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=12),
+)
+_JUNK = st.one_of(st.sampled_from(["[junk]", "# note", "= 1", "key"]), st.text(max_size=24))
+
+
+@st.composite
+def config_texts(draw):
+    lines = []
+    any_order = st.lists(st.sampled_from(sorted(_SECTION_KEYS)), max_size=5)
+    for name in draw(st.one_of(st.just(["problem", "optimizer", "run"]), any_order)):
+        lines.append(f"[{name}]")
+        if _SECTION_KINDS[name] and draw(st.integers(0, 9)):
+            lines.append(f"kind = {draw(st.sampled_from(_SECTION_KINDS[name]))}")
+        keys = st.lists(st.sampled_from(_SECTION_KEYS[name] + ["bogus"]), max_size=4, unique=True)
+        for key in draw(keys):
+            value = draw(_PLAUSIBLE if draw(st.integers(0, 3)) else _HOSTILE)
+            lines.append(f"{key} = {value}")
+        if not draw(st.integers(0, 9)):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK))
+    return "\n".join(lines)
+
+
+class TestSchema:
+    def test_minimal_configs_fill_every_default(self):
+        quad = parse_config(MINIMAL)
+        soft = parse_config(MINIMAL.replace("quadratic", "softmax"))
+        assert (quad.problem.kind, soft.problem.kind) == ("quadratic", "softmax")
+        assert asdict(quad.problem) == {
+            "dim": 10, "eig_min": 0.1, "eig_max": 1.0, "x_star": 0.5,
+            "x0": "minimizer", "x0_jitter": 1e-5, "sigma": None,
+        }
+        assert asdict(soft.problem) == {
+            "source": "synth", "classes": 10, "features": 20, "samples": 2000,
+            "separation": 1.0, "data_seed": 7, "sigma1": 0.01, "sigma2": 0.01,
+            "batch_size": 512,
+        }
+        assert asdict(quad.optimizers[0]) == {
+            "kind": "adam", "alphas": (0.001,), "beta1": 0.9, "lam": 1.0,
+            "beta2_mode": "constant", "beta2": 0.999, "beta2_c": 0.9, "delta": 0.1,
+            "epsilon": 1e-8, "schedule": None, "eta_final": 0.1, "bound_gamma": 1e-3,
+        }
+        assert asdict(quad.run) == {
+            "horizon": 1000, "region_lo": -5.0, "region_hi": 5.0, "seed": 0,
+            "out_dir": None, "thin_stride": "auto", "checkpoints": "auto",
+        }
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(config_texts())
+    def test_parser_raises_only_config_errors(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass

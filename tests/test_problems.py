@@ -319,21 +319,21 @@ class TestSampleBatch:
                                        n_samples=8)
 
     def test_deterministic_in_seed_and_t(self):
-        a = sample_batch(self.ds, 16, t=3, seed=5).indices
-        b = sample_batch(self.ds, 16, t=3, seed=5).indices
+        a = sample_batch(self.ds, 16, t=3, seed=5)
+        b = sample_batch(self.ds, 16, t=3, seed=5)
         np.testing.assert_array_equal(a, b)
-        c = sample_batch(self.ds, 16, t=4, seed=5).indices
-        d = sample_batch(self.ds, 16, t=3, seed=6).indices
+        c = sample_batch(self.ds, 16, t=4, seed=5)
+        d = sample_batch(self.ds, 16, t=3, seed=6)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
     def test_indices_in_range(self):
-        idx = sample_batch(self.ds, 1000, t=1, seed=0).indices
+        idx = sample_batch(self.ds, 1000, t=1, seed=0)
         assert idx.min() >= 0 and idx.max() < 8
 
     def test_roughly_uniform(self):
         # Counts are Binomial(m, 1/n): mean 10000, sd ~94. Allow 5 sd.
-        idx = sample_batch(self.ds, 80000, t=1, seed=0).indices
+        idx = sample_batch(self.ds, 80000, t=1, seed=0)
         counts = np.bincount(idx, minlength=8)
         assert np.all(np.abs(counts - 10000) < 5 * 94)
 
@@ -366,7 +366,7 @@ class TestSoftmaxProblem:
     def test_round_loss_matches_batch(self):
         prob = self.make()
         x = np.random.default_rng(1).standard_normal(prob.dim) * 0.1
-        idx = sample_batch(prob.dataset, 5, t=7, seed=2).indices
+        idx = sample_batch(prob.dataset, 5, t=7, seed=2)
         want = softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
         got, _ = prob.round_loss_grad(x, t=7, seed=2)
         assert got == want
@@ -414,7 +414,7 @@ class TestSoftmaxProblem:
         xs = np.random.default_rng(5).standard_normal((6, prob.dim)) * 0.3
         losses, grads = prob.lanes_loss_grad(xs, t=4, seed=1)
         for x, f, g in zip(xs, losses, grads):
-            idx = sample_batch(prob.dataset, 5, t=4, seed=1).indices
+            idx = sample_batch(prob.dataset, 5, t=4, seed=1)
             assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
             np.testing.assert_array_equal(g, softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
 
