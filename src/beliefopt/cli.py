@@ -30,7 +30,6 @@ from .config import RunConfig, build_problem, build_region, load_config, parse_c
 from .errors import CheckFailure, ConfigError, NumericFailure
 from .regret import (
     BAND_TOL,
-    PROBE_KINDS,
     check_condition3,
     compute_regret,
     measure_constants,
@@ -58,6 +57,7 @@ def _verdict(ok: bool) -> str:
 
 
 def _out_dir(args, cfg: RunConfig) -> str:
+    """The output directory, created; called once the run has succeeded."""
     out = args.out or cfg.run.out_dir or "."
     os.makedirs(out, exist_ok=True)
     return out
@@ -75,16 +75,22 @@ def _run_cells(cfg: RunConfig, seed: int):
     return problem, region, list(zip(cells, traces))
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(args, cfg)
-    out = _out_dir(args, cfg)
-    problem, _, results = _run_cells(cfg, seed)
+def _write_traces(out: str, cfg: RunConfig, results):
+    """Write one trace CSV per cell into ``out``; [(cell, trace, path, rows)]."""
     checkpoints = None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
+    written = []
     for cell, trace in results:
         path = os.path.join(out, f"trace_{cell.label}.csv")
         rows = write_trace(path, trace, config_text=cfg.text,
                            thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
+        written.append((cell, trace, path, rows))
+    return written
+
+
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    problem, _, results = _run_cells(cfg, _seed(args, cfg))
+    for cell, trace, path, rows in _write_traces(_out_dir(args, cfg), cfg, results):
         final_loss = problem.full_loss(trace.x_final)
         print(f"run {cell.label}: horizon={trace.horizon} "
               f"final_loss={_G17 % final_loss} "
@@ -95,15 +101,10 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(args, cfg)
+    problem, region, results = _run_cells(cfg, _seed(args, cfg))
     out = _out_dir(args, cfg)
-    problem, region, results = _run_cells(cfg, seed)
-    checkpoints = None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
     scored = []
-    for cell, trace in results:
-        path = os.path.join(out, f"trace_{cell.label}.csv")
-        write_trace(path, trace, config_text=cfg.text,
-                    thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
+    for cell, trace, _, _ in _write_traces(out, cfg, results):
         if args.select_alpha == "final_regret":
             score = float(compute_regret(problem, region, trace).regret[-1])
         else:
@@ -177,7 +178,7 @@ def _check_one(path: str) -> list[str]:
         failures.append("gamma positivity violated")
     if not tf.config_text:
         raise CheckFailure(f"{path}: no embedded config to re-run")
-    cfg = parse_config(tf.config_text)
+    cfg = parse_config(tf.config_text, source=path, linenos=tf.config_lines)
     kind = tf.meta["optimizer"]
     cell = next((c for c in sweep_cells(cfg)
                  if c.kind == kind and c.hp.alpha == alpha), None)
@@ -278,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bnd = sub.add_parser("bound", help="closed-form budget vs measured regret")
     p_bnd.add_argument("--config", required=True)
-    p_bnd.add_argument("--out", default=None)
     p_bnd.add_argument("--seed", type=nonnegative_int, default=None)
     p_bnd.set_defaults(func=cmd_bound)
 

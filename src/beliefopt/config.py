@@ -8,6 +8,7 @@ Unknown sections or keys fail with the offending line number rather than
 being silently dropped, since a typoed key would otherwise change results.
 """
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -105,17 +106,25 @@ class RunConfig:
     optimizers: list[OptimizerSpec]
     run: RunSpec
     text: str = field(repr=False, default="")
+    #: the file the text came from and the line of its [problem] header,
+    #: named by build_problem's errors
+    source: str = ""
+    problem_line: int = 0
 
 
 def _fail(lineno: int, msg: str) -> ConfigError:
     return ConfigError(f"line {lineno}: {msg}")
 
 
-def _raw_sections(text: str):
+def _in_source(source: str, msg) -> ConfigError:
+    return ConfigError(f"{source}: {msg}" if source else str(msg))
+
+
+def _raw_sections(text: str, linenos):
     """Split config text into [(section, {key: (value, lineno)}, lineno)]."""
     sections = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in zip(linenos, text.splitlines()):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -259,15 +268,27 @@ def _parse_run(raw: dict, header_line: int) -> RunSpec:
     return spec
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, source: str = "", linenos=None) -> RunConfig:
+    """The config ``text`` describes.  Errors name ``source`` (a file name)
+    and a line, counted by ``linenos`` (one number per line of ``text``)
+    when the text sits inside a larger file, like a trace's ``#cfg:`` lines."""
+    try:
+        return _parse(text, linenos or itertools.count(1), source)
+    except ConfigError as exc:
+        raise _in_source(source, exc) from None
+
+
+def _parse(text: str, linenos, source: str) -> RunConfig:
     problem = None
+    problem_line = 0
     run = None
     optimizers = []
-    for name, raw, header_line in _raw_sections(text):
+    for name, raw, header_line in _raw_sections(text, linenos):
         if name == "problem":
             if problem is not None:
                 raise _fail(header_line, "duplicate [problem] section")
             problem = _parse_problem(raw, header_line)
+            problem_line = header_line
         elif name == "run":
             if run is not None:
                 raise _fail(header_line, "duplicate [run] section")
@@ -280,7 +301,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config has no [optimizer] section")
     if run is None:
         run = RunSpec()
-    return RunConfig(problem=problem, optimizers=optimizers, run=run, text=text)
+    return RunConfig(problem=problem, optimizers=optimizers, run=run, text=text,
+                     source=source, problem_line=problem_line)
 
 
 def load_config(path: str) -> RunConfig:
@@ -289,17 +311,15 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        return parse_config(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return parse_config(text, source=path)
 
 
 # ------------------------------------------------------------- builders
 
 
 def build_problem(cfg: RunConfig):
-    """The problem a config describes; a value it rejects is a ConfigError."""
+    """The problem a config describes; a value it rejects is a ConfigError
+    naming the config's source and its [problem] line."""
     ps = cfg.problem
     try:
         if ps.kind == "quadratic":
@@ -318,7 +338,8 @@ def build_problem(cfg: RunConfig):
         return SoftmaxL2Problem(dataset, batch_size=ps.batch_size,
                                 sigma1=ps.sigma1, sigma2=ps.sigma2)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"[problem] {ps.kind}: {exc}") from None
+        msg = _fail(cfg.problem_line, f"[problem] {ps.kind}: {exc}")
+        raise _in_source(cfg.source, msg) from None
 
 
 def build_region(cfg: RunConfig, dim: int):

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NumericFailure
 from .optim import (
-    OPTIMIZER_KINDS,
     FeasibleRegion,
     HyperParams,
     advance,
@@ -504,7 +503,6 @@ class Condition4Result:
     lhs_min: np.ndarray
     lhs_max: np.ndarray
     upper: float
-    tol: float
     passed: bool
 
 
@@ -519,8 +517,8 @@ def _cond4_values(trace: TrajectoryTrace, variant: str) -> np.ndarray:
 
 
 def check_condition4(trace: TrajectoryTrace, sigma: float,
-                     tol: float = BAND_TOL, variant: str = "t") -> Condition4Result:
-    """Band check 0 <= increment <= sigma*(1 - beta1) + tol at every step.
+                     variant: str = "t") -> Condition4Result:
+    """Band check 0 <= increment <= sigma*(1 - beta1) + BAND_TOL at every step.
 
     ``variant="t"`` uses the t/alpha weighting of the strongly convex
     analysis; ``variant="sqrt_t"`` is the sqrt(t)/alpha flavor of the
@@ -533,9 +531,8 @@ def check_condition4(trace: TrajectoryTrace, sigma: float,
     lhs_min = values.min(axis=1)
     lhs_max = values.max(axis=1)
     upper = sigma * (1.0 - trace.hp.beta1)
-    passed = bool(np.all(lhs_min >= 0.0) and np.all(lhs_max <= upper + tol))
-    return Condition4Result(lhs_min=lhs_min, lhs_max=lhs_max, upper=upper,
-                            tol=tol, passed=passed)
+    passed = bool(np.all(lhs_min >= 0.0) and np.all(lhs_max <= upper + BAND_TOL))
+    return Condition4Result(lhs_min=lhs_min, lhs_max=lhs_max, upper=upper, passed=passed)
 
 
 @dataclass
@@ -597,26 +594,6 @@ def gamma_series(trace: TrajectoryTrace) -> np.ndarray:
 def check_gamma_psd(trace: TrajectoryTrace) -> float:
     """Minimum weight increment over all steps and coordinates."""
     return float(gamma_series(trace).min())
-
-
-@dataclass
-class ConditionReport:
-    cond4: Condition4Result
-    cond3: Condition3Result
-    gamma_per_step: np.ndarray
-    gamma_min: float
-
-
-def condition_report(trace: TrajectoryTrace, sigma: float | None = None,
-                     tol: float = BAND_TOL) -> ConditionReport:
-    sigma = trace.sigma if sigma is None else sigma
-    gseries = gamma_series(trace)
-    return ConditionReport(
-        cond4=check_condition4(trace, sigma, tol=tol),
-        cond3=check_condition3(trace),
-        gamma_per_step=gseries,
-        gamma_min=float(gseries.min()),
-    )
 
 
 # ------------------------------------------------------------- scenarios

@@ -16,7 +16,6 @@ step; cum_loss is accumulated over every step regardless of thinning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +101,8 @@ class TraceFile:
     meta: dict[str, str]
     config_text: str
     columns: dict[str, np.ndarray]
+    #: the file line of each line of config_text
+    config_lines: list[int]
 
     @property
     def steps(self) -> np.ndarray:
@@ -111,6 +112,7 @@ class TraceFile:
 def read_trace(path: str) -> TraceFile:
     meta: dict[str, str] = {}
     cfg_lines: list[str] = []
+    cfg_linenos: list[int] = []
     header: list[str] | None = None
     rows: list[list[float]] = []
     try:
@@ -123,7 +125,10 @@ def read_trace(path: str) -> TraceFile:
         if not line.strip():
             continue
         if line.startswith("#cfg:"):
-            cfg_lines.append(line[5:].removeprefix(" "))
+            # split as parse_config will, so every config line has a number
+            parts = line[5:].removeprefix(" ").splitlines() or [""]
+            cfg_lines.extend(parts)
+            cfg_linenos.extend([lineno] * len(parts))
             continue
         if line.startswith("#"):
             key, sep, value = line[1:].partition(":")
@@ -148,7 +153,8 @@ def read_trace(path: str) -> TraceFile:
         raise ConfigError(f"{path}: no header row found")
     table = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     columns = {name: table[:, j] for j, name in enumerate(header)}
-    return TraceFile(meta=meta, config_text="\n".join(cfg_lines), columns=columns)
+    return TraceFile(meta=meta, config_text="\n".join(cfg_lines), columns=columns,
+                     config_lines=cfg_linenos)
 
 
 def write_compare_csv(path: str, series: dict[str, np.ndarray]) -> None:
@@ -160,24 +166,3 @@ def write_compare_csv(path: str, series: dict[str, np.ndarray]) -> None:
             lines.append(f"{name},{t},{_fmt(value)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_compare_csv(path: str) -> dict[str, np.ndarray]:
-    series: dict[str, list[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != COMPARE_HEADER:
-            raise ConfigError(f"{path}: unexpected compare header")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            name, _, rest = line.partition(",")
-            t_text, _, loss_text = rest.partition(",")
-            try:
-                int(t_text)
-                value = float(loss_text)
-            except ValueError:
-                raise ConfigError(f"{path}: bad row at line {lineno}") from None
-            series.setdefault(name, []).append(value)
-    return {name: np.array(vals) for name, vals in series.items()}

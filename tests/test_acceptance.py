@@ -8,6 +8,7 @@ so the gate stays well inside the runtime budget it asserts.
 
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -24,13 +25,11 @@ from beliefopt import (
     box_region,
     build_problem,
     build_region,
-    canonical_compare,
-    canonical_quadratic,
-    canonical_softmax,
     check_condition4,
     check_gamma_psd,
     compute_regret,
     finite_diff_grad,
+    load_config,
     measure_constants,
     project_weighted,
     quadratic_grad,
@@ -41,6 +40,13 @@ from beliefopt import (
     sweep_cells,
     theoretical_bound,
 )
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def canonical(name: str):
+    return load_config(str(CONFIGS / name))
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -65,18 +71,18 @@ def _canonical_run(cfg):
 
 @pytest.fixture(scope="module")
 def quad():
-    return _canonical_run(canonical_quadratic())
+    return _canonical_run(canonical("quadratic.cfg"))
 
 
 @pytest.fixture(scope="module")
 def softmax():
-    return _canonical_run(canonical_softmax())
+    return _canonical_run(canonical("softmax.cfg"))
 
 
 @pytest.fixture(scope="module")
 def tuned_losses():
     """Best full-data loss per optimizer after the alpha sweep."""
-    cfg = canonical_compare()
+    cfg = canonical("compare.cfg")
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     best: dict[str, float] = {}

@@ -388,9 +388,31 @@ class TestExitCodeContract:
                      "trace.csv: metadata '# seed: three'", id="check-bad-seed"),
         pytest.param(_check_tampered("# seed: 3", "# seed: -1"), 2,
                      "trace.csv: metadata '# seed: -1'", id="check-negative-seed"),
+        # The embedded config's line 3 is line 12 of the trace (9 metadata lines).
+        pytest.param(_check_tampered("#cfg: dim = 2", "#cfg: dim = two"), 2,
+                     "{tmp}/trace.csv: line 12: dim must be an integer",
+                     id="check-bad-embedded-config"),
+        pytest.param(_check_tampered("#cfg: x_star = 0.5", "#cfg: x_star = 0.5\n#cfg: sigma = 5"),
+                     2, "{tmp}/trace.csv: line 10: [problem] quadratic: declared sigma 5.0",
+                     id="check-rejected-embedded-problem"),
     ])
     def test_exits_with_the_documented_code(self, tmp_path, trace_text, argv, code, words):
         result = cli(*argv(tmp_path, trace_text))
         assert result.returncode == code, result.stderr
         assert "Traceback" not in result.stderr
         assert words.replace("{tmp}", str(tmp_path)) in result.stderr
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("text, code, words", [
+        pytest.param(SOFTMAX.replace("classes = 2", "classes = 1"), 2,
+                     "case.cfg: line 1: [problem] softmax:", id="rejected-problem"),
+        pytest.param(OVERFLOW, 3, "nonfinite loss", id="overflow"),
+    ])
+    def test_failed_runs_leave_no_output_directory(self, tmp_path, command, text, code, words):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        result = cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        assert words in result.stderr
+        assert not (tmp_path / "out").exists()

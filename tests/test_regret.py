@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beliefopt import (
     BoundConstants,
@@ -20,7 +23,6 @@ from beliefopt import (
     check_gamma_psd,
     checkpoint_grid,
     compute_regret,
-    condition_report,
     fit_growth,
     measure_constants,
     region_scenarios,
@@ -29,6 +31,7 @@ from beliefopt import (
     synth_classification,
     theoretical_bound,
 )
+from beliefopt.optim import BETA2_MODES, SCHEDULES
 from beliefopt.regret import gamma_series
 
 
@@ -506,19 +509,31 @@ class TestGammaSeries:
             trace = run_online(problem, "fastadabelief", hp, region, 200, seed)
             assert check_gamma_psd(trace) >= 0.0
 
-    def test_report_bundles_the_three_checks(self):
-        problem = bowl(x0=[1.0])
-        region = box_region(-2.0, 2.0, 1)
-        hp = HyperParams(alpha=0.05, beta2_mode="sadam", delta=0.1)
-        trace = run_online(problem, "fastadabelief", hp, region, 40, seed=0)
-        report = condition_report(trace)
-        assert report.gamma_min == check_gamma_psd(trace)
-        assert report.cond3.zeta == check_condition3(trace).zeta
-        # The default sigma is the problem's strong-convexity constant the
-        # trace carries (1.0 for the unit bowl).
-        direct = check_condition4(trace, sigma=1.0)
-        assert report.cond4.passed == direct.passed
-        npt.assert_array_equal(report.cond4.lhs_max, direct.lhs_max)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("kind", ["adabelief", "fastadabelief"])
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(grads=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                            elements=st.floats(-1e6, 1e6)),
+           alpha=st.floats(1e-4, 1.0), beta2_mode=st.sampled_from(BETA2_MODES))
+    def test_running_max_rules_stay_nonnegative_on_any_stream(
+            self, kind, schedule, grads, alpha, beta2_mode):
+        class Scripted:
+            """Serves the drawn gradient stream whatever the iterate."""
+            kind = "quadratic"
+            sigma = 1.0
+            dim = grads.shape[1]
+
+            def initial_point(self, region, seed):
+                return np.zeros(self.dim)
+
+            def round_loss_grad(self, x, t, seed):
+                return 0.0, grads[t - 1].copy()
+
+        hp = HyperParams(alpha=alpha, step_schedule=schedule, beta2_mode=beta2_mode)
+        trace = run_online(Scripted(), kind, hp, box_region(-1e9, 1e9, grads.shape[1]),
+                           len(grads), seed=0)
+        npt.assert_array_equal(trace.g, grads)
+        assert (gamma_series(trace) >= 0.0).all()
 
 
 class TestScenariosAndProbeTable:
