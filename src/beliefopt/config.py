@@ -106,10 +106,11 @@ class RunConfig:
     optimizers: list[OptimizerSpec]
     run: RunSpec
     text: str = field(repr=False, default="")
-    #: the file the text came from and the line of its [problem] header,
-    #: named by build_problem's errors
+    #: the file the text came from and the lines of its [problem] and
+    #: [optimizer] headers, named by build_problem's and sweep_cells' errors
     source: str = ""
     problem_line: int = 0
+    optimizer_lines: tuple[int, ...] = ()
 
 
 def _fail(lineno: int, msg: str) -> ConfigError:
@@ -283,6 +284,7 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
     problem_line = 0
     run = None
     optimizers = []
+    optimizer_lines = []
     for name, raw, header_line in _raw_sections(text, linenos):
         if name == "problem":
             if problem is not None:
@@ -295,6 +297,7 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
             run = _parse_run(raw, header_line)
         else:
             optimizers.append(_parse_optimizer(raw, header_line))
+            optimizer_lines.append(header_line)
     if problem is None:
         raise ConfigError("config has no [problem] section")
     if not optimizers:
@@ -302,7 +305,8 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
     if run is None:
         run = RunSpec()
     return RunConfig(problem=problem, optimizers=optimizers, run=run, text=text,
-                     source=source, problem_line=problem_line)
+                     source=source, problem_line=problem_line,
+                     optimizer_lines=tuple(optimizer_lines))
 
 
 def load_config(path: str) -> RunConfig:
@@ -347,13 +351,16 @@ def build_region(cfg: RunConfig, dim: int):
 
 
 def sweep_cells(cfg: RunConfig) -> list[Cell]:
+    """One cell per (optimizer, alpha); a repeated label is a ConfigError
+    naming the config's source and the [optimizer] line that repeats it."""
     cells = []
     seen = set()
-    for spec in cfg.optimizers:
+    lines = cfg.optimizer_lines or (0,) * len(cfg.optimizers)
+    for spec, line in zip(cfg.optimizers, lines):
         for alpha in spec.alphas:
             label = f"{spec.kind}_alpha{alpha:g}"
             if label in seen:
-                raise ConfigError(f"duplicate sweep cell {label}")
+                raise _in_source(cfg.source, _fail(line, f"duplicate sweep cell {label}"))
             seen.add(label)
             cells.append(Cell(label=label, kind=spec.kind, hp=spec.hyperparams(alpha)))
     return cells

@@ -15,7 +15,11 @@ Two problem families are supported:
   strong-convexity modulus is 2*min(sigma1, sigma2).
 
 Minibatches are drawn with replacement and keyed by (seed, t), so any round
-can be replayed without storing index lists.
+can be replayed without storing index lists: round t's minibatch is
+``np.random.default_rng([seed, t]).integers(0, n_samples, size=m)``
+(``sample_batch``).  The softmax problem draws its rounds a block at a time
+in one vectorized pass (``_draw_rounds``), each row bit-identical to that
+one-round draw.
 """
 
 from __future__ import annotations
@@ -143,6 +147,134 @@ def sample_batch(dataset: Dataset, m: int, t: int, seed: int) -> np.ndarray:
         raise ValueError("t must be >= 1")
     rng = np.random.default_rng([seed, t])
     return rng.integers(0, dataset.n_samples, size=m)
+
+
+# sample_batch's stream is numpy's SeedSequence pool hash, PCG64 seeding and
+# XSL-RR output, and Lemire's bounded draw.  All of it is fixed integer
+# arithmetic, so _draw_rounds repeats it for a block of rounds at once, one
+# uint64 array entry per round.
+
+_M32 = 0xFFFFFFFF
+_U32, _S32 = np.uint64(_M32), np.uint64(32)
+_POOL_SIZE = 4
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A: pool mixing
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B: generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+# Rounds a softmax problem draws at once: 1,024 rounds of 32 samples take
+# about 0.9 MB while they are drawn, all 16,384 rounds of a long run 14 MB.
+_BLOCK_ROUNDS = 1024
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of an integer >= 0."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _seed_state(words: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` per round, as four
+    uint64 arrays; each entropy word is a uint32 array with one entry per
+    round."""
+    const = _HASH_A[0]
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _HASH_A[1] & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0]))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _HASH_B[0], []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _HASH_B[1] & _M32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [state[2 * k] | state[2 * k + 1] << _S32 for k in range(4)]
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of each a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _U32, a >> _S32, b & _U32, b >> _S32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (p01 & _U32) + (p10 & _U32)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step, state * _PCG_MULT + inc mod 2**128, on (hi, lo)."""
+    prod_lo = lo * _PCG_MULT_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = (_mulhi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+              + inc_hi + (new_lo < prod_lo))
+    return new_hi, new_lo
+
+
+def _pcg_uint32(state: list[np.ndarray], n_outputs: int) -> np.ndarray:
+    """The first 2 * n_outputs 32-bit draws of PCG64 seeded with each round's
+    ``state``, (count, 2 * n_outputs) in uint64; each 64-bit output gives its
+    low half first."""
+    inc_hi = state[2] << np.uint64(1) | state[3] >> np.uint64(63)
+    inc_lo = state[3] << np.uint64(1) | np.uint64(1)
+    # Seeding: from state 0, one step gives inc; add the seed; step again.
+    lo = inc_lo + state[1]
+    hi = inc_hi + state[0] + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((len(lo), n_outputs, 2), dtype=np.uint64)
+    for k in range(n_outputs):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        value, rot = hi ^ lo, hi >> np.uint64(58)
+        value = value >> rot | value << (np.uint64(64) - rot & np.uint64(63))
+        out[:, k, 0] = value & _U32
+        out[:, k, 1] = value >> _S32
+    return out.reshape(len(lo), 2 * n_outputs)
+
+
+def _draw_rounds(dataset: Dataset, m: int, first: int, count: int, seed: int) -> np.ndarray:
+    """The minibatches of rounds first .. first + count - 1, (count, m) int64;
+    row r is bit-identical to ``sample_batch(dataset, m, first + r, seed)``.
+
+    Rounds the vectorized pass does not cover (a rejected draw, t >= 2**32,
+    n_samples >= 2**32, or arguments sample_batch refuses) are left to
+    sample_batch itself.
+    """
+    n = dataset.n_samples
+    rows = np.empty((count, m), dtype=np.int64)
+    exact = 0
+    if m >= 1 and first >= 1 and seed >= 0 and n < 2**32:
+        exact = min(count, max(0, 2**32 - first))  # t must be one 32-bit word
+    redo = list(range(exact, count))
+    if exact:
+        words = [np.full(exact, w, dtype=np.uint32) for w in _uint32_words(int(seed))]
+        state = _seed_state(words + [np.arange(first, first + exact, dtype=np.uint32)])
+        scaled = _pcg_uint32(state, (m + 1) // 2)[:, :m] * np.uint64(n)
+        rows[:exact] = scaled >> _S32
+        # Lemire rejects a draw whose low word is below 2**32 mod n and
+        # draws again; sample_batch serves those rounds.  For n = 2000 a
+        # draw is rejected with probability 3e-7.
+        rejected = (scaled & _U32) < np.uint64(2**32 % n)
+        redo += np.flatnonzero(rejected.any(axis=1)).tolist()
+    for r in redo:
+        rows[r] = sample_batch(dataset, m, first + r, seed)
+    return rows
 
 
 # ------------------------------------------------------------------ softmax
@@ -350,6 +482,8 @@ class SoftmaxL2Problem:
         self.sigma2 = float(sigma2)
         self.sigma = 2.0 * min(sigma1, sigma2)
         self._counted = (None, 0, None)  # (seed, rounds, per-sample draw counts)
+        # (seed, first round, minibatches of the rounds from there on)
+        self._block = (None, 0, np.empty((0, self.batch_size), dtype=np.int64))
 
     @property
     def dim(self) -> int:
@@ -365,8 +499,11 @@ class SoftmaxL2Problem:
     def lanes_loss_grad(self, xs: np.ndarray, t: int, seed: int):
         """Round losses (lanes,) and gradients (lanes, n) at stacked iterates,
         all on the one minibatch of round t."""
-        idx = sample_batch(self.dataset, self.batch_size, t, seed)
-        lanes = _SoftmaxLanes(xs, self.dataset, idx)
+        block_seed, first, rows = self._block
+        if block_seed != seed or not first <= t < first + len(rows):
+            first, rows = t, _draw_rounds(self.dataset, self.batch_size, t, _BLOCK_ROUNDS, seed)
+            self._block = (seed, first, rows)
+        lanes = _SoftmaxLanes(xs, self.dataset, rows[t - first])
         return (lanes.loss(self.sigma1, self.sigma2),
                 lanes.grad(self.sigma1, self.sigma2))
 
@@ -379,9 +516,10 @@ class SoftmaxL2Problem:
         counted_seed, done, counts = self._counted
         if counted_seed != seed or done > upto:
             done, counts = 0, np.zeros(self.dataset.n_samples, dtype=np.int64)
-        for t in range(done + 1, upto + 1):
-            idx = sample_batch(self.dataset, self.batch_size, t, seed)
-            counts += np.bincount(idx, minlength=self.dataset.n_samples)
+        for first in range(done + 1, upto + 1, _BLOCK_ROUNDS):
+            rows = _draw_rounds(self.dataset, self.batch_size, first,
+                                min(_BLOCK_ROUNDS, upto + 1 - first), seed)
+            counts += np.bincount(rows.ravel(), minlength=self.dataset.n_samples)
         self._counted = (seed, upto, counts)
         return counts
 

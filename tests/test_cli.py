@@ -395,6 +395,12 @@ class TestExitCodeContract:
         pytest.param(_check_tampered("#cfg: x_star = 0.5", "#cfg: x_star = 0.5\n#cfg: sigma = 5"),
                      2, "{tmp}/trace.csv: line 10: [problem] quadratic: declared sigma 5.0",
                      id="check-rejected-embedded-problem"),
+        pytest.param(_run(QUADRATIC.replace("alpha = 0.001", "alpha = 0.001, 0.001")), 2,
+                     "{tmp}/case.cfg: line 8: duplicate sweep cell fastadabelief_alpha0.001",
+                     id="duplicate-sweep-cell"),
+        pytest.param(_check_tampered("#cfg: alpha = 0.001", "#cfg: alpha = 0.001, 0.001"), 2,
+                     "{tmp}/trace.csv: line 17: duplicate sweep cell fastadabelief_alpha0.001",
+                     id="check-duplicate-embedded-cell"),
     ])
     def test_exits_with_the_documented_code(self, tmp_path, trace_text, argv, code, words):
         result = cli(*argv(tmp_path, trace_text))

@@ -1,12 +1,16 @@
 """Loss oracles, data plumbing, and convexity witnesses."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefopt import problems
-from beliefopt.optim import box_region
+from beliefopt.optim import HyperParams, box_region
+from beliefopt.regret import run_online
 from beliefopt.problems import (
     Dataset,
     QuadraticProblem,
@@ -344,6 +348,53 @@ class TestSampleBatch:
             sample_batch(self.ds, 4, t=0, seed=0)
 
 
+def assert_same_rounds(n_samples, m, first, count, seed):
+    """_draw_rounds against the reference, one sample_batch per round."""
+    rows = SimpleNamespace(n_samples=n_samples)  # all that either reads of a dataset
+    got = problems._draw_rounds(rows, m, first, count, seed)
+    want = np.array([sample_batch(rows, m, t, seed) for t in range(first, first + count)])
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+class TestDrawRounds:
+    """_draw_rounds is sample_batch for a block of rounds, bit for bit."""
+
+    # n_samples = 2**31 + 11 rejects about half of all 32-bit draws, so most
+    # of its rounds are handed back to sample_batch.
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**40 + 3])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 2000, 2**31 + 11])
+    def test_rows_equal_sample_batch(self, seed, n_samples):
+        for m in (1, 2, 5, 32):
+            assert_same_rounds(n_samples, m, first=3, count=40, seed=seed)
+
+    @pytest.mark.parametrize("first, count", [
+        pytest.param(1000, 50, id="across-a-block-boundary"),
+        pytest.param(1, problems._BLOCK_ROUNDS + 3, id="longer-than-a-block"),
+        pytest.param(2**32 - 3, 6, id="t-past-32-bits"),
+    ])
+    def test_rounds_anywhere(self, first, count):
+        assert_same_rounds(2000, 7, first, count, seed=11)
+
+    def test_samples_past_32_bits(self):
+        assert_same_rounds(2**32, 3, first=1, count=4, seed=5)
+        assert_same_rounds(2**33 + 1, 3, first=1, count=4, seed=5)
+
+    def test_invalid_rounds_raise_like_sample_batch(self):
+        rows = SimpleNamespace(n_samples=10)
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            problems._draw_rounds(rows, 4, 0, 3, 0)
+        with pytest.raises(ValueError, match="batch size"):
+            problems._draw_rounds(rows, 0, 1, 3, 0)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n_samples=st.one_of(st.integers(1, 5000), st.integers(1, 2**32 + 2)),
+           m=st.integers(1, 40), first=st.integers(1, 2**33), count=st.integers(1, 12),
+           seed=st.integers(0, 2**80))
+    def test_property_rows_equal_sample_batch(self, n_samples, m, first, count, seed):
+        assert_same_rounds(n_samples, m, first, count, seed)
+
+
 class TestDatasetValidation:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="lie in"):
@@ -391,13 +442,13 @@ class TestSoftmaxProblem:
         # scratch on a fresh problem.
         prob = self.make()
         drawn = []
-        real = problems.sample_batch
+        real = problems._draw_rounds
 
-        def counting(dataset, m, t, seed):
-            drawn.append((t, seed))
-            return real(dataset, m, t, seed)
+        def counting(dataset, m, first, count, seed):
+            drawn.extend((t, seed) for t in range(first, first + count))
+            return real(dataset, m, first, count, seed)
 
-        monkeypatch.setattr(problems, "sample_batch", counting)
+        monkeypatch.setattr(problems, "_draw_rounds", counting)
         chain = [(4, 3), (9, 3), (13, 3), (6, 3), (6, 5)]
         got = [prob.prefix_objective(upto, seed) for upto, seed in chain]
         assert drawn[:13] == [(t, 3) for t in range(1, 14)]
@@ -417,6 +468,47 @@ class TestSoftmaxProblem:
             idx = sample_batch(prob.dataset, 5, t=4, seed=1)
             assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
             np.testing.assert_array_equal(g, softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
+
+    def test_block_cache_serves_the_sample_batch_rows(self):
+        # Steps forward, backward, past the block and across seeds; every
+        # round must see exactly its own sample_batch minibatch.
+        prob = self.make()
+        block = problems._BLOCK_ROUNDS
+        xs = np.random.default_rng(6).standard_normal((3, prob.dim)) * 0.3
+        visits = [(1, 0), (2, 0), (block + 5, 0), (3, 0), (3, 1), (block, 1),
+                  (block + 1, 1), (2 * block + 7, 1), (block - 1, 1), (4, 0)]
+        for t, seed in visits:
+            idx = sample_batch(prob.dataset, 5, t, seed)
+            losses, grads = prob.lanes_loss_grad(xs, t, seed)
+            for x, f, g in zip(xs, losses, grads):
+                assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
+                np.testing.assert_array_equal(g, softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
+            f, g = prob.round_loss_grad(xs[0], t, seed)
+            assert f == softmax_l2_loss(xs[0], prob.dataset, idx, 0.01, 0.01)
+            np.testing.assert_array_equal(g, softmax_l2_grad(xs[0], prob.dataset, idx, 0.01, 0.01))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_runs_around_the_block_size_match_per_round_draws(self, extra):
+        prob = self.make()
+
+        class PerRound:
+            """The same problem, drawing each round with sample_batch."""
+
+            kind, sigma, dim = prob.kind, prob.sigma, prob.dim
+            initial_point = prob.initial_point
+
+            def round_loss_grad(self, x, t, seed):
+                idx = sample_batch(prob.dataset, 5, t, seed)
+                return (softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01),
+                        softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
+
+        region = box_region(-2.0, 2.0, prob.dim)
+        hp = HyperParams(alpha=0.05)
+        horizon = problems._BLOCK_ROUNDS + extra
+        got = run_online(prob, "adam", hp, region, horizon, seed=2)
+        want = run_online(PerRound(), "adam", hp, region, horizon, seed=2)
+        for name in ("loss", "g", "x", "x_final"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_validates_penalties(self):
         ds = synth_classification(seed=0, n_classes=2, n_features=2, n_samples=4)
