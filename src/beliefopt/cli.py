@@ -155,9 +155,29 @@ def _meta_value(tf, path: str, key: str, parse):
         raise ConfigError(f"{path}: metadata '# {key}: {tf.meta[key]}' is not valid") from None
 
 
+def _check_steps(tf, path: str, horizon: int) -> None:
+    """Every row's t must be an integer step of the run, 1..horizon, and
+    larger than the row before's."""
+    t = tf.columns["t"]
+    integer = np.isfinite(t) & (np.floor(t) == t)
+    earlier = np.concatenate([[0.0], t[:-1]])
+    bad = ~(integer & (t >= 1) & (t <= horizon) & (t > earlier))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not integer[i]:
+            why = "is not an integer step"
+        elif not 1 <= t[i] <= horizon:
+            why = f"lies outside the run's steps 1..{horizon}"
+        else:
+            why = f"does not follow the previous row's t = {_G17 % earlier[i]}"
+        raise ConfigError(f"{path}: line {tf.row_lines[i]}: t = {_G17 % t[i]} {why}")
+
+
 def _check_one(path: str) -> list[str]:
     failures = []
     tf = read_trace(path)
+    if not tf.row_lines:
+        raise ConfigError(f"{path}: no data rows")
     for key in ("optimizer", "alpha", "seed", "cond4_upper"):
         if key not in tf.meta:
             raise CheckFailure(f"{path}: metadata line '# {key}: ...' missing")
@@ -184,6 +204,7 @@ def _check_one(path: str) -> list[str]:
                  if c.kind == kind and c.hp.alpha == alpha), None)
     if cell is None:
         raise CheckFailure(f"{path}: embedded config has no {kind} cell with alpha={alpha:g}")
+    _check_steps(tf, path, cfg.run.horizon)
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)

@@ -20,6 +20,17 @@ can be replayed without storing index lists: round t's minibatch is
 (``sample_batch``).  The softmax problem draws its rounds a block at a time
 in one vectorized pass (``_draw_rounds``), each row bit-identical to that
 one-round draw.
+
+Both problems serve a sweep (``regret.run_sweep``) through two calls:
+
+* ``lanes_grad(xs, t, seed)``: the round-t gradients (lanes, n) at the
+  stacked iterates xs (lanes, n), made every step;
+* ``lanes_losses(xs, first, seed)``: the round losses (lanes, w) of the
+  recorded iterates xs (lanes, w, n) of rounds first .. first + w - 1, made
+  once per block of steps.  Only the gradient feeds the next step, so the
+  losses are computed in bulk afterwards.
+
+``round_loss_grad(x, t, seed)`` makes both calls for one iterate and one round.
 """
 
 from __future__ import annotations
@@ -281,8 +292,16 @@ def _draw_rounds(dataset: Dataset, m: int, first: int, count: int, seed: int) ->
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last (class) axis."""
+    # Rows are many and classes few, so the max is taken a class column at
+    # a time.  The order can only flip the sign of a zero maximum, which no
+    # loss or gradient sees; the sum's rounding does depend on it, so the
+    # sum stays numpy's row reduction.
+    top = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j])
+    shifted = logits - top[..., None]
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
@@ -306,22 +325,27 @@ def pack_params(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _SoftmaxLanes:
-    """Log-probabilities of the given rows under each lane's parameters."""
+    """Log-probabilities of minibatch rows under each lane's parameters.
 
-    def __init__(self, params, dataset: Dataset, indices):
-        k, d = dataset.n_classes, dataset.n_features
-        lanes = params.shape[0]
-        self.w = params[:, :k * d].reshape(lanes, k, d)
-        self.b = params[:, k * d:]
-        self.x = dataset.features[indices]
-        self.y = dataset.labels[indices]
-        self.rows = np.arange(len(self.y))
-        self.logp = _log_softmax(self.x @ self.w.transpose(0, 2, 1) + self.b[:, None, :])
+    ``x`` (m, d) and ``y`` (m,) are one minibatch that every lane sees;
+    ``x`` (lanes, m, d) and ``y`` (lanes, m) give each lane its own.
+    """
+
+    def __init__(self, params, n_classes: int, x, y):
+        lanes, kd = params.shape[0], n_classes * x.shape[-1]
+        self.w = params[:, :kd].reshape(lanes, n_classes, -1)
+        self.b = params[:, kd:]
+        self.x, self.y = x, y
+        # (lanes, rows, labels) indexes each row's label log-probability.
+        self.at = (slice(None) if y.ndim == 1 else np.arange(lanes)[:, None],
+                   np.arange(y.shape[-1]), y)
+        self.logp = _log_softmax(x @ self.w.transpose(0, 2, 1) + self.b[:, None, :])
 
     def loss(self, sigma1, sigma2, weights=None) -> np.ndarray:
-        # The gather comes back in a lane-minor layout; a row sum over that
-        # layout rounds differently from the contiguous one-lane sum.
-        picked = np.ascontiguousarray(self.logp[:, self.rows, self.y])
+        # A shared minibatch's gather comes back in a lane-minor layout; a
+        # row sum over that layout rounds differently from the contiguous
+        # one-lane sum.
+        picked = np.ascontiguousarray(self.logp[self.at])
         if weights is None:
             data_term = -picked.mean(axis=1)
         else:
@@ -331,19 +355,20 @@ class _SoftmaxLanes:
 
     def grad(self, sigma1, sigma2, weights=None) -> np.ndarray:
         p = np.exp(self.logp)
-        p[:, self.rows, self.y] -= 1.0
+        p[self.at] -= 1.0
         if weights is None:
-            p /= len(self.y)
+            p /= self.y.shape[-1]
         else:
             p *= weights[:, None]
         gw = p.transpose(0, 2, 1) @ self.x + 2.0 * sigma1 * self.w
-        gb = p.sum(axis=1) + 2.0 * sigma2 * self.b
+        gb = np.add.reduce(p, axis=1) + 2.0 * sigma2 * self.b
         return np.concatenate([gw.reshape(len(p), -1), gb], axis=1)
 
 
 def _one_lane(params, dataset: Dataset, indices) -> _SoftmaxLanes:
     unpack_params(params, dataset.n_classes, dataset.n_features)  # shape check
-    return _SoftmaxLanes(np.asarray(params, dtype=np.float64)[None], dataset, indices)
+    return _SoftmaxLanes(np.asarray(params, dtype=np.float64)[None], dataset.n_classes,
+                         dataset.features[indices], dataset.labels[indices])
 
 
 def softmax_l2_loss(params, dataset, indices, sigma1=0.01, sigma2=0.01,
@@ -380,6 +405,12 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ problems
+
+
+def _round_loss_grad(problem, x: np.ndarray, t: int, seed: int):
+    """Round t's loss and gradient at one iterate: one lane of the two calls."""
+    loss = problem.lanes_losses(x[None, None], t, seed)[0, 0]
+    return float(loss), problem.lanes_grad(x[None], t, seed)[0]
 
 
 class QuadraticProblem:
@@ -429,23 +460,21 @@ class QuadraticProblem:
             x = x + self.x0_jitter * rng.choice([-1.0, 1.0], size=self.dim)
         return region.project(x)
 
-    def round_loss_grad(self, x: np.ndarray, t: int, seed: int):
-        loss, grad = self.lanes_loss_grad(x[None], t, seed)
-        return float(loss[0]), grad[0]
+    round_loss_grad = _round_loss_grad
 
-    def lanes_loss_grad(self, xs: np.ndarray, t: int, seed: int):
-        """Round losses (lanes,) and gradients (lanes, n) at stacked iterates.
+    # Each iterate keeps the one-iterate matrix-vector and dot products, so
+    # its values do not depend on how many are stacked.  ``a.dot(x)`` makes
+    # the BLAS call ``a @ x`` makes, with less dispatch.
 
-        Each lane keeps the one-iterate matrix-vector and dot products, so
-        its values do not depend on how many lanes are stacked.
-        """
-        losses = np.empty(len(xs))
-        grads = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            ax = self.a @ x
-            losses[i] = 0.5 * x @ ax + self.b @ x
-            grads[i] = ax + self.b
-        return losses, grads
+    def lanes_grad(self, xs: np.ndarray, t: int, seed: int) -> np.ndarray:
+        """Gradients (lanes, n) at stacked iterates (lanes, n)."""
+        return np.array([self.a.dot(x) + self.b for x in xs])
+
+    def lanes_losses(self, xs: np.ndarray, first: int, seed: int) -> np.ndarray:
+        """Round losses (lanes, w) of iterates (lanes, w, n) at rounds first
+        .. first + w - 1."""
+        return np.array([[0.5 * x.dot(self.a.dot(x)) + self.b.dot(x) for x in lane]
+                         for lane in xs])
 
     def full_loss(self, x: np.ndarray) -> float:
         return quadratic_loss(x, self.a, self.b)
@@ -482,8 +511,10 @@ class SoftmaxL2Problem:
         self.sigma2 = float(sigma2)
         self.sigma = 2.0 * min(sigma1, sigma2)
         self._counted = (None, 0, None)  # (seed, rounds, per-sample draw counts)
-        # (seed, first round, minibatches of the rounds from there on)
-        self._block = (None, 0, np.empty((0, self.batch_size), dtype=np.int64))
+        # (seed, first round, gathered features and labels of the minibatches
+        # of the rounds from there on): 1,024 rounds of 12 samples of 2
+        # features and their labels keep 0.3 MB.
+        self._block = (None, 0, None, None)
 
     @property
     def dim(self) -> int:
@@ -492,20 +523,40 @@ class SoftmaxL2Problem:
     def initial_point(self, region: FeasibleRegion, seed: int) -> np.ndarray:
         return region.project(np.zeros(self.dim))
 
-    def round_loss_grad(self, x: np.ndarray, t: int, seed: int):
-        loss, grad = self.lanes_loss_grad(x[None], t, seed)
-        return float(loss[0]), grad[0]
+    round_loss_grad = _round_loss_grad
 
-    def lanes_loss_grad(self, xs: np.ndarray, t: int, seed: int):
-        """Round losses (lanes,) and gradients (lanes, n) at stacked iterates,
-        all on the one minibatch of round t."""
-        block_seed, first, rows = self._block
-        if block_seed != seed or not first <= t < first + len(rows):
-            first, rows = t, _draw_rounds(self.dataset, self.batch_size, t, _BLOCK_ROUNDS, seed)
-            self._block = (seed, first, rows)
-        lanes = _SoftmaxLanes(xs, self.dataset, rows[t - first])
-        return (lanes.loss(self.sigma1, self.sigma2),
-                lanes.grad(self.sigma1, self.sigma2))
+    def _minibatches(self, first: int, count: int, seed: int):
+        """Features (count, m, d) and labels (count, m) of the minibatches of
+        rounds first .. first + count - 1.
+
+        Rounds outside the kept block replace it with a new block drawn from
+        ``first`` on, of at least _BLOCK_ROUNDS rounds.
+        """
+        block_seed, start, x, y = self._block
+        if block_seed != seed or not start <= first <= first + count <= start + len(y):
+            rows = _draw_rounds(self.dataset, self.batch_size, first,
+                                max(count, _BLOCK_ROUNDS), seed)
+            start, x, y = first, self.dataset.features[rows], self.dataset.labels[rows]
+            self._block = (seed, start, x, y)
+        i = first - start
+        return x[i:i + count], y[i:i + count]
+
+    def lanes_grad(self, xs: np.ndarray, t: int, seed: int) -> np.ndarray:
+        """Gradients (lanes, n) at stacked iterates, all on round t's minibatch."""
+        x, y = self._minibatches(t, 1, seed)
+        return _SoftmaxLanes(xs, self.dataset.n_classes, x[0], y[0]).grad(
+            self.sigma1, self.sigma2)
+
+    def lanes_losses(self, xs: np.ndarray, first: int, seed: int) -> np.ndarray:
+        """Round losses (lanes, w) of iterates (lanes, w, n) at rounds first
+        .. first + w - 1.
+
+        Each lane's w iterates are evaluated as one stack, each on its own
+        round's minibatch; going lane by lane keeps the stack at w rows.
+        """
+        x, y = self._minibatches(first, xs.shape[1], seed)
+        return np.array([_SoftmaxLanes(window, self.dataset.n_classes, x, y).loss(
+            self.sigma1, self.sigma2) for window in xs])
 
     def _draw_counts(self, upto: int, seed: int) -> np.ndarray:
         """How often each sample was drawn in rounds 1..upto.

@@ -99,13 +99,18 @@ _NONFINITE = {1: "nonfinite loss at step {t}",
 
 
 def _lanes_oracle(problem):
-    """``problem.lanes_loss_grad``, or a per-lane loop over ``round_loss_grad``
-    for problems that serve one iterate at a time."""
-    lanes = getattr(problem, "lanes_loss_grad", None)
-    if lanes is not None:
-        return lanes
+    """``(lanes_grad, lanes_losses)`` of the problem.
 
-    def per_lane(xs, t, seed):
+    A problem that serves one iterate at a time gets a per-lane loop over
+    its ``round_loss_grad``; the loop keeps the losses it is handed and
+    returns them, all steps since the last call, at the next
+    ``lanes_losses``.
+    """
+    if hasattr(problem, "lanes_grad"):
+        return problem.lanes_grad, problem.lanes_losses
+    recorded = []
+
+    def lanes_grad(xs, t, seed):
         losses = np.empty(len(xs))
         grads = np.empty_like(xs)
         for i, x in enumerate(xs):
@@ -116,9 +121,15 @@ def _lanes_oracle(problem):
                     f"gradient shape {g.shape} does not match state shape {x.shape}")
             losses[i] = f
             grads[i] = g
-        return losses, grads
+        recorded.append(losses)
+        return grads
 
-    return per_lane
+    def lanes_losses(xs, first, seed):
+        losses = np.stack(recorded, axis=1)
+        recorded.clear()
+        return losses
+
+    return lanes_grad, lanes_losses
 
 
 def _first_nonfinite(lo, hi, cell_rows, loss, xs, gs, ms, ss, shs):
@@ -145,13 +156,15 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
 
     All cells start from the problem's initial point and see the same
     (seed, t) rounds, so one time loop serves them all.  The iterates are
-    stacked as (lanes, n); each step makes one oracle call for all lanes
-    (``lanes_loss_grad``, or a per-lane loop over ``round_loss_grad`` where a
-    problem has none) and one kernel call per lane group: the cells that
+    stacked as (lanes, n); each step makes one gradient call for all lanes
+    (``lanes_grad``) and one kernel call per lane group: the cells that
     share a rule and every hyperparameter but alpha, which becomes a
-    per-lane column.  Every operation is elementwise per lane, so each trace
-    is bit-identical to a one-cell run; the traces are views into stacked
-    (lanes, T, n) arrays.
+    per-lane column.  Only the gradient feeds the next step, so the round
+    losses are computed once per block of _CHECK_EVERY steps, from the
+    recorded iterates (``lanes_losses``).  A problem without these two
+    calls is served by a per-lane loop over its ``round_loss_grad``.  Every
+    operation is elementwise per lane, so each trace is bit-identical to a
+    one-cell run; the traces are views into stacked (lanes, T, n) arrays.
 
     A nonfinite loss, gradient or optimizer state raises NumericFailure for
     the earliest step at which any cell has one, naming that cell when
@@ -192,7 +205,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         zeros = np.zeros((len(members), n))
         plan.append([rows, kind, hp, alpha[rows].T[:, :, None], betas[:, 0], betas[:, 1],
                      zeros, zeros, zeros])
-    oracle = _lanes_oracle(problem)
+    lanes_grad, lanes_losses = _lanes_oracle(problem)
     x = np.tile(x0, (n_lanes, 1))
     xs[:, 0] = x
     checked = 0
@@ -200,8 +213,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     with np.errstate(all="ignore"):
         for t in range(1, horizon + 1):
             i = t - 1
-            f, g = oracle(x, t, seed)
-            loss[:, i] = f
+            g = lanes_grad(x, t, seed)
             gs[:, i] = g
             for group in plan:
                 rows, kind, hp, a_t, b1, b2, m, s, s_hat = group
@@ -214,6 +226,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 group[6:] = m, s, s_hat
             xs[:, t] = x
             if t - checked == _CHECK_EVERY or t == horizon:
+                loss[:, checked:t] = lanes_losses(xs[:, checked:t], checked + 1, seed)
                 failure = _first_nonfinite(checked, t, cell_rows, loss, xs, gs, ms, ss, shs)
                 if failure is not None:
                     offset, j, code = failure
@@ -535,6 +548,10 @@ def check_condition4(trace: TrajectoryTrace, sigma: float,
     return Condition4Result(lhs_min=lhs_min, lhs_max=lhs_max, upper=upper, passed=passed)
 
 
+#: steps per block of the condition-3 pass; bounds its buffers at 2 x 1,024 x n
+_COND3_ROWS = 1024
+
+
 @dataclass
 class Condition3Result:
     """Smallest feasible zeta per step, and its maximum over the horizon."""
@@ -554,24 +571,34 @@ def check_condition3(trace: TrajectoryTrace, variant: str = "t") -> Condition3Re
     """
     if variant not in ("t", "sqrt_t"):
         raise ValueError("variant must be 't' or 'sqrt_t'")
-    alpha = trace.hp.alpha
     horizon, n = trace.g.shape
-    w = np.zeros(n)
-    g2_sum = np.zeros(n)
     zeta_series = np.empty(horizon)
-    for t in range(1, horizon + 1):
-        b2 = trace.beta2[t - 1]
-        g2 = trace.g[t - 1] ** 2
-        w = b2 * w + (1.0 - b2) * g2
-        g2_sum += g2
-        factor = math.sqrt(t) / alpha if variant == "sqrt_t" else t / alpha
-        lhs = factor * np.sqrt(w)
-        rhs = np.sqrt(g2_sum)
+    w_t, g2_sum = np.zeros(n), np.zeros(n)
+    # Only the W recursion runs step by step; everything else is computed
+    # on blocks of steps, in place in two (steps, n) buffers.
+    for lo in range(0, horizon, _COND3_ROWS):
+        g2 = trace.g[lo:lo + _COND3_ROWS] ** 2
+        beta2 = trace.beta2[lo:lo + _COND3_ROWS]
+        w = (1.0 - beta2)[:, None] * g2
+        for i, b2 in enumerate(beta2):
+            w[i] += b2 * w_t
+            w_t = w[i]
+        w_t = w[-1].copy()  # w and g2 are reused in place below
+        g2[0] += g2_sum
+        g2_sum = np.cumsum(g2, axis=0, out=g2)[-1].copy()
+        t = np.arange(lo + 1, lo + len(g2) + 1, dtype=np.float64)[:, None]
+        lhs = np.sqrt(w, out=w)
+        lhs *= np.sqrt(t) / trace.hp.alpha if variant == "sqrt_t" else t / trace.hp.alpha
+        rhs = np.sqrt(g2, out=g2)
+        zero = rhs == 0.0
+        unbounded = (lhs == 0.0) & (rhs > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = rhs / lhs
-        ratio = np.where(rhs == 0.0, 0.0, ratio)
-        ratio = np.where((lhs == 0.0) & (rhs > 0.0), np.inf, ratio)
-        zeta_series[t - 1] = ratio.max() if n else 0.0
+            ratio = np.divide(rhs, lhs, out=rhs)
+        ratio[zero] = 0.0
+        ratio[unbounded] = np.inf
+        # Every ratio is >= 0 or nan, so a start at 0 changes no maximum and
+        # gives 0 for n = 0.
+        zeta_series[lo:lo + len(g2)] = ratio.max(axis=1, initial=0.0)
     return Condition3Result(zeta_series=zeta_series, zeta=float(zeta_series.max()))
 
 

@@ -103,6 +103,8 @@ class TraceFile:
     columns: dict[str, np.ndarray]
     #: the file line of each line of config_text
     config_lines: list[int]
+    #: the file line of each data row
+    row_lines: list[int]
 
     @property
     def steps(self) -> np.ndarray:
@@ -115,6 +117,7 @@ def read_trace(path: str) -> TraceFile:
     cfg_linenos: list[int] = []
     header: list[str] | None = None
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = list(fh)
@@ -149,12 +152,13 @@ def read_trace(path: str) -> TraceFile:
             rows.append([float(part) for part in parts])
         except ValueError:
             raise ConfigError(f"{path}: non-numeric field at line {lineno}") from None
+        row_lines.append(lineno)
     if header is None:
         raise ConfigError(f"{path}: no header row found")
     table = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     columns = {name: table[:, j] for j, name in enumerate(header)}
     return TraceFile(meta=meta, config_text="\n".join(cfg_lines), columns=columns,
-                     config_lines=cfg_linenos)
+                     config_lines=cfg_linenos, row_lines=row_lines)
 
 
 def write_compare_csv(path: str, series: dict[str, np.ndarray]) -> None:

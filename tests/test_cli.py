@@ -339,6 +339,12 @@ def _check_binary(tmp_path, trace_text):
     return ["check", str(path)]
 
 
+def _check_header_only(tmp_path, trace_text):
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text[:trace_text.index("\n1, ") + 1])
+    return ["check", str(path)]
+
+
 def _check_tampered(old, new):
     def argv(tmp_path, trace_text):
         assert old in trace_text
@@ -401,6 +407,25 @@ class TestExitCodeContract:
         pytest.param(_check_tampered("#cfg: alpha = 0.001", "#cfg: alpha = 0.001, 0.001"), 2,
                      "{tmp}/trace.csv: line 17: duplicate sweep cell fastadabelief_alpha0.001",
                      id="check-duplicate-embedded-cell"),
+        # Data rows start at line 30 with t = 1.  t = 0 on the last row would
+        # index step -1, which wraps to step 50.
+        pytest.param(_check_tampered("\n50, ", "\n0, "), 2,
+                     "{tmp}/trace.csv: line 79: t = 0 lies outside the run's steps 1..50",
+                     id="check-step-zero"),
+        pytest.param(_check_tampered("\n50, ", "\n99999, "), 2,
+                     "{tmp}/trace.csv: line 79: t = 99999 lies outside the run's steps 1..50",
+                     id="check-step-past-horizon"),
+        pytest.param(_check_tampered("\n10, ", "\nnan, "), 2,
+                     "{tmp}/trace.csv: line 39: t = nan is not an integer step",
+                     id="check-step-nan"),
+        pytest.param(_check_tampered("\n2, ", "\n1.5, "), 2,
+                     "{tmp}/trace.csv: line 31: t = 1.5 is not an integer step",
+                     id="check-step-fraction"),
+        pytest.param(_check_tampered("\n3, ", "\n2, "), 2,
+                     "{tmp}/trace.csv: line 32: t = 2 does not follow the previous row's t = 2",
+                     id="check-step-repeated"),
+        pytest.param(_check_header_only, 2, "{tmp}/trace.csv: no data rows",
+                     id="check-no-rows"),
     ])
     def test_exits_with_the_documented_code(self, tmp_path, trace_text, argv, code, words):
         result = cli(*argv(tmp_path, trace_text))

@@ -121,6 +121,15 @@ class TestSoftmaxLoss:
             denom = max(1.0, float(np.linalg.norm(g)))
             assert np.linalg.norm(g - fd) / denom < 1e-6
 
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_log_softmax_matches_the_row_max_form(self, k):
+        # Logits this far apart overflow exp unless each row is shifted by
+        # its own maximum, wherever that sits.
+        logits = np.random.default_rng(k).standard_normal((4, 7, k)) * 300.0
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(problems._log_softmax(logits), want)
+
     def test_large_logits_stable(self):
         ds = Dataset(features=np.array([[1000.0, -1000.0]]), labels=np.array([0]),
                      n_classes=2)
@@ -204,6 +213,20 @@ class TestQuadratic:
         l9, g9 = prob.round_loss_grad(x, t=9, seed=4)
         assert l1 == l9 == prob.full_loss(x)
         np.testing.assert_array_equal(g1, g9)
+
+    def test_stacked_calls_match_one_iterate_at_a_time(self):
+        a = np.random.default_rng(2).standard_normal((7, 7))
+        prob = QuadraticProblem(a=a @ a.T + np.eye(7), b=np.arange(7.0) - 3.0)
+        xs = np.random.default_rng(3).standard_normal((3, 20, 7)) * 4.0
+        losses = prob.lanes_losses(xs, 5, 0)
+        assert losses.shape == (3, 20)
+        for lane, window in zip(losses, xs):
+            for f, x in zip(lane, window):
+                assert f == quadratic_loss(x, prob.a, prob.b)
+        for x_t in xs.transpose(1, 0, 2):
+            grads = prob.lanes_grad(x_t, 1, 0)
+            for g, x in zip(grads, x_t):
+                np.testing.assert_array_equal(g, quadratic_grad(x, prob.a, prob.b))
 
 
 class TestStrongConvexity:
@@ -463,7 +486,8 @@ class TestSoftmaxProblem:
     def test_lanes_match_one_iterate_at_a_time(self):
         prob = self.make()
         xs = np.random.default_rng(5).standard_normal((6, prob.dim)) * 0.3
-        losses, grads = prob.lanes_loss_grad(xs, t=4, seed=1)
+        grads = prob.lanes_grad(xs, t=4, seed=1)
+        losses = prob.lanes_losses(xs[:, None], 4, 1)[:, 0]
         for x, f, g in zip(xs, losses, grads):
             idx = sample_batch(prob.dataset, 5, t=4, seed=1)
             assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
@@ -479,13 +503,35 @@ class TestSoftmaxProblem:
                   (block + 1, 1), (2 * block + 7, 1), (block - 1, 1), (4, 0)]
         for t, seed in visits:
             idx = sample_batch(prob.dataset, 5, t, seed)
-            losses, grads = prob.lanes_loss_grad(xs, t, seed)
+            grads = prob.lanes_grad(xs, t, seed)
+            losses = prob.lanes_losses(xs[:, None], t, seed)[:, 0]
             for x, f, g in zip(xs, losses, grads):
                 assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
                 np.testing.assert_array_equal(g, softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
             f, g = prob.round_loss_grad(xs[0], t, seed)
             assert f == softmax_l2_loss(xs[0], prob.dataset, idx, 0.01, 0.01)
             np.testing.assert_array_equal(g, softmax_l2_grad(xs[0], prob.dataset, idx, 0.01, 0.01))
+
+    @pytest.mark.parametrize("batch", [5, 12])
+    def test_loss_windows_across_blocks_and_seeds_match_sample_batch(self, batch):
+        # Windows inside the kept block, across its end (rounds 1,024 and
+        # 1,025), past it, back before it and on another seed; each round's
+        # loss must be the one on its own sample_batch minibatch.  A batch
+        # of 12 is past the 8 rows where a row sum's rounding starts to
+        # depend on its memory layout.
+        prob = SoftmaxL2Problem(self.make().dataset, batch_size=batch)
+        block = problems._BLOCK_ROUNDS
+        rng = np.random.default_rng(8)
+        windows = [(1, 0, 256), (block - 3, 0, 8), (block + 1, 0, 4), (block - 1, 1, 3),
+                   (2 * block - 100, 1, 300), (5, 1, 2), (block, 0, 1), (block - 2, 2, 1)]
+        for first, seed, width in windows:
+            xs = rng.standard_normal((3, width, prob.dim)) * 0.3
+            losses = prob.lanes_losses(xs, first, seed)
+            assert losses.shape == (3, width)
+            for lane, window in zip(losses, xs):
+                for r, (f, x) in enumerate(zip(lane, window)):
+                    idx = sample_batch(prob.dataset, batch, first + r, seed)
+                    assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_runs_around_the_block_size_match_per_round_draws(self, extra):

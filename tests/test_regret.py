@@ -478,6 +478,46 @@ class TestCondition3:
         with pytest.raises(ValueError, match="variant"):
             check_condition3(self.sadam_trace(), variant="linear")
 
+    @staticmethod
+    def per_step_zeta(trace, variant):
+        """The definition step by step: W and the gradient sums as running
+        vectors, one ratio row per t."""
+        w = np.zeros(trace.g.shape[1])
+        g2_sum = np.zeros_like(w)
+        series = []
+        for t in range(1, trace.horizon + 1):
+            b2 = trace.beta2[t - 1]
+            g2 = trace.g[t - 1] ** 2
+            w = b2 * w + (1.0 - b2) * g2
+            g2_sum += g2
+            factor = math.sqrt(t) if variant == "sqrt_t" else t
+            lhs = factor / trace.hp.alpha * np.sqrt(w)
+            rhs = np.sqrt(g2_sum)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = rhs / lhs
+            ratio = np.where(rhs == 0.0, 0.0, ratio)
+            ratio = np.where((lhs == 0.0) & (rhs > 0.0), np.inf, ratio)
+            series.append(ratio.max())
+        return np.array(series)
+
+    @pytest.mark.parametrize("variant", ["t", "sqrt_t"])
+    def test_matches_the_per_step_definition_bit_for_bit(self, variant):
+        # 2,500 steps span three blocks of the vectorized pass.  Coordinate
+        # 0 stays zero until step 40, coordinate 1 is zero throughout, and
+        # beta2 = 1 at step 1 leaves W = 0 under a nonzero gradient there
+        # (ratio inf).
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((2500, 4)) * np.exp(rng.uniform(-20, 5, (2500, 4)))
+        g[:40, 0] = 0.0
+        g[:, 1] = 0.0
+        beta2 = 1.0 - rng.uniform(1e-4, 0.5, 2500)
+        beta2[0] = 1.0
+        trace = make_trace("adam", np.zeros((2500, 4)), g=g, beta2=beta2,
+                           hp=HyperParams(alpha=0.003))
+        res = check_condition3(trace, variant=variant)
+        npt.assert_array_equal(res.zeta_series, self.per_step_zeta(trace, variant))
+        assert res.zeta == res.zeta_series.max()
+
 
 class TestGammaSeries:
     def test_max_rules_weight_by_the_running_maximum(self):

@@ -161,16 +161,23 @@ def test_grid_has_every_rule_and_shared_groups(family):
     assert adam_beta1 == {0.9, 0.5}
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("lanes", [5, 17])
-def test_each_lane_equals_its_cell_run_alone(family, lanes):
+# Round losses are computed once per 256-step scan block, so horizons on
+# either side of a block end are cases of their own.
+@pytest.mark.parametrize("family, lanes, horizon", [
+    *(pytest.param(family, lanes, None, id=f"{lanes}-{family}")
+      for lanes in (5, 17) for family in sorted(FAMILIES)),
+    *(pytest.param("softmax", 5, horizon, id=f"5-softmax-horizon{horizon}")
+      for horizon in (255, 256, 257)),
+])
+def test_each_lane_equals_its_cell_run_alone(family, lanes, horizon):
     problem, region, cells, run = setup(family)
+    horizon = horizon or run.horizon
     cells = cells[-lanes:]
-    traces = run_sweep(problem, cells, region, run.horizon, run.seed)
+    traces = run_sweep(problem, cells, region, horizon, run.seed)
     assert [t.kind for t in traces] == [c.kind for c in cells]
     for cell, trace in zip(cells, traces):
         assert trace.hp == cell.hp
-        alone = run_online(problem, cell.kind, cell.hp, region, run.horizon, run.seed)
+        alone = run_online(problem, cell.kind, cell.hp, region, horizon, run.seed)
         assert_same(trace, {name: getattr(alone, name) for name in TRACE_ARRAYS})
 
 
@@ -183,7 +190,8 @@ def test_each_lane_equals_the_per_step_reference(family):
 
 
 class OneAtATime:
-    """Duck-typed problem with no lanes_loss_grad: the sweep loops over lanes."""
+    """Duck-typed problem with no lanes_grad or lanes_losses: the sweep loops
+    over lanes."""
 
     kind = "quadratic"
 
@@ -212,7 +220,7 @@ class OneAtATime:
 def test_duck_typed_problem_goes_through_the_per_lane_adapter():
     problem, region, cells, run = setup("quadratic")
     duck = OneAtATime(problem)
-    assert not hasattr(duck, "lanes_loss_grad")
+    assert not hasattr(duck, "lanes_grad") and not hasattr(duck, "lanes_losses")
     got = run_sweep(duck, cells, region, run.horizon, run.seed)
     want = run_sweep(problem, cells, region, run.horizon, run.seed)
     for a, b in zip(got, want):
@@ -286,6 +294,64 @@ def test_same_step_failures_name_the_first_cell_in_order():
     with pytest.raises(NumericFailure) as info:
         run_sweep(duck, cells, box_region(-2.0, 2.0, 2), 20, 0)
     assert str(info.value) == "nonfinite gradient at step 7 in cell sadam_alpha0.1"
+
+
+def poisoned(problem, spots):
+    """The same problem as a subclass whose ``lanes_grad`` and
+    ``lanes_losses`` serve NaN at each (what, t, stacked row) of ``spots``."""
+    base = type(problem)
+
+    class Poisoned(base):
+        def lanes_grad(self, xs, t, seed):
+            g = super().lanes_grad(xs, t, seed)
+            for what, at, row in spots:
+                if what == "gradient" and at == t:
+                    g[row] = np.nan
+            return g
+
+        def lanes_losses(self, xs, first, seed):
+            losses = super().lanes_losses(xs, first, seed)
+            for what, at, row in spots:
+                if what == "loss" and first <= at < first + xs.shape[1]:
+                    losses[row, at - first] = np.nan
+            return losses
+
+    if isinstance(problem, QuadraticProblem):
+        return Poisoned(problem.a, problem.b, x0=problem.x0, x0_jitter=problem.x0_jitter)
+    return Poisoned(problem.dataset, problem.batch_size, problem.sigma1, problem.sigma2)
+
+
+# Steps 256 and 257 end one finiteness scan and start the next.
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("spots, message", [
+    ([("loss", 256, 0), ("gradient", 256, 0)], "nonfinite loss at step 256"),
+    ([("gradient", 256, 0)], "nonfinite gradient at step 256"),
+    ([("gradient", 257, 0), ("loss", 257, 0)], "nonfinite loss at step 257"),
+    ([("gradient", 257, 0)], "nonfinite gradient at step 257"),
+])
+def test_real_problems_keep_the_one_cell_failure_order(family, spots, message):
+    problem, region, cells, run = setup(family)
+    cell = cells[0]
+    with pytest.raises(NumericFailure) as info:
+        run_online(poisoned(problem, spots), cell.kind, cell.hp, region, 600, run.seed)
+    assert str(info.value) == message
+
+
+# The first three cells stack in cell order: two fastadabelief lanes, then
+# one sadam lane.
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("spots, message", [
+    ([("gradient", 256, 1), ("loss", 257, 0)],
+     "nonfinite gradient at step 256 in cell fastadabelief_alpha0.01"),
+    ([("loss", 257, 2), ("gradient", 257, 1)],
+     "nonfinite gradient at step 257 in cell fastadabelief_alpha0.01"),
+    ([("gradient", 257, 2), ("loss", 257, 2)], "nonfinite loss at step 257 in cell sadam_alpha0.1"),
+])
+def test_real_problems_name_the_earliest_failing_cell(family, spots, message):
+    problem, region, cells, run = setup(family)
+    with pytest.raises(NumericFailure) as info:
+        run_sweep(poisoned(problem, spots), cells[:3], region, 600, run.seed)
+    assert str(info.value) == message
 
 
 def test_cli_reports_the_failing_cell_with_exit_3(tmp_path, capsys):
