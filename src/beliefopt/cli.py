@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,10 +57,31 @@ def _verdict(ok: bool) -> str:
     return word
 
 
-def _out_dir(args, cfg: RunConfig) -> str:
-    """The output directory, created; called once the run has succeeded."""
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError inside the block into a config error naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _out_path(args, cfg: RunConfig) -> str:
+    """The output directory, not yet created; a file in its way is rejected
+    here, before the run."""
     out = args.out or cfg.run.out_dir or "."
-    os.makedirs(out, exist_ok=True)
+    parent = os.path.abspath(out)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {out}: {parent} is not a directory")
+    return out
+
+
+def _make_dir(out: str) -> str:
+    """Create ``out``; called once the run has succeeded."""
+    with _writing(out):
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -81,16 +103,18 @@ def _write_traces(out: str, cfg: RunConfig, results):
     written = []
     for cell, trace in results:
         path = os.path.join(out, f"trace_{cell.label}.csv")
-        rows = write_trace(path, trace, config_text=cfg.text,
-                           thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
+        with _writing(path):
+            rows = write_trace(path, trace, config_text=cfg.text,
+                               thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
         written.append((cell, trace, path, rows))
     return written
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    out = _out_path(args, cfg)
     problem, _, results = _run_cells(cfg, _seed(args, cfg))
-    for cell, trace, path, rows in _write_traces(_out_dir(args, cfg), cfg, results):
+    for cell, trace, path, rows in _write_traces(_make_dir(out), cfg, results):
         final_loss = problem.full_loss(trace.x_final)
         print(f"run {cell.label}: horizon={trace.horizon} "
               f"final_loss={_G17 % final_loss} "
@@ -101,8 +125,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
+    out = _out_path(args, cfg)
     problem, region, results = _run_cells(cfg, _seed(args, cfg))
-    out = _out_dir(args, cfg)
+    _make_dir(out)
     scored = []
     for cell, trace, _, _ in _write_traces(out, cfg, results):
         if args.select_alpha == "final_regret":
@@ -125,8 +150,10 @@ def cmd_compare(args) -> int:
               f"{args.select_alpha}={_G17 % score}")
     csv_path = os.path.join(out, "compare.csv")
     svg_path = os.path.join(out, "compare.svg")
-    write_compare_csv(csv_path, series)
-    write_compare_svg(svg_path, series, title=f"{problem.kind}: loss vs step")
+    with _writing(csv_path):
+        write_compare_csv(csv_path, series)
+    with _writing(svg_path):
+        write_compare_svg(svg_path, series, title=f"{problem.kind}: loss vs step")
     if "fastadabelief" in best:
         fab = best["fastadabelief"][2]
         rivals = {k: v[2] for k, v in best.items() if k != "fastadabelief"}
@@ -263,12 +290,11 @@ def cmd_probe(args) -> int:
     for region, kind, t, _m, _s, delta_abs in rows:
         print(f"{region:8s} {kind:15s} {t:5d} {delta_abs:12.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "probe.csv")
+        path = os.path.join(_make_dir(args.out), "probe.csv")
         lines = ["region,optimizer,t,m,s,step_abs"]
         for region, kind, t, m, s, delta_abs in rows:
             lines.append(f"{region},{kind},{t},{_G17 % m},{_G17 % s},{_G17 % delta_abs}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"probe wrote {path}")
     return 0

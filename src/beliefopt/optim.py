@@ -172,7 +172,9 @@ class FeasibleRegion:
         return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        # np.clip's bytes, without its Python wrappers; this order keeps
+        # np.clip's signed zeros, the reverse one does not.
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 def box_region(lo: float, hi: float, dim: int) -> FeasibleRegion:
@@ -274,6 +276,8 @@ def step_betas(kind: str, hp: HyperParams, t: int) -> tuple[float, float]:
 # run, or (lanes, n) for a sweep with a_t a (lanes, 1) column of per-lane
 # stepsizes.  Every operation is elementwise and nothing is written in place,
 # so a lane's values never depend on the other lanes or on the lane count.
+# ``advance`` adds the step tail to one kernel call; ``run_sweep`` calls the
+# kernels of all its lane groups through KERNELS and runs one tail for all.
 
 
 def _sgd_momentum(hp, t, a_t, b1, b2, g, m, s, s_hat):
@@ -341,7 +345,7 @@ def _fastadabelief(hp, t, a_t, b1, b2, g, m, s, s_hat):
     return m, s, s_hat, a_t / (s_hat + hp.delta / t)
 
 
-_KERNELS = {
+KERNELS = {
     "sgd_momentum": _sgd_momentum,
     "adam": _adam,
     "yogi": _yogi,
@@ -361,7 +365,7 @@ def advance(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,
     pre-projection step and x' = P(x + delta).  Shapes follow the kernels:
     (n,) arrays with a scalar a_t, or (lanes, n) with an a_t column.
     """
-    m, s, s_hat, scale = _KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
+    m, s, s_hat, scale = KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
     delta = -scale * m
     return region.project(x + delta), m, s, s_hat, delta, scale
 

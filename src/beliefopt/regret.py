@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import NumericFailure
 from .optim import (
+    KERNELS,
     FeasibleRegion,
     HyperParams,
-    advance,
     box_region,
     init_state,
     scheduled_alpha,
@@ -157,11 +157,13 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     All cells start from the problem's initial point and see the same
     (seed, t) rounds, so one time loop serves them all.  The iterates are
     stacked as (lanes, n); each step makes one gradient call for all lanes
-    (``lanes_grad``) and one kernel call per lane group: the cells that
-    share a rule and every hyperparameter but alpha, which becomes a
-    per-lane column.  Only the gradient feeds the next step, so the round
-    losses are computed once per block of _CHECK_EVERY steps, from the
-    recorded iterates (``lanes_losses``).  A problem without these two
+    (``lanes_grad``), one kernel call per lane group (the cells that share
+    a rule and every hyperparameter but alpha, which becomes a per-lane
+    column), and one step tail for all lanes: the step -scale * m', one
+    projection and the new iterate.  Only the gradient feeds the next step,
+    so the round losses are computed once per block of _CHECK_EVERY steps,
+    from the recorded iterates (``lanes_losses``), and so are the step
+    norms, from the block's steps.  A problem without these two
     calls is served by a per-lane loop over its ``round_loss_grad``.  Every
     operation is elementwise per lane, so each trace is bit-identical to a
     one-cell run; the traces are views into stacked (lanes, T, n) arrays.
@@ -203,11 +205,13 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         beta1[rows] = betas[:, 0]
         beta2[rows] = betas[:, 1]
         zeros = np.zeros((len(members), n))
-        plan.append([rows, kind, hp, alpha[rows].T[:, :, None], betas[:, 0], betas[:, 1],
-                     zeros, zeros, zeros])
+        plan.append([rows, KERNELS[kind], hp, alpha[rows].T[:, :, None],
+                     betas[:, 0].tolist(), betas[:, 1].tolist(), zeros, zeros, zeros])
     lanes_grad, lanes_losses = _lanes_oracle(problem)
     x = np.tile(x0, (n_lanes, 1))
     xs[:, 0] = x
+    scale = np.empty((n_lanes, n))
+    deltas = np.empty((n_lanes, _CHECK_EVERY, n))  # the steps of the current scan block
     checked = 0
     # Nonfinite values are reported through the scans below, not as warnings.
     with np.errstate(all="ignore"):
@@ -216,16 +220,19 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
             g = lanes_grad(x, t, seed)
             gs[:, i] = g
             for group in plan:
-                rows, kind, hp, a_t, b1, b2, m, s, s_hat = group
-                x[rows], m, s, s_hat, delta, _ = advance(
-                    kind, hp, t, a_t[i], b1[i], b2[i], g[rows], x[rows], m, s, s_hat, region)
+                rows, kernel, hp, a_t, b1, b2, m, s, s_hat = group
+                m, s, s_hat, scale[rows] = kernel(hp, t, a_t[i], b1[i], b2[i], g[rows],
+                                                  m, s, s_hat)
                 ms[rows, i] = m
                 ss[rows, i] = s
                 shs[rows, i] = s_hat
-                step_inf[rows, i] = np.abs(delta).max(axis=1)
                 group[6:] = m, s, s_hat
+            # The step tail of advance, once for every lane.
+            delta = np.multiply(-scale, ms[:, i], out=deltas[:, i - checked])
+            x = region.project(x + delta)
             xs[:, t] = x
             if t - checked == _CHECK_EVERY or t == horizon:
+                step_inf[:, checked:t] = np.abs(deltas[:, :t - checked]).max(axis=2)
                 loss[:, checked:t] = lanes_losses(xs[:, checked:t], checked + 1, seed)
                 failure = _first_nonfinite(checked, t, cell_rows, loss, xs, gs, ms, ss, shs)
                 if failure is not None:

@@ -354,6 +354,30 @@ def _check_tampered(old, new):
     return argv
 
 
+def _out_under_file(command, text, *below):
+    """``command --out`` at or below an existing file ``{tmp}/afile``."""
+    def argv(tmp_path, trace_text):
+        (tmp_path / "afile").write_text("")
+        out = ["--out", str(tmp_path.joinpath("afile", *below))]
+        if command == "probe":
+            return ["probe", *out]
+        (tmp_path / "case.cfg").write_text(text)
+        return [command, "--config", str(tmp_path / "case.cfg"), *out]
+    return argv
+
+
+def _dir_in_place_of(command, name):
+    """``command --out {tmp}/out`` where the output file ``name`` is a directory."""
+    def argv(tmp_path, trace_text):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        out = ["--out", str(tmp_path / "out")]
+        if command == "probe":
+            return ["probe", *out]
+        (tmp_path / "case.cfg").write_text(QUADRATIC)
+        return [command, "--config", str(tmp_path / "case.cfg"), *out]
+    return argv
+
+
 class TestExitCodeContract:
     """Inputs that a library call rejects end with their documented exit
     code and a message naming the file, line or key, not a traceback."""
@@ -426,6 +450,27 @@ class TestExitCodeContract:
                      id="check-step-repeated"),
         pytest.param(_check_header_only, 2, "{tmp}/trace.csv: no data rows",
                      id="check-no-rows"),
+        pytest.param(_out_under_file("run", QUADRATIC, "sub"), 2,
+                     "cannot write {tmp}/afile/sub: {tmp}/afile is not a directory",
+                     id="run-out-below-a-file"),
+        pytest.param(_out_under_file("run", QUADRATIC), 2,
+                     "cannot write {tmp}/afile: {tmp}/afile is not a directory",
+                     id="run-out-is-a-file"),
+        # The overflowing run would exit 3: the path is checked before the run.
+        pytest.param(_out_under_file("compare", OVERFLOW), 2,
+                     "cannot write {tmp}/afile: {tmp}/afile is not a directory",
+                     id="compare-out-is-a-file"),
+        pytest.param(_out_under_file("probe", None), 2, "cannot write {tmp}/afile:",
+                     id="probe-out-is-a-file"),
+        pytest.param(_dir_in_place_of("run", "trace_fastadabelief_alpha0.001.csv"), 2,
+                     "cannot write {tmp}/out/trace_fastadabelief_alpha0.001.csv:",
+                     id="run-trace-path-is-a-directory"),
+        pytest.param(_dir_in_place_of("compare", "compare.csv"), 2,
+                     "cannot write {tmp}/out/compare.csv:", id="compare-csv-is-a-directory"),
+        pytest.param(_dir_in_place_of("compare", "compare.svg"), 2,
+                     "cannot write {tmp}/out/compare.svg:", id="compare-svg-is-a-directory"),
+        pytest.param(_dir_in_place_of("probe", "probe.csv"), 2,
+                     "cannot write {tmp}/out/probe.csv:", id="probe-csv-is-a-directory"),
     ])
     def test_exits_with_the_documented_code(self, tmp_path, trace_text, argv, code, words):
         result = cli(*argv(tmp_path, trace_text))

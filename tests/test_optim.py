@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from beliefopt import (
+    FeasibleRegion,
     HyperParams,
     NumericFailure,
     OPTIMIZER_KINDS,
@@ -147,6 +148,32 @@ def test_projection_clips_componentwise():
     region = box_region(-1.0, 2.0, 3)
     out = region.project(np.array([-5.0, 0.5, 7.0]))
     np.testing.assert_array_equal(out, [-1.0, 0.5, 2.0])
+
+
+# Values and bounds where two clip formulas can differ in their bytes.
+_CLIP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -1.0,
+               1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+def test_projection_matches_np_clip_bit_for_bit():
+    # project takes max then min instead of np.clip; signed zeros, NaN,
+    # infinities, subnormals and lo == hi must come out as np.clip's bytes,
+    # for one iterate and for a (lanes, n) stack of them.
+    x = np.array(_CLIP_EDGES)
+    lanes = np.stack([x, -x, x[::-1]])
+    finite = [b for b in _CLIP_EDGES if np.isfinite(b)]
+    pairs = [(lo, hi) for lo in finite for hi in finite if lo <= hi]
+    assert (0.0, -0.0) in pairs and (-0.0, 0.0) in pairs and (1.0, 1.0) in pairs
+    for lo, hi in pairs:
+        region = box_region(lo, hi, len(x))
+        for z in (x, lanes):
+            want = np.clip(z, region.lower, region.upper)
+            assert region.project(z).tobytes() == want.tobytes(), (lo, hi)
+    # Per-coordinate bounds: every pair at once, one coordinate each.
+    lower, upper = np.array(pairs).T
+    z = np.resize(x, len(pairs))
+    region = FeasibleRegion(lower, upper)
+    assert region.project(z).tobytes() == np.clip(z, lower, upper).tobytes()
 
 
 def test_projection_is_nonexpansive_on_random_pairs():

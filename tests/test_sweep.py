@@ -6,11 +6,15 @@ below, kept independent of the engine).  Failures report the earliest step
 across lanes and, in a multi-cell sweep, the cell.
 """
 
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
 
 from beliefopt import (
     Cell,
+    FeasibleRegion,
     HyperParams,
     NumericFailure,
     QuadraticProblem,
@@ -144,6 +148,13 @@ def reference_run(problem, cell, region, horizon, seed):
     return arrays
 
 
+@cache
+def references(family):
+    """The per-step reference of every cell of the family's grid."""
+    problem, region, cells, run = setup(family)
+    return [reference_run(problem, cell, region, run.horizon, run.seed) for cell in cells]
+
+
 def assert_same(trace, want):
     for name in TRACE_ARRAYS:
         got = getattr(trace, name)
@@ -185,8 +196,36 @@ def test_each_lane_equals_its_cell_run_alone(family, lanes, horizon):
 def test_each_lane_equals_the_per_step_reference(family):
     problem, region, cells, run = setup(family)
     traces = run_sweep(problem, cells, region, run.horizon, run.seed)
-    for cell, trace in zip(cells, traces):
-        assert_same(trace, reference_run(problem, cell, region, run.horizon, run.seed))
+    for trace, want in zip(traces, references(family)):
+        assert_same(trace, want)
+
+
+def counting(region):
+    """The region as a subclass that records the shape of every projection."""
+    shapes = []
+
+    class Counting(FeasibleRegion):
+        def project(self, x):
+            shapes.append(np.shape(x))
+            return super().project(x)
+
+    return Counting(region.lower, region.upper), shapes
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("horizon", [255, 256, 257, 300])
+def test_one_projection_per_step_and_block_step_norms(family, horizon):
+    # The step tail runs once per step for all 17 lanes of the 8 lane
+    # groups.  The step norms are reduced once per 256-step scan block and
+    # must match the per-step reference on either side of a block edge.
+    problem, region, cells, run = setup(family)
+    assert len({(c.kind, replace(c.hp, alpha=1.0)) for c in cells}) == 8
+    counted, shapes = counting(region)
+    traces = run_sweep(problem, cells, counted, horizon, run.seed)
+    # one projection of the initial point, then one per step
+    assert shapes == [(problem.dim,)] + [(len(cells), problem.dim)] * horizon
+    for trace, want in zip(traces, references(family)):
+        assert trace.step_inf.tobytes() == want["step_inf"][:horizon].tobytes()
 
 
 class OneAtATime:
