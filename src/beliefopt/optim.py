@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
-
 OPTIMIZER_KINDS = (
     "sgd_momentum",
     "adam",
@@ -124,14 +122,10 @@ def validate_hyperparams(kind: str, hp: HyperParams) -> None:
         raise ValueError(f"{kind} requires epsilon > 0")
 
 
-def alpha_at(kind: str, hp: HyperParams, t: int) -> float:
-    """Stepsize at step t under the rule's schedule (or the override in hp)."""
-    return scheduled_alpha(kind, hp, hp.alpha, t)
-
-
 def scheduled_alpha(kind: str, hp: HyperParams, alpha, t):
-    """``alpha_at`` for a base stepsize ``alpha``; alpha and t may be arrays
-    that broadcast, e.g. a (lanes, 1) column against a (T,) step range."""
+    """Stepsize at step t for base stepsize ``alpha`` under the rule's
+    schedule (or the override in hp); alpha and t may be arrays that
+    broadcast, e.g. a (lanes, 1) column against a (T,) step range."""
     schedule = hp.step_schedule or _DEFAULT_SCHEDULE[kind]
     if schedule == "inverse_t":
         return alpha / t
@@ -198,86 +192,36 @@ def project_weighted(z: np.ndarray, w: np.ndarray, region: FeasibleRegion) -> np
     return region.project(z)
 
 
-@dataclass
-class OptimizerState:
-    """Per-run mutable state.  ``s`` holds the second moment (belief residual
-    average for the belief rules, squared-gradient average otherwise) and
-    ``s_hat`` its running max where the rule uses one (zeros elsewhere)."""
-
-    kind: str
-    t: int
-    x: np.ndarray
-    m: np.ndarray
-    s: np.ndarray
-    s_hat: np.ndarray
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Diagnostics for one accepted step.
-
-    ``delta`` is the pre-projection step (x + delta is what gets projected)
-    and ``scale`` the elementwise effective stepsize multiplying the first
-    moment, so delta = -scale * m_new.
-    """
-
-    alpha_t: float
-    beta1_t: float
-    beta2_t: float
-    delta: np.ndarray
-    scale: np.ndarray
-
-    @property
-    def step_inf_norm(self) -> float:
-        return float(np.max(np.abs(self.delta))) if self.delta.size else 0.0
-
-
-def init_state(kind: str, x0: np.ndarray, region: FeasibleRegion) -> OptimizerState:
-    if kind not in OPTIMIZER_KINDS:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (region.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, region has dimension {region.dim}")
-    if not region.contains(x0):
-        raise ValueError("x0 lies outside the feasible region")
-    n = region.dim
-    return OptimizerState(
-        kind=kind,
-        t=0,
-        x=x0.copy(),
-        m=np.zeros(n),
-        s=np.zeros(n),
-        s_hat=np.zeros(n),
-    )
-
-
-def _check_gradient(state: OptimizerState, g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != state.x.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match state shape {state.x.shape}")
-    if not np.isfinite(g).all():
-        raise NumericFailure(f"nonfinite gradient at step {state.t + 1}")
-    return g
-
-
-def step_betas(kind: str, hp: HyperParams, t: int) -> tuple[float, float]:
-    """(beta1_t, beta2_t) as rule ``kind`` uses and records them at step t.
+def step_betas(kind: str, hp: HyperParams, horizon: int) -> tuple[list, list]:
+    """(beta1_t, beta2_t) for t = 1..horizon as rule ``kind`` uses and
+    records them: two lists of Python floats.
 
     Only fastadabelief decays its first-moment coefficient; sgd_momentum
     keeps no second moment and records beta2_t = 0.
     """
-    b1 = hp.beta1_at(t) if kind == "fastadabelief" else hp.beta1
-    b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(t)
+    if kind == "fastadabelief":
+        # Python float power: numpy's array power can differ in the last bit.
+        b1 = [hp.beta1_at(t) for t in range(1, horizon + 1)]
+    else:
+        b1 = [hp.beta1] * horizon
+    if kind == "sgd_momentum":
+        b2 = [0.0] * horizon
+    elif hp.beta2_mode == "sadam":
+        b2 = (1.0 - hp.beta2_c / np.arange(1, horizon + 1)).tolist()
+    else:
+        b2 = [hp.beta2] * horizon
     return b1, b2
 
 
 # Rule kernels: (g, m, s, s_hat) at step t -> (m', s', s_hat', scale), where
 # scale is the elementwise stepsize multiplying m'.  Arrays are (n,) for one
-# run, or (lanes, n) for a sweep with a_t a (lanes, 1) column of per-lane
-# stepsizes.  Every operation is elementwise and nothing is written in place,
-# so a lane's values never depend on the other lanes or on the lane count.
-# ``advance`` adds the step tail to one kernel call; ``run_sweep`` calls the
-# kernels of all its lane groups through KERNELS and runs one tail for all.
+# lane or (lanes, n) for a stack of lanes, with a_t a scalar shared by all
+# lanes or a (lanes, 1) column of per-lane stepsizes.  Every operation is
+# elementwise and nothing is written in place, so a lane's values never
+# depend on the other lanes or on the lane count.  ``step`` adds the step
+# tail to one kernel call (``region_stepsize_table`` runs a rule's scripts as
+# its lanes); ``run_sweep`` calls the kernels of all its lane groups through
+# KERNELS and runs one tail for all of them.
 
 
 def _sgd_momentum(hp, t, a_t, b1, b2, g, m, s, s_hat):
@@ -310,7 +254,8 @@ def _adabound(hp, t, a_t, b1, b2, g, m, s, s_hat):
     eta_u = hp.eta_final * (1.0 + 1.0 / (hp.bound_gamma * t))
     # Where v = 0 the raw rate is unbounded and the clip lands on eta_u.
     raw = np.divide(a_t, np.sqrt(v), out=np.full(v.shape, np.inf), where=v > 0)
-    return m, v, s_hat, np.clip(raw, eta_l, eta_u)
+    # np.clip's bytes, without its Python wrappers (see FeasibleRegion.project).
+    return m, v, s_hat, np.minimum(np.maximum(raw, eta_l), eta_u)
 
 
 def _adabelief(hp, t, a_t, b1, b2, g, m, s, s_hat):
@@ -356,33 +301,20 @@ KERNELS = {
 }
 
 
-def advance(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,
-            g: np.ndarray, x: np.ndarray, m: np.ndarray, s: np.ndarray,
-            s_hat: np.ndarray, region: FeasibleRegion):
+def step(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,
+         g: np.ndarray, x: np.ndarray, m: np.ndarray, s: np.ndarray,
+         s_hat: np.ndarray, region: FeasibleRegion):
     """Apply rule ``kind`` at step t to one state or a stack of lane states.
 
     Returns (x', m', s', s_hat', delta, scale) with delta = -scale * m' the
     pre-projection step and x' = P(x + delta).  Shapes follow the kernels:
-    (n,) arrays with a scalar a_t, or (lanes, n) with an a_t column.
+    (n,) arrays, or (lanes, n) with a_t a scalar or a (lanes, 1) column.
+    a_t, b1 and b2 come from ``scheduled_alpha`` and ``step_betas``; the
+    caller checks the gradient and the new state for nonfinite values.
     """
     m, s, s_hat, scale = KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
     delta = -scale * m
     return region.project(x + delta), m, s, s_hat, delta, scale
-
-
-def step(state: OptimizerState, g: np.ndarray, hp: HyperParams,
-         region: FeasibleRegion) -> tuple[OptimizerState, StepOutcome]:
-    """One step of rule state.kind: the one-lane case of ``advance``."""
-    g = _check_gradient(state, g)
-    t = state.t + 1
-    a_t = alpha_at(state.kind, hp, t)
-    b1, b2 = step_betas(state.kind, hp, t)
-    x, m, s, s_hat, delta, scale = advance(state.kind, hp, t, a_t, b1, b2, g,
-                                           state.x, state.m, state.s, state.s_hat, region)
-    if not np.isfinite([x, m, s, s_hat]).all():
-        raise NumericFailure(f"nonfinite optimizer state after step {t}")
-    new = OptimizerState(kind=state.kind, t=t, x=x, m=m, s=s, s_hat=s_hat)
-    return new, StepOutcome(a_t, b1, b2, delta, scale)
 
 
 def stepsize_probe(kind: str, m: np.ndarray, s: np.ndarray, t: int,
@@ -412,7 +344,7 @@ def stepsize_probe(kind: str, m: np.ndarray, s: np.ndarray, t: int,
         raise ValueError("second moment must be nonnegative")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    a_t = alpha_at(kind, hp, t)
+    a_t = scheduled_alpha(kind, hp, hp.alpha, t)
     if kind == "sgd_momentum":
         return -a_t * m
     if kind in ("sadam", "fastadabelief"):

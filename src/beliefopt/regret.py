@@ -26,7 +26,6 @@ from .optim import (
     FeasibleRegion,
     HyperParams,
     box_region,
-    init_state,
     scheduled_alpha,
     step,
     step_betas,
@@ -180,7 +179,11 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         validate_hyperparams(cell.kind, cell.hp)
     if problem.dim != region.dim:
         raise ValueError(f"problem dimension {problem.dim} != region dimension {region.dim}")
-    x0 = init_state(cells[0].kind, problem.initial_point(region, seed), region).x
+    x0 = np.asarray(problem.initial_point(region, seed), dtype=np.float64)
+    if x0.shape != (region.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, region has dimension {region.dim}")
+    if not region.contains(x0):
+        raise ValueError("x0 lies outside the feasible region")
     groups = {}
     for j, cell in enumerate(cells):
         groups.setdefault((cell.kind, replace(cell.hp, alpha=1.0)), []).append(j)
@@ -200,13 +203,12 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         kind, hp = cells[members[0]].kind, cells[members[0]].hp
         column = np.array([[cells[j].hp.alpha] for j in members])
         alpha[rows] = scheduled_alpha(kind, hp, column, steps)
-        betas = np.fromiter((step_betas(kind, hp, t) for t in range(1, horizon + 1)),
-                            dtype=(np.float64, 2), count=horizon)
-        beta1[rows] = betas[:, 0]
-        beta2[rows] = betas[:, 1]
+        b1, b2 = step_betas(kind, hp, horizon)
+        beta1[rows] = b1
+        beta2[rows] = b2
         zeros = np.zeros((len(members), n))
         plan.append([rows, KERNELS[kind], hp, alpha[rows].T[:, :, None],
-                     betas[:, 0].tolist(), betas[:, 1].tolist(), zeros, zeros, zeros])
+                     b1, b2, zeros, zeros, zeros])
     lanes_grad, lanes_losses = _lanes_oracle(problem)
     x = np.tile(x0, (n_lanes, 1))
     xs[:, 0] = x
@@ -227,7 +229,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 ss[rows, i] = s
                 shs[rows, i] = s_hat
                 group[6:] = m, s, s_hat
-            # The step tail of advance, once for every lane.
+            # The step tail of ``step``, once for every lane.
             delta = np.multiply(-scale, ms[:, i], out=deltas[:, i - checked])
             x = region.project(x + delta)
             xs[:, t] = x
@@ -526,28 +528,22 @@ class Condition4Result:
     passed: bool
 
 
-def _cond4_values(trace: TrajectoryTrace, variant: str) -> np.ndarray:
+def _cond4_values(trace: TrajectoryTrace) -> np.ndarray:
     """(T, n) array of weighted sqrt-second-moment increments."""
-    alpha = trace.hp.alpha
     t = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
-    factor = np.sqrt(t) / alpha if variant == "sqrt_t" else t / alpha
-    weighted = factor * np.sqrt(trace.s)
+    weighted = t / trace.hp.alpha * np.sqrt(trace.s)
     prev = np.vstack([np.zeros((1, trace.s.shape[1])), weighted[:-1]])
     return weighted - prev
 
 
-def check_condition4(trace: TrajectoryTrace, sigma: float,
-                     variant: str = "t") -> Condition4Result:
+def check_condition4(trace: TrajectoryTrace, sigma: float) -> Condition4Result:
     """Band check 0 <= increment <= sigma*(1 - beta1) + BAND_TOL at every step.
 
-    ``variant="t"`` uses the t/alpha weighting of the strongly convex
-    analysis; ``variant="sqrt_t"`` is the sqrt(t)/alpha flavor of the
-    general convex conditions, exposed for diagnostics only.  beta1 is the
-    supremum of the momentum schedule, i.e. hp.beta1 itself.
+    The increments use the t/alpha weighting of the strongly convex
+    analysis.  beta1 is the supremum of the momentum schedule, i.e.
+    hp.beta1 itself.
     """
-    if variant not in ("t", "sqrt_t"):
-        raise ValueError("variant must be 't' or 'sqrt_t'")
-    values = _cond4_values(trace, variant)
+    values = _cond4_values(trace)
     lhs_min = values.min(axis=1)
     lhs_max = values.max(axis=1)
     upper = sigma * (1.0 - trace.hp.beta1)
@@ -567,7 +563,7 @@ class Condition3Result:
     zeta: float
 
 
-def check_condition3(trace: TrajectoryTrace, variant: str = "t") -> Condition3Result:
+def check_condition3(trace: TrajectoryTrace) -> Condition3Result:
     """Smallest zeta with (t/alpha)*sqrt(W_t,i) >= sqrt(sum_j g_{j,i}^2)/zeta.
 
     W is the beta2-weighted squared-gradient average; expanding the nested
@@ -576,8 +572,6 @@ def check_condition3(trace: TrajectoryTrace, variant: str = "t") -> Condition3Re
     a nonzero gradient history force zeta = inf; an all-zero history
     contributes 0 by convention.
     """
-    if variant not in ("t", "sqrt_t"):
-        raise ValueError("variant must be 't' or 'sqrt_t'")
     horizon, n = trace.g.shape
     zeta_series = np.empty(horizon)
     w_t, g2_sum = np.zeros(n), np.zeros(n)
@@ -595,7 +589,7 @@ def check_condition3(trace: TrajectoryTrace, variant: str = "t") -> Condition3Re
         g2_sum = np.cumsum(g2, axis=0, out=g2)[-1].copy()
         t = np.arange(lo + 1, lo + len(g2) + 1, dtype=np.float64)[:, None]
         lhs = np.sqrt(w, out=w)
-        lhs *= np.sqrt(t) / trace.hp.alpha if variant == "sqrt_t" else t / trace.hp.alpha
+        lhs *= t / trace.hp.alpha
         rhs = np.sqrt(g2, out=g2)
         zero = rhs == 0.0
         unbounded = (lhs == 0.0) & (rhs > 0.0)
@@ -663,12 +657,13 @@ def region_stepsize_table(t_values=(10, 100, 1000), alpha: float = 0.01,
                           delta: float = 0.1, length: int | None = None):
     """|Delta_t| for the five comparison rules on the three scripts.
 
-    Each rule's own recursions evolve (m, s) along the script (by running
-    the real step kernels on an effectively unconstrained scalar problem),
-    then the probe evaluates the displacement at the requested steps.
-    Returns rows of (region, optimizer, t, m, s, delta_abs).
+    Each rule's own recursions evolve (m, s) along the scripts (by running
+    the real step kernels, one script per lane, on an effectively
+    unconstrained scalar problem), then the probe evaluates the
+    displacement at the requested steps.  Returns rows of
+    (region, optimizer, t, m, s, delta_abs).
     """
-    t_values = sorted(int(t) for t in t_values)
+    t_values = sorted({int(t) for t in t_values})
     if t_values[0] < 1:
         raise ValueError("probe steps must be >= 1")
     if length is None:
@@ -676,17 +671,22 @@ def region_stepsize_table(t_values=(10, 100, 1000), alpha: float = 0.01,
     if length < t_values[-1]:
         raise ValueError("script shorter than the largest probe step")
     wide = box_region(-1e18, 1e18, 1)
-    rows = []
-    for name, script in region_scenarios(length).items():
-        for kind in PROBE_KINDS:
-            hp = _probe_hyperparams(kind, alpha, delta)
-            state = init_state(kind, np.zeros(1), wide)
-            wanted = set(t_values)
-            for t in range(1, length + 1):
-                state, _ = step(state, np.array([script[t - 1]]), hp, wide)
-                if t in wanted:
-                    m = float(state.m[0])
-                    s = float(state.s[0])
-                    delta_t = stepsize_probe(kind, state.m, state.s, t, hp)
-                    rows.append((name, kind, t, m, s, float(np.abs(delta_t[0]))))
-    return rows
+    scripts = region_scenarios(length)
+    grads = np.stack(list(scripts.values()), axis=1)[:, :, None]  # (T, lanes, 1)
+    wanted = set(t_values)
+    found = {}
+    for kind in PROBE_KINDS:
+        hp = _probe_hyperparams(kind, alpha, delta)
+        b1, b2 = step_betas(kind, hp, length)
+        x = m = s = s_hat = np.zeros((len(scripts), 1))
+        for t in range(1, length + 1):
+            a_t = scheduled_alpha(kind, hp, hp.alpha, t)
+            x, m, s, s_hat, _, _ = step(kind, hp, t, a_t, b1[t - 1], b2[t - 1],
+                                        grads[t - 1], x, m, s, s_hat, wide)
+            if t in wanted:
+                delta_t = stepsize_probe(kind, m, s, t, hp)
+                for lane, name in enumerate(scripts):
+                    found[name, kind, t] = (float(m[lane, 0]), float(s[lane, 0]),
+                                            float(np.abs(delta_t[lane, 0])))
+    return [(name, kind, t, *found[name, kind, t])
+            for name in scripts for kind in PROBE_KINDS for t in t_values]

@@ -1,6 +1,9 @@
 """End-to-end command line tests, run through subprocess like a user would."""
 
+import hashlib
+import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -277,6 +280,29 @@ class TestProbe:
         result = cli("probe")
         assert result.returncode == 0
         assert "probe wrote" not in result.stdout
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: bench/run.py workload -> the commands of its sequence that write files
+WRITERS = {
+    "quad-lab": [("run", "--config", "quadratic.cfg", "--seed", "0"), ("probe",)],
+    "softmax-lab": [("run", "--config", "softmax.cfg", "--seed", "0")],
+    "compare-sweep": [("compare", "--config", "compare.cfg", "--seed", "0")],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WRITERS))
+def test_seed0_files_match_the_bench_reference_digests(workload, tmp_path):
+    # Every file the benchmark's seed-0 sequence writes, byte for byte.
+    references = json.loads((ROOT / "bench" / "reference_seed0.json").read_text())
+    for argv in WRITERS[workload]:
+        argv = [str(ROOT / "configs" / a) if a.endswith(".cfg") else a for a in argv]
+        result = cli(*argv, "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    assert got == references[workload]["files"]
 
 
 class TestNonFiniteInputs:

@@ -13,16 +13,14 @@ import pytest
 from beliefopt import (
     FeasibleRegion,
     HyperParams,
-    NumericFailure,
     OPTIMIZER_KINDS,
-    alpha_at,
     box_region,
-    init_state,
     project_weighted,
     step,
     stepsize_probe,
     validate_hyperparams,
 )
+from beliefopt.optim import scheduled_alpha, step_betas
 
 GS = (1.0, -0.5, 0.25)
 
@@ -63,39 +61,46 @@ UNROLLS = {
 }
 
 
+def _steps(kind, hp, region, gs):
+    """One record per step of ``step`` from x = 0 along the gradients gs:
+    the stepsize and the new (x, m, s, s_hat, delta, scale)."""
+    n = region.dim
+    x, m, s, s_hat = (np.zeros(n) for _ in range(4))
+    b1, b2 = step_betas(kind, hp, len(gs))
+    records = []
+    for t, g in enumerate(gs, start=1):
+        a_t = scheduled_alpha(kind, hp, hp.alpha, t)
+        out = step(kind, hp, t, a_t, b1[t - 1], b2[t - 1], np.asarray(g, dtype=np.float64),
+                   x, m, s, s_hat, region)
+        x, m, s, s_hat, delta, scale = out
+        records.append(dict(a_t=a_t, x=x, m=m, s=s, s_hat=s_hat, delta=delta, scale=scale))
+    return records
+
+
 def _unroll(kind, hp, gs):
-    region = box_region(-1.0, 1.0, 1)
-    state = init_state(kind, np.zeros(1), region)
-    rows = []
-    for g in gs:
-        state, out = step(state, np.array([g]), hp, region)
-        rows.append((state, out))
-    return rows
+    return _steps(kind, hp, box_region(-1.0, 1.0, 1), [[g] for g in gs])
 
 
 @pytest.mark.parametrize("kind", sorted(UNROLLS))
 def test_three_step_unroll_matches_reference(kind):
     hp, expected = UNROLLS[kind]
     rows = _unroll(kind, hp, GS)
-    for (state, _), want in zip(rows, expected):
-        assert float(state.m[0]) == want[0]
-        assert float(state.s[0]) == want[1]
+    for state, want in zip(rows, expected):
+        assert float(state["m"][0]) == want[0]
+        assert float(state["s"][0]) == want[1]
         if len(want) == 4:
-            assert float(state.s_hat[0]) == want[2]
-        assert float(state.x[0]) == want[-1]
+            assert float(state["s_hat"][0]) == want[2]
+        assert float(state["x"][0]) == want[-1]
 
 
 def test_sgd_momentum_heavy_ball():
     # constant unit gradient: m accumulates 1, 1.9, 2.71, ...
-    region = box_region(-1.0, 1.0, 1)
     hp = HyperParams(alpha=0.01, beta1=0.9)
-    state = init_state("sgd_momentum", np.zeros(1), region)
     expected = [(1.0, -0.01), (1.9, -0.028999999999999998), (2.71, -0.0561)]
-    for want_m, want_x in expected:
-        state, out = step(state, np.array([1.0]), hp, region)
-        assert float(state.m[0]) == want_m
-        assert float(state.x[0]) == want_x
-        assert out.alpha_t == 0.01  # constant schedule by default
+    for state, (want_m, want_x) in zip(_unroll("sgd_momentum", hp, [1.0] * 3), expected):
+        assert float(state["m"][0]) == want_m
+        assert float(state["x"][0]) == want_x
+        assert state["a_t"] == 0.01  # constant schedule by default
 
 
 def test_fastadabelief_shat_is_running_max():
@@ -111,6 +116,10 @@ def test_belief_vs_squared_gradient_second_moment():
     _, ab = UNROLLS["adabelief"]
     _, adam = UNROLLS["adam"]
     assert ab[0][1] < adam[0][1]
+
+
+def alpha_at(kind, hp, t):
+    return scheduled_alpha(kind, hp, hp.alpha, t)
 
 
 def test_default_schedules():
@@ -214,26 +223,6 @@ def test_region_diameter_and_membership():
     assert not region.contains(np.full(4, 5.1))
 
 
-def test_init_state_requires_feasible_start():
-    region = box_region(-1.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        init_state("adam", np.array([0.0, 1.5]), region)
-
-
-def test_step_rejects_shape_mismatch():
-    region = box_region(-1.0, 1.0, 2)
-    state = init_state("adam", np.zeros(2), region)
-    with pytest.raises(ValueError):
-        step(state, np.zeros(3), HyperParams(), region)
-
-
-def test_step_rejects_nonfinite_gradient():
-    region = box_region(-1.0, 1.0, 2)
-    state = init_state("adam", np.zeros(2), region)
-    with pytest.raises(NumericFailure, match="step 1"):
-        step(state, np.array([1.0, np.nan]), HyperParams(), region)
-
-
 def test_validate_hyperparams_delta_required():
     with pytest.raises(ValueError, match="delta"):
         validate_hyperparams("fastadabelief", HyperParams(delta=0.0))
@@ -267,12 +256,34 @@ def test_adabound_zero_second_moment_hits_upper_envelope():
     region = box_region(-10.0, 10.0, 1)
     hp = HyperParams(alpha=0.01, beta1=0.0, beta2=0.999, eta_final=0.1,
                      bound_gamma=1e-3)
-    state = init_state("adabound", np.zeros(1), region)
-    state, out = step(state, np.zeros(1), hp, region)
+    [state] = _steps("adabound", hp, region, [np.zeros(1)])
     eta_u = 0.1 * (1.0 + 1.0 / 1e-3)
-    np.testing.assert_allclose(out.scale, [eta_u], rtol=0, atol=0)
-    assert np.isfinite(state.x).all()
-    np.testing.assert_array_equal(state.x, np.zeros(1))
+    np.testing.assert_allclose(state["scale"], [eta_u], rtol=0, atol=0)
+    assert np.isfinite(state["x"]).all()
+    np.testing.assert_array_equal(state["x"], np.zeros(1))
+
+
+def test_adabound_clip_matches_np_clip_bit_for_bit():
+    # The rate alpha_t/sqrt(v) is clipped by max then min instead of
+    # np.clip: v = 0 (raw rate +inf), rates below eta_l, inside the band and
+    # above eta_u must come out as np.clip's bytes, for one lane and for a
+    # (lanes, n) stack with a per-lane stepsize column.
+    hp = HyperParams(alpha=0.01, beta1=0.9, beta2=0.999, eta_final=0.1, bound_gamma=1e-3)
+    g = np.array([0.0, 1e6, 3.0, 0.01, 1e-9, 0.5])
+    zeros = np.zeros_like(g)
+    for t in (1, 10, 1000, 10 ** 6):
+        eta_l = 0.1 * (1.0 - 1.0 / (1e-3 * t + 1.0))
+        eta_u = 0.1 * (1.0 + 1.0 / (1e-3 * t))
+        for a_t in (scheduled_alpha("adabound", hp, hp.alpha, t),
+                    np.array([[1e-6], [0.01], [10.0]])):
+            grads = np.broadcast_to(g, np.broadcast_shapes(np.shape(a_t), g.shape))
+            out = step("adabound", hp, t, a_t, 0.9, 0.999, grads, zeros, zeros, zeros,
+                       zeros, box_region(-1.0, 1.0, len(g)))
+            v = out[2]
+            with np.errstate(divide="ignore"):
+                raw = np.where(v > 0, a_t / np.sqrt(v), np.inf)
+            assert np.isinf(raw).any() and (raw < eta_l).any() and (raw > eta_u).any()
+            assert out[5].tobytes() == np.clip(raw, eta_l, eta_u).tobytes(), t
 
 
 def test_all_kinds_step_and_stay_feasible():
@@ -281,21 +292,19 @@ def test_all_kinds_step_and_stay_feasible():
     for kind in OPTIMIZER_KINDS:
         hp = (HyperParams(alpha=0.05, beta2_mode="sadam", delta=0.1)
               if kind in ("sadam", "fastadabelief") else HyperParams(alpha=0.05))
-        state = init_state(kind, np.zeros(6), region)
-        for t in range(1, 30):
-            state, out = step(state, rng.standard_normal(6) * 5.0, hp, region)
-            assert region.contains(state.x), kind
-            assert np.isfinite(out.step_inf_norm)
-        assert state.t == 29
+        records = _steps(kind, hp, region, [rng.standard_normal(6) * 5.0 for _ in range(1, 30)])
+        for state in records:
+            assert region.contains(state["x"]), kind
+            assert np.isfinite(np.abs(state["delta"]).max())
+        assert len(records) == 29
 
 
 def test_outcome_scale_and_delta_consistent():
     region = box_region(-1.0, 1.0, 1)
     hp = HyperParams(alpha=0.01)
-    state = init_state("adam", np.zeros(1), region)
-    new, out = step(state, np.array([0.3]), hp, region)
-    np.testing.assert_allclose(out.delta, -out.scale * new.m, rtol=0, atol=0)
-    assert out.step_inf_norm == float(np.abs(out.delta).max())
+    [new] = _steps("adam", hp, region, [np.array([0.3])])
+    np.testing.assert_allclose(new["delta"], -new["scale"] * new["m"], rtol=0, atol=0)
+    np.testing.assert_array_equal(new["x"], region.project(np.zeros(1) + new["delta"]))
 
 
 # --------------------------------------------------------------- probe

@@ -28,11 +28,13 @@ from beliefopt import (
     region_scenarios,
     region_stepsize_table,
     run_online,
+    step,
+    stepsize_probe,
     synth_classification,
     theoretical_bound,
 )
-from beliefopt.optim import BETA2_MODES, SCHEDULES
-from beliefopt.regret import gamma_series
+from beliefopt.optim import BETA2_MODES, SCHEDULES, scheduled_alpha, step_betas
+from beliefopt.regret import PROBE_KINDS, _probe_hyperparams, gamma_series
 
 
 def bowl(dim=1, x0=None):
@@ -428,22 +430,12 @@ class TestCondition4:
         assert not res.passed
         assert res.upper == pytest.approx(18.0, rel=1e-14)
 
-    def test_sqrt_variant_of_a_linear_ramp_is_flat(self):
-        # With s_t = 0.01*t the sqrt(t)-weighted series is 10*t/... constant.
-        res = check_condition4(self.s_ramp(), sigma=101.0, variant="sqrt_t")
-        npt.assert_allclose(res.lhs_max, [10.0, 10.0, 10.0], rtol=1e-14)
-        assert res.passed
-
     def test_collapsing_second_moment_fails_the_lower_edge(self):
         trace = make_trace("fastadabelief", [[0.01], [0.0001]],
                            hp=HyperParams(alpha=0.01, beta1=0.9))
         res = check_condition4(trace, sigma=1e9)
         assert res.lhs_min[1] < 0.0
         assert not res.passed
-
-    def test_unknown_variant_is_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            check_condition4(self.s_ramp(), sigma=1.0, variant="linear")
 
 
 class TestCondition3:
@@ -474,12 +466,8 @@ class TestCondition3:
                            beta2=np.ones(2))
         assert check_condition3(trace).zeta == math.inf
 
-    def test_unknown_variant_is_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            check_condition3(self.sadam_trace(), variant="linear")
-
     @staticmethod
-    def per_step_zeta(trace, variant):
+    def per_step_zeta(trace):
         """The definition step by step: W and the gradient sums as running
         vectors, one ratio row per t."""
         w = np.zeros(trace.g.shape[1])
@@ -490,8 +478,7 @@ class TestCondition3:
             g2 = trace.g[t - 1] ** 2
             w = b2 * w + (1.0 - b2) * g2
             g2_sum += g2
-            factor = math.sqrt(t) if variant == "sqrt_t" else t
-            lhs = factor / trace.hp.alpha * np.sqrt(w)
+            lhs = t / trace.hp.alpha * np.sqrt(w)
             rhs = np.sqrt(g2_sum)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = rhs / lhs
@@ -500,8 +487,7 @@ class TestCondition3:
             series.append(ratio.max())
         return np.array(series)
 
-    @pytest.mark.parametrize("variant", ["t", "sqrt_t"])
-    def test_matches_the_per_step_definition_bit_for_bit(self, variant):
+    def test_matches_the_per_step_definition_bit_for_bit(self):
         # 2,500 steps span three blocks of the vectorized pass.  Coordinate
         # 0 stays zero until step 40, coordinate 1 is zero throughout, and
         # beta2 = 1 at step 1 leaves W = 0 under a nonzero gradient there
@@ -514,8 +500,8 @@ class TestCondition3:
         beta2[0] = 1.0
         trace = make_trace("adam", np.zeros((2500, 4)), g=g, beta2=beta2,
                            hp=HyperParams(alpha=0.003))
-        res = check_condition3(trace, variant=variant)
-        npt.assert_array_equal(res.zeta_series, self.per_step_zeta(trace, variant))
+        res = check_condition3(trace)
+        npt.assert_array_equal(res.zeta_series, self.per_step_zeta(trace))
         assert res.zeta == res.zeta_series.max()
 
 
@@ -611,6 +597,32 @@ class TestScenariosAndProbeTable:
             0.020642971320370497, rel=1e-12)
         assert region3["adabelief"][5] == pytest.approx(
             0.03376034531636645, rel=1e-12)
+
+    def test_table_equals_a_one_lane_loop_bit_for_bit(self):
+        # The table runs each rule's three scripts as three lanes of step;
+        # every row must equal a plain loop over one (1,) lane at a time.
+        t_values = (10, 100, 1000)
+        rows = region_stepsize_table(t_values=t_values)
+        assert len(rows) == 3 * len(PROBE_KINDS) * len(t_values)
+        wide = box_region(-1e18, 1e18, 1)
+        want = []
+        for name, script in region_scenarios(1000).items():
+            for kind in PROBE_KINDS:
+                hp = _probe_hyperparams(kind, 0.01, 0.1)
+                b1, b2 = step_betas(kind, hp, 1000)
+                x = m = s = s_hat = np.zeros(1)
+                for t in range(1, 1001):
+                    a_t = scheduled_alpha(kind, hp, hp.alpha, t)
+                    x, m, s, s_hat, _, _ = step(kind, hp, t, a_t, b1[t - 1], b2[t - 1],
+                                                np.array([script[t - 1]]), x, m, s, s_hat,
+                                                wide)
+                    if t in t_values:
+                        d = stepsize_probe(kind, m, s, t, hp)
+                        want.append((name, kind, t, float(m[0]), float(s[0]),
+                                     float(np.abs(d[0]))))
+        assert [r[:3] for r in rows] == [w[:3] for w in want]
+        for got, expected in zip(rows, want):
+            assert np.array(got[3:]).tobytes() == np.array(expected[3:]).tobytes(), got[:3]
 
     def test_linear_divisor_displacement_shrinks_with_t(self):
         rows = region_stepsize_table(t_values=(10, 100, 1000))

@@ -1,9 +1,10 @@
 """The lane-batched sweep engine.
 
 Every lane of a sweep must be bit-identical to a run of its cell alone, and
-to a plain per-step loop over ``round_loss_grad`` and ``step`` (the reference
-below, kept independent of the engine).  Failures report the earliest step
-across lanes and, in a multi-cell sweep, the cell.
+to a plain per-step loop over ``round_loss_grad`` and the one-lane ``step``
+(the reference below: its stepsizes, betas and step norms are computed per
+step from the hyperparameters, not by the engine).  Failures report the
+earliest step across lanes and, in a multi-cell sweep, the cell.
 """
 
 from dataclasses import replace
@@ -21,7 +22,6 @@ from beliefopt import (
     build_problem,
     build_region,
     box_region,
-    init_state,
     parse_config,
     run_online,
     run_sweep,
@@ -29,6 +29,7 @@ from beliefopt import (
     sweep_cells,
 )
 from beliefopt.cli import main
+from beliefopt.optim import scheduled_alpha
 
 TRACE_ARRAYS = ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2",
                 "step_inf", "x_final")
@@ -129,22 +130,27 @@ def setup(family):
 
 def reference_run(problem, cell, region, horizon, seed):
     """Per-step loop over round_loss_grad and step, recording what a trace holds."""
-    state = init_state(cell.kind, problem.initial_point(region, seed), region)
+    kind, hp = cell.kind, cell.hp
+    x = np.asarray(problem.initial_point(region, seed), dtype=np.float64)
+    m, s, s_hat = (np.zeros_like(x) for _ in range(3))
     rows = {name: [] for name in TRACE_ARRAYS if name != "x_final"}
     for t in range(1, horizon + 1):
-        f, g = problem.round_loss_grad(state.x, t, seed)
+        f, g = problem.round_loss_grad(x, t, seed)
         rows["loss"].append(f)
-        rows["x"].append(state.x)
+        rows["x"].append(x)
         rows["g"].append(g)
-        state, out = step(state, g, cell.hp, region)
-        for name in ("m", "s", "s_hat"):
-            rows[name].append(getattr(state, name))
-        rows["alpha"].append(out.alpha_t)
-        rows["beta1"].append(out.beta1_t)
-        rows["beta2"].append(out.beta2_t)
-        rows["step_inf"].append(out.step_inf_norm)
+        a_t = scheduled_alpha(kind, hp, hp.alpha, t)
+        b1 = hp.beta1_at(t) if kind == "fastadabelief" else hp.beta1
+        b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(t)
+        x, m, s, s_hat, delta, _ = step(kind, hp, t, a_t, b1, b2, g, x, m, s, s_hat, region)
+        for name, value in (("m", m), ("s", s), ("s_hat", s_hat)):
+            rows[name].append(value)
+        rows["alpha"].append(a_t)
+        rows["beta1"].append(b1)
+        rows["beta2"].append(b2)
+        rows["step_inf"].append(float(np.max(np.abs(delta))))
     arrays = {name: np.array(values) for name, values in rows.items()}
-    arrays["x_final"] = state.x
+    arrays["x_final"] = x
     return arrays
 
 
@@ -276,6 +282,17 @@ def test_adapter_checks_the_gradient_shape():
         run_sweep(WrongShape(problem), cells[:2], region, 3, run.seed)
 
 
+class StartsAt(OneAtATime):
+    """Duck-typed problem whose initial point is ``x0``, whatever the region."""
+
+    def __init__(self, inner, x0):
+        super().__init__(inner)
+        self.x0 = x0
+
+    def initial_point(self, region, seed):
+        return self.x0
+
+
 def test_sweep_validates_its_inputs():
     problem, region, cells, _ = setup("quadratic")
     with pytest.raises(ValueError, match="horizon"):
@@ -284,6 +301,12 @@ def test_sweep_validates_its_inputs():
         run_sweep(problem, [], region, 5, 0)
     with pytest.raises(ValueError, match="dimension"):
         run_sweep(problem, cells, box_region(-1.0, 1.0, problem.dim + 1), 5, 0)
+    outside = np.zeros(problem.dim)
+    outside[1] = 1.5
+    with pytest.raises(ValueError, match="outside the feasible region"):
+        run_sweep(StartsAt(problem, outside), cells, region, 5, 0)
+    with pytest.raises(ValueError, match="x0 has shape"):
+        run_sweep(StartsAt(problem, np.zeros(problem.dim + 1)), cells, region, 5, 0)
 
 
 # --------------------------------------------------------------- failures
