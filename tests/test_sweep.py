@@ -293,20 +293,23 @@ class StartsAt(OneAtATime):
         return self.x0
 
 
-def test_sweep_validates_its_inputs():
+def _outside(problem):
+    x0 = np.zeros(problem.dim)
+    x0[1] = 1.5
+    return x0
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda p, r, c: (p, c, r, 0), "horizon"),
+    (lambda p, r, c: (p, [], r, 5), "at least one cell"),
+    (lambda p, r, c: (p, c, box_region(-1.0, 1.0, p.dim + 1), 5), "dimension"),
+    (lambda p, r, c: (StartsAt(p, _outside(p)), c, r, 5), "outside the feasible region"),
+    (lambda p, r, c: (StartsAt(p, np.zeros(p.dim + 1)), c, r, 5), "x0 has shape"),
+], ids=["horizon", "no-cells", "region-dimension", "infeasible-x0", "x0-shape"])
+def test_sweep_validates_its_inputs(bad, message):
     problem, region, cells, _ = setup("quadratic")
-    with pytest.raises(ValueError, match="horizon"):
-        run_sweep(problem, cells, region, 0, 0)
-    with pytest.raises(ValueError, match="at least one cell"):
-        run_sweep(problem, [], region, 5, 0)
-    with pytest.raises(ValueError, match="dimension"):
-        run_sweep(problem, cells, box_region(-1.0, 1.0, problem.dim + 1), 5, 0)
-    outside = np.zeros(problem.dim)
-    outside[1] = 1.5
-    with pytest.raises(ValueError, match="outside the feasible region"):
-        run_sweep(StartsAt(problem, outside), cells, region, 5, 0)
-    with pytest.raises(ValueError, match="x0 has shape"):
-        run_sweep(StartsAt(problem, np.zeros(problem.dim + 1)), cells, region, 5, 0)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(*bad(problem, region, cells), 0)
 
 
 # --------------------------------------------------------------- failures
