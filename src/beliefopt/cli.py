@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``      execute every (optimizer, alpha) cell of a config, all cells
-               advancing in lockstep, and write one trace CSV per cell;
+               advancing in lockstep, and write one trace CSV per cell; the
+               lane groups are sharded over one process per CPU;
 * ``compare``  run the sweep, pick the best alpha per optimizer, and emit
                compare.csv plus compare.svg for the winners;
 * ``check``    validate trace CSVs: increment band and weight positivity
@@ -14,16 +15,19 @@ Subcommands:
 * ``probe``    print the stepsize magnitude table for the three gradient
                scripts.
 
-Exit codes: 0 success, 1 usage, 2 config problem, 3 numeric failure,
-4 failed check.
+Exit codes: 0 success, 1 usage, 2 config problem, 3 numeric failure or a
+lost sweep worker, 4 failed check.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .regret import (
     BAND_TOL,
     check_condition3,
     compute_regret,
+    lane_groups,
     measure_constants,
     region_stepsize_table,
     run_online,
@@ -89,64 +94,260 @@ def _seed(args, cfg: RunConfig) -> int:
     return cfg.run.seed if args.seed is None else args.seed
 
 
-def _run_cells(cfg: RunConfig, seed: int):
+class WorkerLost(RuntimeError):
+    """A sweep worker process ended without reporting its shard."""
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on; 1 where fork or the affinity call
+    is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shards(cells) -> list[list[int]]:
+    """Cell indices per worker, one worker per CPU up to one per lane group.
+
+    Shards hold whole lane groups, balanced by lane count: the largest
+    group goes first, each onto the lightest shard.  Each shard lists its
+    cells in cell order, and the lightest shard comes first.
+    """
+    groups = sorted(lane_groups(cells), key=len, reverse=True)
+    shards = [[] for _ in range(min(_worker_count(), len(groups)))]
+    for members in groups:
+        min(shards, key=len).extend(members)
+    return sorted((sorted(shard) for shard in shards), key=len)
+
+
+def _attempt(fn, *args):
+    """(fn(*args), None), or (None, the exception it raised)."""
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, exc
+
+
+def _finish_shard(finish, cells, traces):
+    """([finish(cell, trace)] up to the first cell whose finish raises, and
+    that exception or None)."""
+    done = []
+    for cell, trace in zip(cells, traces):
+        value, exc = _attempt(finish, cell, trace)
+        if exc is not None:
+            return done, exc
+        done.append(value)
+    return done, None
+
+
+@dataclass
+class _Worker:
+    pid: int | None  # None once reaped
+    labels: list[str]
+    report: BinaryIO  # the child's pickled reports
+    go: int  # pipe fd: one b"g" lets the child finish its shard
+
+
+def _send(fh, value, exc) -> None:
+    """Pickle one report (value, exception or None) into ``fh``; an
+    exception that does not survive pickling travels as its text."""
+    if exc is not None:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    pickle.dump((value, exc), fh)
+    fh.flush()
+
+
+def _fork(sweep, finish, cells, workers) -> _Worker:
+    """Start a child that sweeps ``cells``, reports, waits for go, then
+    finishes them and reports again; it never prints and ends with
+    ``os._exit``.  ``workers`` are the earlier children, whose pipe ends
+    the new child closes."""
+    report_r, report_w = os.pipe()
+    go_r, go_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (report_r, report_w, go_r, go_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in [report_r, go_w, *(w.report.fileno() for w in workers),
+                       *(w.go for w in workers)]:
+                os.close(fd)
+            with os.fdopen(report_w, "wb") as report:
+                traces, exc = _attempt(sweep, cells)
+                _send(report, None, exc)
+                if exc is None and os.read(go_r, 1) == b"g":
+                    _send(report, *_finish_shard(finish, cells, traces))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(report_w)
+    os.close(go_r)
+    return _Worker(pid, [cell.label for cell in cells], os.fdopen(report_r, "rb"), go_w)
+
+
+def _receive(worker: _Worker):
+    """The worker's next report; WorkerLost if it ended without one."""
+    try:
+        return pickle.load(worker.report)
+    except (EOFError, pickle.UnpicklingError):
+        pass
+    _, status = os.waitpid(worker.pid, 0)
+    worker.pid = None
+    code = os.waitstatus_to_exitcode(status)
+    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+    raise WorkerLost(f"the sweep worker for cells {', '.join(worker.labels)} "
+                     f"ended without reporting ({how})")
+
+
+def _reap(workers) -> None:
+    """Close every worker's pipes, then kill and reap the ones not reaped."""
+    if not workers:
+        return
+    import signal  # loaded only by a run that forks
+
+    for worker in workers:
+        worker.report.close()
+        os.close(worker.go)
+        if worker.pid is not None:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+
+
+def _first_failure(cells, failures) -> Exception:
+    """The error the one-process sweep over all ``cells`` would raise, from
+    [(shard, error)] in shard order: an error that is not a step's numeric
+    failure (the first shard's), else the numeric failure at the earliest
+    (step, cell), with the cell named."""
+    def rank(failure):
+        shard, exc = failure
+        if not isinstance(exc, NumericFailure) or exc.step is None:
+            return 0, 0, 0
+        if exc.cell is None:  # a one-lane shard
+            return 1, exc.step, shard[0]
+        return 1, exc.step, next(j for j in shard if cells[j].label == exc.cell)
+
+    shard, exc = min(failures, key=rank)
+    if isinstance(exc, NumericFailure) and exc.step is not None \
+            and exc.cell is None and len(cells) > 1:
+        label = cells[shard[0]].label
+        return NumericFailure(f"{exc} in cell {label}", step=exc.step, cell=label)
+    return exc
+
+
+def _fan_out(cells, sweep, finish, start):
+    """[finish(cell, trace)] for every cell, in cell order.
+
+    The cells are split into ``_shards``.  Each shard runs ``sweep`` on its
+    cells: shard 0 here, every other one in a forked child that reports
+    over a pipe.  Only once every shard has succeeded does ``start()`` run
+    and each shard call ``finish`` on its own cells; a child sends back
+    what ``finish`` returned.  Lanes are bit-identical to one-cell runs, so
+    the split changes no result.  A failure is raised as the one-process
+    sweep over all the cells would raise it, and no child outlives the call.
+    """
+    shards = _shards(cells)
+    parts = [[cells[j] for j in shard] for shard in shards]
+    workers = []
+    try:
+        for part in parts[1:]:
+            workers.append(_fork(sweep, finish, part, workers))
+        traces, exc = _attempt(sweep, parts[0])
+        swept = [exc] + [_receive(worker)[1] for worker in workers]
+        failures = [(shard, exc) for shard, exc in zip(shards, swept) if exc is not None]
+        if failures:
+            raise _first_failure(cells, failures)
+        start()
+        for worker in workers:
+            os.write(worker.go, b"g")
+        reports = [_finish_shard(finish, parts[0], traces)] + [_receive(w) for w in workers]
+    finally:
+        _reap(workers)
+    results = [None] * len(cells)
+    failed = []
+    for shard, (done, exc) in zip(shards, reports):
+        for j, value in zip(shard, done):
+            results[j] = value
+        if exc is not None:
+            failed.append((shard[len(done)], exc))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
+
+
+def _write_trace(out: str, cfg: RunConfig, cell, trace):
+    """Write ``cell``'s trace CSV into ``out``; returns (path, rows)."""
+    checkpoints = None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
+    path = os.path.join(out, f"trace_{cell.label}.csv")
+    with _writing(path):
+        rows = write_trace(path, trace, config_text=cfg.text,
+                           thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
+    return path, rows
+
+
+def _sweep(args, cfg: RunConfig, summarize):
+    """Run every cell of the config and write its trace into the output
+    directory, created once every cell has run.
+
+    Returns (out, problem, cells, [summarize(problem, region, trace, path,
+    rows)] in cell order); each shard of ``_fan_out`` writes and summarizes
+    its own cells.
+    """
+    out = _out_path(args, cfg)
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     cells = sweep_cells(cfg)
-    traces = run_sweep(problem, cells, region, cfg.run.horizon, seed)
-    return problem, region, list(zip(cells, traces))
+    seed = _seed(args, cfg)
 
+    def sweep(part):
+        return run_sweep(problem, part, region, cfg.run.horizon, seed)
 
-def _write_traces(out: str, cfg: RunConfig, results):
-    """Write one trace CSV per cell into ``out``; [(cell, trace, path, rows)]."""
-    checkpoints = None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
-    written = []
-    for cell, trace in results:
-        path = os.path.join(out, f"trace_{cell.label}.csv")
-        with _writing(path):
-            rows = write_trace(path, trace, config_text=cfg.text,
-                               thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
-        written.append((cell, trace, path, rows))
-    return written
+    def finish(cell, trace):
+        return summarize(problem, region, trace, *_write_trace(out, cfg, cell, trace))
+
+    return out, problem, cells, _fan_out(cells, sweep, finish, lambda: _make_dir(out))
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _out_path(args, cfg)
-    problem, _, results = _run_cells(cfg, _seed(args, cfg))
-    for cell, trace, path, rows in _write_traces(_make_dir(out), cfg, results):
-        final_loss = problem.full_loss(trace.x_final)
-        print(f"run {cell.label}: horizon={trace.horizon} "
+
+    def summarize(problem, region, trace, path, rows):
+        return problem.full_loss(trace.x_final), float(np.sum(trace.loss)), rows, path
+
+    _, _, cells, results = _sweep(args, cfg, summarize)
+    for cell, (final_loss, cum_loss, rows, path) in zip(cells, results):
+        print(f"run {cell.label}: horizon={cfg.run.horizon} "
               f"final_loss={_G17 % final_loss} "
-              f"cum_loss={_G17 % float(np.sum(trace.loss))} "
+              f"cum_loss={_G17 % cum_loss} "
               f"rows={rows} trace={path}")
     return 0
 
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    out = _out_path(args, cfg)
-    problem, region, results = _run_cells(cfg, _seed(args, cfg))
-    _make_dir(out)
-    scored = []
-    for cell, trace, _, _ in _write_traces(out, cfg, results):
+
+    def summarize(problem, region, trace, path, rows):
         if args.select_alpha == "final_regret":
             score = float(compute_regret(problem, region, trace).regret[-1])
         else:
             score = problem.full_loss(trace.x_final)
-        scored.append((cell, trace, score))
-    best = {}
-    order = []
-    for cell, trace, score in scored:
-        if cell.kind not in best:
-            order.append(cell.kind)
-        if cell.kind not in best or score < best[cell.kind][2]:
-            best[cell.kind] = (cell, trace, score)
+        return score, trace.loss
+
+    out, problem, cells, results = _sweep(args, cfg, summarize)
+    best = {}  # kind -> (alpha, score, loss series), kinds in order of first cell
+    for cell, (score, loss) in zip(cells, results):
+        if cell.kind not in best or score < best[cell.kind][1]:
+            best[cell.kind] = (cell.hp.alpha, score, loss)
     series = {}
-    for kind in order:
-        cell, trace, score = best[kind]
-        series[kind] = trace.loss
-        print(f"compare {kind}: best alpha={cell.hp.alpha:g} "
+    for kind, (alpha, score, loss) in best.items():
+        series[kind] = loss
+        print(f"compare {kind}: best alpha={alpha:g} "
               f"{args.select_alpha}={_G17 % score}")
     csv_path = os.path.join(out, "compare.csv")
     svg_path = os.path.join(out, "compare.svg")
@@ -155,8 +356,8 @@ def cmd_compare(args) -> int:
     with _writing(svg_path):
         write_compare_svg(svg_path, series, title=f"{problem.kind}: loss vs step")
     if "fastadabelief" in best:
-        fab = best["fastadabelief"][2]
-        rivals = {k: v[2] for k, v in best.items() if k != "fastadabelief"}
+        fab = best["fastadabelief"][1]
+        rivals = {k: v[1] for k, v in best.items() if k != "fastadabelief"}
         if rivals:
             top_kind = min(rivals, key=rivals.get)
             top = rivals[top_kind]
@@ -259,14 +460,18 @@ def cmd_check(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    seed = _seed(args, cfg)
-    problem, region, results = _run_cells(cfg, seed)
-    printed = False
-    for cell, trace in results:
+    cells = sweep_cells(cfg)
+    bounded = [cell for cell in cells if cell.kind == "fastadabelief"]
+    if not bounded:
+        raise ConfigError("config has no fastadabelief cell to bound")
+    problem = build_problem(cfg)
+    region = build_region(cfg, problem.dim)
+    traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
+    for cell in cells:
         if cell.kind != "fastadabelief":
             print(f"bound {cell.label}: skipped (budget applies to fastadabelief only)")
             continue
-        printed = True
+        trace = next(traces)
         report = compute_regret(problem, region, trace)
         print(f"bound {cell.label}: checkpoint  regret  budget  ratio")
         for j, upto in enumerate(report.checkpoints):
@@ -278,8 +483,6 @@ def cmd_bound(args) -> int:
                   f"{_G17 % budget}  {ratio:.6g}")
         constants = measure_constants(trace, region)
         print(f"bound {cell.label}: r={_G17 % constants.r} ({constants.r_rule})")
-    if not printed:
-        raise ConfigError("config has no fastadabelief cell to bound")
     return 0
 
 
@@ -348,6 +551,9 @@ def main(argv=None) -> int:
         return 2
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except WorkerLost as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
         return 3
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -97,6 +97,19 @@ _NONFINITE = {1: "nonfinite loss at step {t}",
               3: "nonfinite optimizer state after step {t}"}
 
 
+def lane_groups(cells) -> list[list[int]]:
+    """Cell indices per lane group, in order of first appearance.
+
+    A lane group is the cells that share a rule and every hyperparameter
+    but alpha; ``run_sweep`` advances each group with one kernel call per
+    step, and ``run`` and ``compare`` shard their cells by whole groups.
+    """
+    groups = {}
+    for j, cell in enumerate(cells):
+        groups.setdefault((cell.kind, replace(cell.hp, alpha=1.0)), []).append(j)
+    return list(groups.values())
+
+
 def _lanes_oracle(problem):
     """``(lanes_grad, lanes_losses)`` of the problem.
 
@@ -169,7 +182,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
 
     A nonfinite loss, gradient or optimizer state raises NumericFailure for
     the earliest step at which any cell has one, naming that cell when
-    there is more than one.
+    there is more than one; its ``step`` and ``cell`` fields hold the same.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -184,10 +197,8 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         raise ValueError(f"x0 has shape {x0.shape}, region has dimension {region.dim}")
     if not region.contains(x0):
         raise ValueError("x0 lies outside the feasible region")
-    groups = {}
-    for j, cell in enumerate(cells):
-        groups.setdefault((cell.kind, replace(cell.hp, alpha=1.0)), []).append(j)
-    lanes = [j for members in groups.values() for j in members]  # stacked row -> cell
+    groups = lane_groups(cells)
+    lanes = [j for members in groups for j in members]  # stacked row -> cell
     cell_rows = np.argsort(lanes)
     n_lanes, n = len(cells), region.dim
     loss = np.empty((n_lanes, horizon))
@@ -197,7 +208,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     steps = np.arange(1, horizon + 1)
     plan = []
     lo = 0
-    for members in groups.values():
+    for members in groups:
         rows = slice(lo, lo + len(members))
         lo = rows.stop
         kind, hp = cells[members[0]].kind, cells[members[0]].hp
@@ -239,10 +250,12 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 failure = _first_nonfinite(checked, t, cell_rows, loss, xs, gs, ms, ss, shs)
                 if failure is not None:
                     offset, j, code = failure
-                    message = _NONFINITE[code].format(t=checked + offset + 1)
-                    if n_lanes > 1:
-                        message += f" in cell {cells[j].label}"
-                    raise NumericFailure(message)
+                    t_bad = checked + offset + 1
+                    message = _NONFINITE[code].format(t=t_bad)
+                    label = cells[j].label if n_lanes > 1 else None
+                    if label is not None:
+                        message += f" in cell {label}"
+                    raise NumericFailure(message, step=t_bad, cell=label)
                 checked = t
     traces = [None] * n_lanes
     for row, j in enumerate(lanes):

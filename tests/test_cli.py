@@ -1,4 +1,5 @@
-"""End-to-end command line tests, run through subprocess like a user would."""
+"""End-to-end command line tests, run through subprocess like a user would;
+the tests that set the sweep worker count call ``cli.main`` in-process."""
 
 import hashlib
 import json
@@ -6,10 +7,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from test_sweep import poisoned
 
-from beliefopt import read_trace
+import beliefopt.cli
+from beliefopt import NumericFailure, lane_groups, load_config, read_trace, sweep_cells
 
 QUADRATIC = """\
 [problem]
@@ -264,6 +268,33 @@ class TestBound:
         assert result.returncode == 2
         assert "no fastadabelief cell" in result.stderr
 
+    def test_config_without_the_belief_rule_fails_before_any_sweep(self, tmp_path):
+        # A sweep of 10**12 steps could not even allocate its trace.
+        cfg = tmp_path / "plain.cfg"
+        cfg.write_text("[problem]\nkind = quadratic\n\n[optimizer]\nkind = adam\n"
+                       "\n[run]\nhorizon = 1000000000000\n")
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "config error: config has no fastadabelief cell to bound\n"
+
+    def test_an_overflowing_skipped_cell_does_not_fail_the_bound(self, tmp_path):
+        # Only the fastadabelief cells are swept; the sgd_momentum cell
+        # overflows at step 2 when it runs.
+        text = (OVERFLOW.replace("eig_min = 1.0", "eig_min = 1e10")
+                .replace("eig_max = 1.0", "eig_max = 1e10")
+                .replace("1e300", "1e150")
+                + "\n[optimizer]\nkind = fastadabelief\nalpha = 0.001\nlam = 0.999\n"
+                  "beta2_mode = sadam\ndelta = 0.1\n")
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(text)
+        assert cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")).returncode == 3
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == ("bound sgd_momentum_alpha1e+200: skipped "
+                            "(budget applies to fastadabelief only)")
+        assert lines[1] == "bound fastadabelief_alpha0.001: checkpoint  regret  budget  ratio"
+
 
 class TestProbe:
     def test_prints_the_table_and_writes_the_csv(self, tmp_path):
@@ -292,14 +323,25 @@ WRITERS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(WRITERS))
-def test_seed0_files_match_the_bench_reference_digests(workload, tmp_path):
-    # Every file the benchmark's seed-0 sequence writes, byte for byte.
+@pytest.mark.parametrize("workload, workers", [
+    *(pytest.param(workload, None, id=workload) for workload in sorted(WRITERS)),
+    pytest.param("compare-sweep", 2, id="compare-sweep-2-workers"),
+])
+def test_seed0_files_match_the_bench_reference_digests(workload, workers, tmp_path,
+                                                       monkeypatch, capsys):
+    # Every file the benchmark's seed-0 sequence writes, byte for byte.  With
+    # ``workers`` set the commands run in-process on that many sweep
+    # workers, so the forked shards are checked on any host.
     references = json.loads((ROOT / "bench" / "reference_seed0.json").read_text())
+    monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
     for argv in WRITERS[workload]:
         argv = [str(ROOT / "configs" / a) if a.endswith(".cfg") else a for a in argv]
-        result = cli(*argv, "--out", str(tmp_path))
-        assert result.returncode == 0, result.stderr
+        if workers is None:
+            result = cli(*argv, "--out", str(tmp_path))
+            assert result.returncode == 0, result.stderr
+        else:
+            assert beliefopt.cli.main([*argv, "--out", str(tmp_path)]) == 0, \
+                capsys.readouterr().err
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in tmp_path.iterdir()}
     assert got == references[workload]["files"]
@@ -518,3 +560,192 @@ class TestExitCodeContract:
         assert "Traceback" not in result.stderr
         assert words in result.stderr
         assert not (tmp_path / "out").exists()
+
+
+# Four lane groups of 2, 3, 1 and 2 lanes; 300 steps cross the first
+# 256-step finiteness scan.
+FANOUT = """\
+[problem]
+kind = quadratic
+dim = 2
+eig_min = 0.5
+eig_max = 1.0
+x_star = 0.5
+
+[optimizer]
+kind = fastadabelief
+alpha = 0.05, 0.01
+lam = 0.999
+beta2_mode = sadam
+delta = 0.1
+
+[optimizer]
+kind = adam
+alpha = 0.05, 0.01, 0.002
+
+[optimizer]
+kind = sgd_momentum
+alpha = 0.01
+
+[optimizer]
+kind = adabelief
+alpha = 0.05, 0.01
+
+[run]
+horizon = 300
+region_lo = -2
+region_hi = 2
+seed = 3
+"""
+
+
+class TestFanOut:
+    """``run`` and ``compare`` shard their lane groups over forked workers.
+    Every worker count gives the same bytes and the same failures, and no
+    call leaves a child process behind."""
+
+    WORKERS = (1, 2, 3, 9)  # 9 is more than the four lane groups
+
+    @pytest.fixture()
+    def cfg(self, tmp_path):
+        path = tmp_path / "fan.cfg"
+        path.write_text(FANOUT)
+        return str(path)
+
+    @staticmethod
+    def main(monkeypatch, capsys, workers, argv, out):
+        """``cli.main`` on ``workers`` workers: (exit code, stdout, stderr),
+        with ``out`` written as OUT."""
+        monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
+        code = beliefopt.cli.main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return (code, captured.out.replace(str(out), "OUT"),
+                captured.err.replace(str(out), "OUT"))
+
+    @staticmethod
+    def poison(monkeypatch, spots):
+        """Serve NaN at each (what, step, cell label) of ``spots``, in
+        whichever shard sweeps that cell."""
+        sweep = beliefopt.cli.run_sweep
+
+        def poisoned_sweep(problem, cells, region, horizon, seed):
+            stacked = [j for group in lane_groups(cells) for j in group]
+            rows = {cells[j].label: row for row, j in enumerate(stacked)}
+            mine = [(what, t, rows[label]) for what, t, label in spots if label in rows]
+            return sweep(poisoned(problem, mine), cells, region, horizon, seed)
+
+        monkeypatch.setattr(beliefopt.cli, "run_sweep", poisoned_sweep)
+
+    def test_shards_hold_whole_lane_groups_balanced_by_lanes(self, cfg, monkeypatch):
+        cells = sweep_cells(load_config(cfg))
+        groups = [set(group) for group in lane_groups(cells)]
+        expected = {1: [8], 2: [4, 4], 3: [2, 3, 3], 9: [1, 2, 2, 3]}
+        for workers, sizes in expected.items():
+            monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
+            shards = beliefopt.cli._shards(cells)
+            assert [len(shard) for shard in shards] == sizes
+            assert sorted(j for shard in shards for j in shard) == list(range(len(cells)))
+            for shard in shards:
+                assert shard == sorted(shard)
+                assert all(group <= set(shard) or not group & set(shard) for group in groups)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("run",), id="run"),
+        pytest.param(("compare", "--select-alpha", "final_loss"), id="compare-final-loss"),
+        pytest.param(("compare", "--select-alpha", "final_regret"), id="compare-final-regret"),
+    ])
+    def test_every_worker_count_writes_and_prints_the_same_bytes(
+            self, cfg, tmp_path, monkeypatch, capsys, argv):
+        seen = []
+        for workers in self.WORKERS:
+            out = tmp_path / f"out{workers}"
+            code, stdout, stderr = self.main(monkeypatch, capsys, workers,
+                                             [argv[0], "--config", cfg, *argv[1:]], out)
+            assert code == 0, stderr
+            assert stderr == ""
+            seen.append((stdout, {path.name: path.read_bytes() for path in out.iterdir()}))
+        assert len(seen[0][1]) == 8 + 2 * (argv[0] == "compare")
+        assert all(s == seen[0] for s in seen[1:])
+
+    # Cell order: fastadabelief 0.05, 0.01; adam 0.05, 0.01, 0.002;
+    # sgd_momentum 0.01 (a one-lane group); adabelief 0.05, 0.01.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("spots, message", [
+        ([("loss", 257, "adam_alpha0.05"), ("gradient", 256, "sgd_momentum_alpha0.01")],
+         "nonfinite gradient at step 256 in cell sgd_momentum_alpha0.01"),
+        ([("gradient", 256, "adabelief_alpha0.01"), ("loss", 256, "fastadabelief_alpha0.01"),
+          ("gradient", 257, "fastadabelief_alpha0.05")],
+         "nonfinite loss at step 256 in cell fastadabelief_alpha0.01"),
+        ([("gradient", 300, "fastadabelief_alpha0.05"), ("loss", 299, "adabelief_alpha0.05")],
+         "nonfinite loss at step 299 in cell adabelief_alpha0.05"),
+        ([("gradient", 256, "sgd_momentum_alpha0.01"),
+          ("gradient", 256, "fastadabelief_alpha0.05")],
+         "nonfinite gradient at step 256 in cell fastadabelief_alpha0.05"),
+    ])
+    def test_the_earliest_failure_across_shards_wins(self, cfg, tmp_path, monkeypatch, capsys,
+                                                     command, spots, message):
+        self.poison(monkeypatch, spots)
+        out = tmp_path / "out"
+        for workers in self.WORKERS:
+            code, stdout, stderr = self.main(monkeypatch, capsys, workers,
+                                             [command, "--config", cfg], out)
+            assert (code, stdout, stderr) == (3, "", f"numeric failure: {message}\n")
+            assert not out.exists()
+
+    # With two workers the parent sweeps cells 2-5 and the child 0, 1, 6, 7.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("blocked, named", [([7], 7), ([7, 2], 2)])
+    def test_a_path_in_the_way_of_a_trace_exits_2_naming_the_first(
+            self, cfg, tmp_path, monkeypatch, capsys, command, blocked, named):
+        monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: 2)
+        cells = sweep_cells(load_config(cfg))
+        assert beliefopt.cli._shards(cells) == [[2, 3, 4, 5], [0, 1, 6, 7]]
+        out = tmp_path / "out"
+        for j in blocked:
+            (out / f"trace_{cells[j].label}.csv").mkdir(parents=True)
+        code, _, stderr = self.main(monkeypatch, capsys, 2, [command, "--config", cfg], out)
+        assert code == 2
+        assert stderr.startswith(f"config error: cannot write OUT/trace_{cells[named].label}.csv: ")
+
+    def test_an_error_before_the_steps_outranks_a_numeric_failure(self, cfg):
+        cells = sweep_cells(load_config(cfg))
+        numeric = NumericFailure("nonfinite loss at step 1", step=1, cell=None)
+        first, second = ValueError("first"), ValueError("second")
+        failures = [([5], numeric), ([2, 3, 4], first), ([0, 1], second)]
+        assert beliefopt.cli._first_failure(cells, failures) is first
+        failures = [([6, 7], NumericFailure("nonfinite loss at step 2", step=2, cell=None)),
+                    ([5], numeric)]
+        named = beliefopt.cli._first_failure(cells, failures)
+        assert (str(named), named.step, named.cell) == \
+            ("nonfinite loss at step 1 in cell sgd_momentum_alpha0.01", 1, "sgd_momentum_alpha0.01")
+
+    # With three workers the children sweep cells 2-4 (the adam group) and
+    # 0, 1, 5: the adam child ends without a report, and the other one
+    # stalls until it is killed.
+    @pytest.mark.parametrize("stage, doomed", [
+        ("run_sweep", lambda args: args[1][0].label == "adam_alpha0.05"),
+        ("write_trace", lambda args: args[0].endswith("trace_adam_alpha0.05.csv")),
+    ])
+    def test_a_worker_that_dies_without_reporting_fails_the_run(
+            self, cfg, tmp_path, monkeypatch, capsys, stage, doomed):
+        parent = os.getpid()
+        real = getattr(beliefopt.cli, stage)
+
+        def stalling(*args, **kwargs):
+            if os.getpid() != parent:
+                if doomed(args):
+                    os._exit(7)
+                time.sleep(60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(beliefopt.cli, stage, stalling)
+        out = tmp_path / "out"
+        began = time.monotonic()
+        code, stdout, stderr = self.main(monkeypatch, capsys, 3, ["run", "--config", cfg], out)
+        assert time.monotonic() - began < 30
+        assert (code, stdout) == (3, "")
+        assert stderr == ("run failed: the sweep worker for cells adam_alpha0.05, adam_alpha0.01, "
+                          "adam_alpha0.002 ended without reporting (exit status 7)\n")
+        assert out.exists() == (stage == "write_trace")

@@ -419,6 +419,18 @@ def test_real_problems_name_the_earliest_failing_cell(family, spots, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_failures_carry_their_step_and_cell(family):
+    problem, region, cells, run = setup(family)
+    with pytest.raises(NumericFailure) as info:
+        run_sweep(poisoned(problem, [("gradient", 257, 2)]), cells[:3], region, 600, run.seed)
+    assert (info.value.step, info.value.cell) == (257, "sadam_alpha0.1")
+    with pytest.raises(NumericFailure) as info:
+        run_sweep(poisoned(problem, [("loss", 3, 0)]), cells[:1], region, 600, run.seed)
+    assert (str(info.value), info.value.step, info.value.cell) == \
+        ("nonfinite loss at step 3", 3, None)
+
+
 def test_cli_reports_the_failing_cell_with_exit_3(tmp_path, capsys):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text("""\
