@@ -22,6 +22,7 @@ lost sweep worker, 4 failed check.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import pickle
 import sys
@@ -464,6 +465,13 @@ def cmd_bound(args) -> int:
     bounded = [cell for cell in cells if cell.kind == "fastadabelief"]
     if not bounded:
         raise ConfigError("config has no fastadabelief cell to bound")
+    width = cfg.run.region_hi - cfg.run.region_lo
+    if not math.isfinite(width * width):
+        # The budget squares the region's diameter with float ``**``, which
+        # raises OverflowError past about 1.3e154.
+        raise ConfigError(
+            f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
+            "is too wide for the regret budget, whose D_inf^2 overflows")
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))

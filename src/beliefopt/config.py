@@ -106,11 +106,13 @@ class RunConfig:
     optimizers: list[OptimizerSpec]
     run: RunSpec
     text: str = field(repr=False, default="")
-    #: the file the text came from and the lines of its [problem] and
-    #: [optimizer] headers, named by build_problem's and sweep_cells' errors
+    #: the file the text came from and the lines of its [problem],
+    #: [optimizer] and [run] headers, named by the errors of build_problem,
+    #: sweep_cells and ``bound``
     source: str = ""
     problem_line: int = 0
     optimizer_lines: tuple[int, ...] = ()
+    run_line: int = 0
 
 
 def _fail(lineno: int, msg: str) -> ConfigError:
@@ -283,6 +285,7 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
     problem = None
     problem_line = 0
     run = None
+    run_line = 0
     optimizers = []
     optimizer_lines = []
     for name, raw, header_line in _raw_sections(text, linenos):
@@ -295,6 +298,7 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
             if run is not None:
                 raise _fail(header_line, "duplicate [run] section")
             run = _parse_run(raw, header_line)
+            run_line = header_line
         else:
             optimizers.append(_parse_optimizer(raw, header_line))
             optimizer_lines.append(header_line)
@@ -306,7 +310,7 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
         run = RunSpec()
     return RunConfig(problem=problem, optimizers=optimizers, run=run, text=text,
                      source=source, problem_line=problem_line,
-                     optimizer_lines=tuple(optimizer_lines))
+                     optimizer_lines=tuple(optimizer_lines), run_line=run_line)
 
 
 def load_config(path: str) -> RunConfig:

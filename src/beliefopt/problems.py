@@ -23,8 +23,9 @@ one-round draw.
 
 Both problems serve a sweep (``regret.run_sweep``) through two calls:
 
-* ``lanes_grad(xs, t, seed)``: the round-t gradients (lanes, n) at the
-  stacked iterates xs (lanes, n), made every step;
+* ``lanes_grad(xs, t, seed, out)``: the round-t gradients at the stacked
+  iterates xs (lanes, n), written into ``out`` (lanes, n), made every step
+  (the sweep passes that step's row of its recorded gradients);
 * ``lanes_losses(xs, first, seed)``: the round losses (lanes, w) of the
   recorded iterates xs (lanes, w, n) of rounds first .. first + w - 1, made
   once per block of steps.  Only the gradient feeds the next step, so the
@@ -292,7 +293,8 @@ def _draw_rounds(dataset: Dataset, m: int, first: int, count: int, seed: int) ->
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last (class) axis."""
+    """Log-softmax over the last (class) axis, computed in place in
+    ``logits`` and returned."""
     # Rows are many and classes few, so the max is taken a class column at
     # a time.  The order can only flip the sign of a zero maximum, which no
     # loss or gradient sees; the sum's rounding does depend on it, so the
@@ -300,8 +302,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     top = logits[..., 0]
     for j in range(1, logits.shape[-1]):
         top = np.maximum(top, logits[..., j])
-    shifted = logits - top[..., None]
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    logits -= top[..., None]
+    total = np.add.reduce(np.exp(logits), -1, None, None, True)
+    logits -= np.log(total, total)
+    return logits
 
 
 def unpack_params(params: np.ndarray, n_classes: int, n_features: int):
@@ -324,62 +328,78 @@ def pack_params(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 # are bit-identical to a one-lane evaluation.
 
 
-class _SoftmaxLanes:
-    """Log-probabilities of minibatch rows under each lane's parameters.
-
-    ``x`` (m, d) and ``y`` (m,) are one minibatch that every lane sees;
-    ``x`` (lanes, m, d) and ``y`` (lanes, m) give each lane its own.
-    """
-
-    def __init__(self, params, n_classes: int, x, y):
-        lanes, kd = params.shape[0], n_classes * x.shape[-1]
-        self.w = params[:, :kd].reshape(lanes, n_classes, -1)
-        self.b = params[:, kd:]
-        self.x, self.y = x, y
-        # (lanes, rows, labels) indexes each row's label log-probability.
-        self.at = (slice(None) if y.ndim == 1 else np.arange(lanes)[:, None],
-                   np.arange(y.shape[-1]), y)
-        self.logp = _log_softmax(x @ self.w.transpose(0, 2, 1) + self.b[:, None, :])
-
-    def loss(self, sigma1, sigma2, weights=None) -> np.ndarray:
-        # A shared minibatch's gather comes back in a lane-minor layout; a
-        # row sum over that layout rounds differently from the contiguous
-        # one-lane sum.
-        picked = np.ascontiguousarray(self.logp[self.at])
-        if weights is None:
-            data_term = -picked.mean(axis=1)
-        else:
-            data_term = -np.array([row @ weights for row in picked])
-        return (data_term + sigma1 * np.sum(self.w * self.w, axis=(1, 2))
-                + sigma2 * np.sum(self.b * self.b, axis=1))
-
-    def grad(self, sigma1, sigma2, weights=None) -> np.ndarray:
-        p = np.exp(self.logp)
-        p[self.at] -= 1.0
-        if weights is None:
-            p /= self.y.shape[-1]
-        else:
-            p *= weights[:, None]
-        gw = p.transpose(0, 2, 1) @ self.x + 2.0 * sigma1 * self.w
-        gb = np.add.reduce(p, axis=1) + 2.0 * sigma2 * self.b
-        return np.concatenate([gw.reshape(len(p), -1), gb], axis=1)
+def _lanes_logp(params: np.ndarray, x: np.ndarray):
+    """Each lane's weights (lanes, K, d) and biases (lanes, K), unpacked from
+    its parameter row, and the log-probabilities (lanes, rows, K) of the
+    feature rows ``x``: one minibatch (rows, d) that every lane sees, or one
+    per lane (lanes, rows, d)."""
+    d = x.shape[-1]
+    kd = params.shape[1] // (d + 1) * d
+    w = params[:, :kd].reshape(len(params), -1, d)
+    b = params[:, kd:]
+    logits = x @ w.transpose(0, 2, 1)
+    logits += b[:, None, :]
+    return w, b, _log_softmax(logits)
 
 
-def _one_lane(params, dataset: Dataset, indices) -> _SoftmaxLanes:
+def _softmax_losses(params, x, y, sigma1, sigma2, weights=None) -> np.ndarray:
+    """Each lane's objective (lanes,) on feature rows ``x`` with labels ``y``
+    (rows,), or per lane ``x`` (lanes, rows, d) and ``y`` (lanes, rows);
+    ``weights`` (rows,) replaces the batch mean by a weighted sum."""
+    w, b, logp = _lanes_logp(params, x)
+    # A shared minibatch's gather comes back in a lane-minor layout; a row
+    # sum over that layout rounds differently from the contiguous one-lane
+    # sum.
+    lane = slice(None) if y.ndim == 1 else np.arange(len(params))[:, None]
+    picked = np.ascontiguousarray(logp[lane, np.arange(y.shape[-1]), y])
+    if weights is None:
+        data_term = -picked.mean(axis=1)
+    else:
+        data_term = -np.array([row @ weights for row in picked])
+    return data_term + sigma1 * np.sum(w * w, axis=(1, 2)) + sigma2 * np.sum(b * b, axis=1)
+
+
+def _softmax_grads(params, x, onehot, sigma1, sigma2, out, weights=None) -> np.ndarray:
+    """Each lane's gradient on the feature rows ``x`` (rows, d) with one-hot
+    labels ``onehot`` (rows, K), written into ``out`` (lanes, K*(d+1)),
+    whose last axis must have unit stride, and returned; ``weights`` (rows,)
+    replaces the batch mean by a weighted sum."""
+    w, b, logp = _lanes_logp(params, x)
+    p = np.exp(logp, out=logp)
+    # Takes 1 from each row's label entry; the others lose 0.0, which leaves
+    # every value bit for bit as it was.
+    p -= onehot
+    if weights is None:
+        p /= x.shape[-2]
+    else:
+        p *= weights[:, None]
+    kd = w.shape[1] * w.shape[2]
+    gw = np.matmul(p.transpose(0, 2, 1), x, out[:, :kd].reshape(w.shape))
+    gw += 2.0 * sigma1 * w
+    gb = np.add.reduce(p, 1, None, out[:, kd:])
+    gb += 2.0 * sigma2 * b
+    return out
+
+
+def _one_lane(params, dataset: Dataset, indices):
     unpack_params(params, dataset.n_classes, dataset.n_features)  # shape check
-    return _SoftmaxLanes(np.asarray(params, dtype=np.float64)[None], dataset.n_classes,
-                         dataset.features[indices], dataset.labels[indices])
+    return np.asarray(params, dtype=np.float64)[None], dataset.features[indices]
 
 
 def softmax_l2_loss(params, dataset, indices, sigma1=0.01, sigma2=0.01,
                     weights=None) -> float:
     """Objective over the given sample rows (optionally weighted)."""
-    return float(_one_lane(params, dataset, indices).loss(sigma1, sigma2, weights)[0])
+    params, x = _one_lane(params, dataset, indices)
+    return float(_softmax_losses(params, x, dataset.labels[indices], sigma1, sigma2,
+                                 weights)[0])
 
 
 def softmax_l2_grad(params, dataset, indices, sigma1=0.01, sigma2=0.01,
                     weights=None) -> np.ndarray:
-    return _one_lane(params, dataset, indices).grad(sigma1, sigma2, weights)[0]
+    params, x = _one_lane(params, dataset, indices)
+    onehot = np.eye(dataset.n_classes)[dataset.labels[indices]]
+    return _softmax_grads(params, x, onehot, sigma1, sigma2, np.empty_like(params),
+                          weights)[0]
 
 
 # ------------------------------------------------------------------ quadratic
@@ -410,7 +430,7 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def _round_loss_grad(problem, x: np.ndarray, t: int, seed: int):
     """Round t's loss and gradient at one iterate: one lane of the two calls."""
     loss = problem.lanes_losses(x[None, None], t, seed)[0, 0]
-    return float(loss), problem.lanes_grad(x[None], t, seed)[0]
+    return float(loss), problem.lanes_grad(x[None], t, seed, np.empty((1, len(x))))[0]
 
 
 class QuadraticProblem:
@@ -466,9 +486,12 @@ class QuadraticProblem:
     # its values do not depend on how many are stacked.  ``a.dot(x)`` makes
     # the BLAS call ``a @ x`` makes, with less dispatch.
 
-    def lanes_grad(self, xs: np.ndarray, t: int, seed: int) -> np.ndarray:
-        """Gradients (lanes, n) at stacked iterates (lanes, n)."""
-        return np.array([self.a.dot(x) + self.b for x in xs])
+    def lanes_grad(self, xs: np.ndarray, t: int, seed: int, out: np.ndarray) -> np.ndarray:
+        """Gradients at stacked iterates (lanes, n), written into ``out``
+        (lanes, n) and returned."""
+        for x, row in zip(xs, out):
+            np.add(self.a.dot(x), self.b, row)
+        return out
 
     def lanes_losses(self, xs: np.ndarray, first: int, seed: int) -> np.ndarray:
         """Round losses (lanes, w) of iterates (lanes, w, n) at rounds first
@@ -511,10 +534,10 @@ class SoftmaxL2Problem:
         self.sigma2 = float(sigma2)
         self.sigma = 2.0 * min(sigma1, sigma2)
         self._counted = (None, 0, None)  # (seed, rounds, per-sample draw counts)
-        # (seed, first round, gathered features and labels of the minibatches
-        # of the rounds from there on): 1,024 rounds of 12 samples of 2
-        # features and their labels keep 0.3 MB.
-        self._block = (None, 0, None, None)
+        # (seed, first round, gathered features, labels and one-hot labels of
+        # the minibatches of the rounds from there on): 1,024 rounds of 12
+        # samples of 2 features in 2 classes keep 0.5 MB.
+        self._block = (None, 0, None, None, None)
 
     @property
     def dim(self) -> int:
@@ -526,26 +549,31 @@ class SoftmaxL2Problem:
     round_loss_grad = _round_loss_grad
 
     def _minibatches(self, first: int, count: int, seed: int):
-        """Features (count, m, d) and labels (count, m) of the minibatches of
-        rounds first .. first + count - 1.
+        """(i, features, labels, one-hot labels) of the kept block, whose
+        rows i .. i + count - 1 are the minibatches of rounds first .. first
+        + count - 1: features (rounds, m, d), labels (rounds, m), one-hot
+        labels (rounds, m, K).
 
         Rounds outside the kept block replace it with a new block drawn from
         ``first`` on, of at least _BLOCK_ROUNDS rounds.
         """
-        block_seed, start, x, y = self._block
+        block_seed, start, x, y, onehot = self._block
         if block_seed != seed or not start <= first <= first + count <= start + len(y):
+            # Release the old block before drawing the next, so that the
+            # draw never runs with two blocks held.
+            self._block = x = y = onehot = None
             rows = _draw_rounds(self.dataset, self.batch_size, first,
                                 max(count, _BLOCK_ROUNDS), seed)
             start, x, y = first, self.dataset.features[rows], self.dataset.labels[rows]
-            self._block = (seed, start, x, y)
-        i = first - start
-        return x[i:i + count], y[i:i + count]
+            onehot = np.eye(self.dataset.n_classes)[y]
+            self._block = (seed, start, x, y, onehot)
+        return first - start, x, y, onehot
 
-    def lanes_grad(self, xs: np.ndarray, t: int, seed: int) -> np.ndarray:
-        """Gradients (lanes, n) at stacked iterates, all on round t's minibatch."""
-        x, y = self._minibatches(t, 1, seed)
-        return _SoftmaxLanes(xs, self.dataset.n_classes, x[0], y[0]).grad(
-            self.sigma1, self.sigma2)
+    def lanes_grad(self, xs: np.ndarray, t: int, seed: int, out: np.ndarray) -> np.ndarray:
+        """Gradients at stacked iterates (lanes, n), all on round t's
+        minibatch, written into ``out`` (lanes, n) and returned."""
+        i, x, _, onehot = self._minibatches(t, 1, seed)
+        return _softmax_grads(xs, x[i], onehot[i], self.sigma1, self.sigma2, out)
 
     def lanes_losses(self, xs: np.ndarray, first: int, seed: int) -> np.ndarray:
         """Round losses (lanes, w) of iterates (lanes, w, n) at rounds first
@@ -554,9 +582,11 @@ class SoftmaxL2Problem:
         Each lane's w iterates are evaluated as one stack, each on its own
         round's minibatch; going lane by lane keeps the stack at w rows.
         """
-        x, y = self._minibatches(first, xs.shape[1], seed)
-        return np.array([_SoftmaxLanes(window, self.dataset.n_classes, x, y).loss(
-            self.sigma1, self.sigma2) for window in xs])
+        w = xs.shape[1]
+        i, x, y, _ = self._minibatches(first, w, seed)
+        x, y = x[i:i + w], y[i:i + w]
+        return np.array([_softmax_losses(window, x, y, self.sigma1, self.sigma2)
+                         for window in xs])
 
     def _draw_counts(self, upto: int, seed: int) -> np.ndarray:
         """How often each sample was drawn in rounds 1..upto.

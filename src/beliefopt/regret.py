@@ -114,7 +114,8 @@ def _lanes_oracle(problem):
     """``(lanes_grad, lanes_losses)`` of the problem.
 
     A problem that serves one iterate at a time gets a per-lane loop over
-    its ``round_loss_grad``; the loop keeps the losses it is handed and
+    its ``round_loss_grad`` that writes each gradient into its row of
+    ``out``; the loop keeps the losses it is handed and
     returns them, all steps since the last call, at the next
     ``lanes_losses``.
     """
@@ -122,9 +123,8 @@ def _lanes_oracle(problem):
         return problem.lanes_grad, problem.lanes_losses
     recorded = []
 
-    def lanes_grad(xs, t, seed):
+    def lanes_grad(xs, t, seed, out):
         losses = np.empty(len(xs))
-        grads = np.empty_like(xs)
         for i, x in enumerate(xs):
             f, g = problem.round_loss_grad(x.copy(), t, seed)
             g = np.asarray(g, dtype=np.float64)
@@ -132,9 +132,9 @@ def _lanes_oracle(problem):
                 raise ValueError(
                     f"gradient shape {g.shape} does not match state shape {x.shape}")
             losses[i] = f
-            grads[i] = g
+            out[i] = g
         recorded.append(losses)
-        return grads
+        return out
 
     def lanes_losses(xs, first, seed):
         losses = np.stack(recorded, axis=1)
@@ -151,12 +151,12 @@ def _first_nonfinite(lo, hi, cell_rows, loss, xs, gs, ms, ss, shs):
     then the gradient, then the state after the step (the moments and the
     next iterate), in the order a one-cell run meets them."""
     loss = loss[:, lo:hi]
-    grad = gs[:, lo:hi]
-    state = (ms[:, lo:hi], ss[:, lo:hi], shs[:, lo:hi], xs[:, lo + 1:hi + 1])
+    grad = gs[lo:hi]
+    state = (ms[lo:hi], ss[lo:hi], shs[lo:hi], xs[lo + 1:hi + 1])
     if np.isfinite(loss).all() and all(np.isfinite(a).all() for a in (grad, *state)):
         return None
-    bad_state = ~np.logical_and.reduce([np.isfinite(a).all(axis=2) for a in state])
-    code = np.select([~np.isfinite(loss), ~np.isfinite(grad).all(axis=2), bad_state],
+    bad_state = ~np.logical_and.reduce([np.isfinite(a).all(axis=2) for a in state]).T
+    code = np.select([~np.isfinite(loss), ~np.isfinite(grad).all(axis=2).T, bad_state],
                      [1, 2, 3])[cell_rows]
     offset, cell = np.argwhere(code.T)[0]
     return int(offset), int(cell), int(code[cell, offset])
@@ -168,17 +168,26 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
 
     All cells start from the problem's initial point and see the same
     (seed, t) rounds, so one time loop serves them all.  The iterates are
-    stacked as (lanes, n); each step makes one gradient call for all lanes
-    (``lanes_grad``), one kernel call per lane group (the cells that share
-    a rule and every hyperparameter but alpha, which becomes a per-lane
-    column), and one step tail for all lanes: the step -scale * m', one
-    projection and the new iterate.  Only the gradient feeds the next step,
-    so the round losses are computed once per block of _CHECK_EVERY steps,
-    from the recorded iterates (``lanes_losses``), and so are the step
-    norms, from the block's steps.  A problem without these two
-    calls is served by a per-lane loop over its ``round_loss_grad``.  Every
-    operation is elementwise per lane, so each trace is bit-identical to a
-    one-cell run; the traces are views into stacked (lanes, T, n) arrays.
+    stacked as (lanes, n), and the per-step records are step-major, so each
+    step's row of iterates, gradients and moments is one contiguous
+    (lanes, n) block.  Per step the loop makes:
+
+    * one gradient call for all lanes (``lanes_grad``), which writes into
+      that step's row of the gradients;
+    * per lane group (the cells that share a rule and every hyperparameter
+      but alpha, which becomes a per-lane column): one kernel call, three
+      copies of its new state into the step's rows and one multiply that
+      writes scale * m' into a block of steps;
+    * one step tail for all lanes: x - scale * m' written into the next
+      row of iterates and projected there in place, two more ufunc calls.
+
+    Only the gradient feeds the next step, so the round losses are computed
+    once per block of _CHECK_EVERY steps, from the recorded iterates
+    (``lanes_losses``), and so are the step norms, from the block's steps.
+    A problem without these two calls is served by a per-lane loop over its
+    ``round_loss_grad``.  Every operation is elementwise per lane, so each
+    trace is bit-identical to a one-cell run; the traces are views into the
+    stacked records.
 
     A nonfinite loss, gradient or optimizer state raises NumericFailure for
     the earliest step at which any cell has one, naming that cell when
@@ -202,8 +211,9 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     cell_rows = np.argsort(lanes)
     n_lanes, n = len(cells), region.dim
     loss = np.empty((n_lanes, horizon))
-    xs = np.empty((n_lanes, horizon + 1, n))  # row T holds the final iterate
-    gs, ms, ss, shs = (np.empty((n_lanes, horizon, n)) for _ in range(4))
+    # Step-major records (see above); row T of xs holds the final iterates.
+    xs = np.empty((horizon + 1, n_lanes, n))
+    gs, ms, ss, shs = (np.empty((horizon, n_lanes, n)) for _ in range(4))
     alpha, beta1, beta2, step_inf = (np.empty((n_lanes, horizon)) for _ in range(4))
     steps = np.arange(1, horizon + 1)
     plan = []
@@ -221,32 +231,34 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         plan.append([rows, KERNELS[kind], hp, alpha[rows].T[:, :, None],
                      b1, b2, zeros, zeros, zeros])
     lanes_grad, lanes_losses = _lanes_oracle(problem)
-    x = np.tile(x0, (n_lanes, 1))
-    xs[:, 0] = x
-    scale = np.empty((n_lanes, n))
-    deltas = np.empty((n_lanes, _CHECK_EVERY, n))  # the steps of the current scan block
+    xs[0] = x0
+    x = xs[0]
+    # scale * m' of every lane at each step of the current scan block; the
+    # step taken is its negation.
+    block = np.empty((_CHECK_EVERY, n_lanes, n))
     checked = 0
     # Nonfinite values are reported through the scans below, not as warnings.
     with np.errstate(all="ignore"):
         for t in range(1, horizon + 1):
             i = t - 1
-            g = lanes_grad(x, t, seed)
-            gs[:, i] = g
+            g = lanes_grad(x, t, seed, gs[i])
+            scaled = block[i - checked]
             for group in plan:
                 rows, kernel, hp, a_t, b1, b2, m, s, s_hat = group
-                m, s, s_hat, scale[rows] = kernel(hp, t, a_t[i], b1[i], b2[i], g[rows],
-                                                  m, s, s_hat)
-                ms[rows, i] = m
-                ss[rows, i] = s
-                shs[rows, i] = s_hat
+                m, s, s_hat, scale = kernel(hp, t, a_t[i], b1[i], b2[i], g[rows], m, s, s_hat)
+                ms[i, rows] = m
+                ss[i, rows] = s
+                shs[i, rows] = s_hat
+                np.multiply(scale, m, scaled[rows])
                 group[6:] = m, s, s_hat
-            # The step tail of ``step``, once for every lane.
-            delta = np.multiply(-scale, ms[:, i], out=deltas[:, i - checked])
-            x = region.project(x + delta)
-            xs[:, t] = x
+            # The step tail of ``step``, once for every lane: x - scale * m'
+            # is x + delta bit for bit.
+            x_next = xs[t]
+            x = region.project(np.subtract(x, scaled, x_next), x_next)
             if t - checked == _CHECK_EVERY or t == horizon:
-                step_inf[:, checked:t] = np.abs(deltas[:, :t - checked]).max(axis=2)
-                loss[:, checked:t] = lanes_losses(xs[:, checked:t], checked + 1, seed)
+                step_inf[:, checked:t] = np.abs(block[:t - checked]).max(axis=2).T
+                loss[:, checked:t] = lanes_losses(xs[checked:t].swapaxes(0, 1), checked + 1,
+                                                  seed)
                 failure = _first_nonfinite(checked, t, cell_rows, loss, xs, gs, ms, ss, shs)
                 if failure is not None:
                     offset, j, code = failure
@@ -262,9 +274,9 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         traces[j] = TrajectoryTrace(
             kind=cells[j].kind, hp=cells[j].hp, seed=seed, region=region, horizon=horizon,
             problem_kind=problem.kind, sigma=float(problem.sigma),
-            loss=loss[row], x=xs[row, :horizon], g=gs[row], m=ms[row], s=ss[row],
-            s_hat=shs[row], alpha=alpha[row], beta1=beta1[row], beta2=beta2[row],
-            step_inf=step_inf[row], x_final=xs[row, horizon],
+            loss=loss[row], x=xs[:horizon, row], g=gs[:, row], m=ms[:, row],
+            s=ss[:, row], s_hat=shs[:, row], alpha=alpha[row], beta1=beta1[row],
+            beta2=beta2[row], step_inf=step_inf[row], x_final=xs[horizon, row],
         )
     return traces
 

@@ -1,15 +1,20 @@
 """End-to-end command line tests, run through subprocess like a user would;
 the tests that set the sweep worker count call ``cli.main`` in-process."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_sweep import poisoned
 
 import beliefopt.cli
@@ -276,6 +281,23 @@ class TestBound:
         result = cli("bound", "--config", str(cfg))
         assert result.returncode == 2, result.stderr
         assert result.stderr == "config error: config has no fastadabelief cell to bound\n"
+
+    @pytest.mark.parametrize("lo, hi, width", [("-1e300", "1e300", "2e+300"),
+                                               ("-1e308", "1e308", "inf")])
+    def test_a_region_too_wide_for_the_budget_fails_before_any_sweep(self, tmp_path, lo, hi,
+                                                                     width):
+        # The budget squares the region's diameter; past about 1.3e154 that
+        # overflows.  A sweep of 10**12 steps could not even allocate its trace.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(QUADRATIC.replace("dim = 2", "dim = 1")
+                       .replace("horizon = 50", "horizon = 1000000000000")
+                       .replace("region_lo = -2", f"region_lo = {lo}")
+                       .replace("region_hi = 2", f"region_hi = {hi}"))
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == (
+            f"config error: {cfg}: line 15: [run] region_hi - region_lo = {width} is too wide "
+            "for the regret budget, whose D_inf^2 overflows\n")
 
     def test_an_overflowing_skipped_cell_does_not_fail_the_bound(self, tmp_path):
         # Only the fastadabelief cells are swept; the sgd_momentum cell
@@ -749,3 +771,57 @@ class TestFanOut:
         assert stderr == ("run failed: the sweep worker for cells adam_alpha0.05, adam_alpha0.01, "
                           "adam_alpha0.002 ended without reporting (exit status 7)\n")
         assert out.exists() == (stage == "write_trace")
+
+
+# ------------------------------------------------ exit-code property of run
+
+#: what a mutation puts in place of a key's value
+BAD_VALUES = ("nan", "inf", "-1", "abc")
+
+
+def mutated(text, mutations):
+    """``text`` with each (what, pick) applied in turn: drop the picked
+    line, repeat the first alpha of the picked [optimizer] section, or put a
+    bad value in the picked key.  The horizon line is never dropped, so a
+    run stays at the horizon the text sets."""
+    lines = text.splitlines()
+    for what, pick in mutations:
+        keys = [i for i, line in enumerate(lines) if "=" in line]
+        if what == "drop":
+            shown = [i for i, line in enumerate(lines)
+                     if line.strip() and not line.startswith("horizon")]
+            del lines[shown[pick % len(shown)]]
+        elif what == "repeat-cell":
+            alphas = [i for i in keys if lines[i].startswith("alpha")]
+            if alphas:
+                i = alphas[pick % len(alphas)]
+                first = lines[i].partition("=")[2].split(",")[0].strip()
+                lines[i] = f"{lines[i]}, {first}"
+        else:
+            i = keys[pick % len(keys)]
+            lines[i] = f"{lines[i].partition('=')[0]}= {what}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(name=st.sampled_from(["quadratic.cfg", "softmax.cfg"]),
+       horizon=st.integers(1, 64),
+       mutations=st.lists(st.tuples(st.sampled_from(("drop", "repeat-cell", *BAD_VALUES)),
+                                    st.integers(0, 10 ** 6)), min_size=1, max_size=3))
+def test_run_on_mutated_reference_configs_exits_with_a_documented_code(name, horizon,
+                                                                         mutations):
+    # Every mutation of a shipped config ends in exit 0-4 with no traceback
+    # (an exception out of ``main`` fails the test), and a config error names
+    # the file and the line.
+    text = (ROOT / "configs" / name).read_text().replace("horizon = 16384",
+                                                         f"horizon = {horizon}")
+    assert f"horizon = {horizon}\n" in text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp, name)
+        cfg.write_text(mutated(text, mutations))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = beliefopt.cli.main(["run", "--config", str(cfg), "--out", f"{tmp}/out"])
+    assert code in (0, 1, 2, 3, 4)
+    if code == 2:
+        assert err.getvalue().startswith(f"config error: {cfg}: line "), err.getvalue()

@@ -20,7 +20,7 @@ from beliefopt import (
     stepsize_probe,
     validate_hyperparams,
 )
-from beliefopt.optim import scheduled_alpha, step_betas
+from beliefopt.optim import KERNELS, scheduled_alpha, step_betas
 
 GS = (1.0, -0.5, 0.25)
 
@@ -167,7 +167,8 @@ _CLIP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -1.
 def test_projection_matches_np_clip_bit_for_bit():
     # project takes max then min instead of np.clip; signed zeros, NaN,
     # infinities, subnormals and lo == hi must come out as np.clip's bytes,
-    # for one iterate and for a (lanes, n) stack of them.
+    # for one iterate and for a (lanes, n) stack of them, also when the
+    # iterate is clipped in place.
     x = np.array(_CLIP_EDGES)
     lanes = np.stack([x, -x, x[::-1]])
     finite = [b for b in _CLIP_EDGES if np.isfinite(b)]
@@ -178,6 +179,9 @@ def test_projection_matches_np_clip_bit_for_bit():
         for z in (x, lanes):
             want = np.clip(z, region.lower, region.upper)
             assert region.project(z).tobytes() == want.tobytes(), (lo, hi)
+            inplace = z.copy()
+            assert region.project(inplace, inplace) is inplace
+            assert inplace.tobytes() == want.tobytes(), (lo, hi)
     # Per-coordinate bounds: every pair at once, one coordinate each.
     lower, upper = np.array(pairs).T
     z = np.resize(x, len(pairs))
@@ -284,6 +288,74 @@ def test_adabound_clip_matches_np_clip_bit_for_bit():
                 raw = np.where(v > 0, a_t / np.sqrt(v), np.inf)
             assert np.isinf(raw).any() and (raw < eta_l).any() and (raw > eta_u).any()
             assert out[5].tobytes() == np.clip(raw, eta_l, eta_u).tobytes(), t
+
+
+def written_out(kind, hp, t, a_t, b1, b2, g, m, s, s_hat):
+    """The seven rule formulas, copied out of the kernels as they stand:
+    (m', s', s_hat', scale) in the same operations and order."""
+    if kind == "sgd_momentum":
+        m = b1 * m + g
+        return m, s, s_hat, np.broadcast_to(a_t, m.shape) * 1.0
+    m = b1 * m + (1.0 - b1) * g
+    if kind == "yogi":
+        g2 = g * g
+        v = s - (1.0 - b2) * np.sign(s - g2) * g2
+        return m, v, s_hat, a_t / (np.sqrt(v) + hp.epsilon)
+    if kind in ("adabelief", "fastadabelief"):
+        resid = g - m
+        s = b2 * s + (1.0 - b2) * resid * resid
+        s_hat = np.maximum(s_hat, s)
+        if kind == "adabelief":
+            return m, s, s_hat, a_t / (np.sqrt(s_hat) + hp.epsilon)
+        return m, s, s_hat, a_t / (s_hat + hp.delta / t)
+    v = b2 * s + (1.0 - b2) * g * g
+    if kind == "adam":
+        return m, v, s_hat, a_t / (np.sqrt(v) + hp.epsilon)
+    if kind == "sadam":
+        return m, v, s_hat, a_t / (v + hp.delta / t)
+    eta_l = hp.eta_final * (1.0 - 1.0 / (hp.bound_gamma * t + 1.0))
+    eta_u = hp.eta_final * (1.0 + 1.0 / (hp.bound_gamma * t))
+    raw = np.full(v.shape, np.inf)
+    raw[v > 0] = (a_t / np.sqrt(v))[v > 0]
+    return m, v, s_hat, np.minimum(np.maximum(raw, eta_l), eta_u)
+
+
+#: states (m, s, s_hat) and gradients: all zero, subnormal, or large enough
+#: that squares and sums overflow
+STATES = {
+    "zero": (0.0, 0.0, 0.0, 0.0),
+    "subnormal": (5e-324, 2.5e-310, 1e-315, 3e-320),
+    "large": (1e150, 1e300, 1.5e300, 1e200),
+}
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+@pytest.mark.parametrize("state", sorted(STATES))
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_kernels_match_the_written_out_formulas_bit_for_bit(kind, state, lanes):
+    # Independent of ``step`` and the sweep: a rewrite of a kernel that moves
+    # one bit of m', s', s_hat' or the stepsize fails here.  ``lanes`` None
+    # is one (n,) state with a scalar stepsize; 3 is a (lanes, n) stack with
+    # a per-lane stepsize column.
+    hp = (HyperParams(alpha=0.1, beta1=0.9, lam=0.999, beta2_mode="sadam", delta=0.5)
+          if kind in ("sadam", "fastadabelief") else HyperParams(alpha=0.1, beta1=0.8))
+    shape = (5,) if lanes is None else (lanes, 5)
+    rng = np.random.default_rng(11)
+    m0, s0, sh0, g0 = STATES[state]
+    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    m = m0 * signs * rng.uniform(0.5, 2.0, shape)
+    s, s_hat = s0 * rng.uniform(0.5, 2.0, shape), sh0 * rng.uniform(0.5, 2.0, shape)
+    g = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), g0 * signs[..., ::-1])
+    for t in (1, 7, 1000):
+        b1, b2 = (column[t - 1] for column in step_betas(kind, hp, t))
+        a_t = (scheduled_alpha(kind, hp, hp.alpha, t) if lanes is None
+               else scheduled_alpha(kind, hp, np.array([[0.1], [1e-3], [1e3]]), t))
+        with np.errstate(all="ignore"):
+            got = KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
+            want = written_out(kind, hp, t, a_t, b1, b2, g, m, s, s_hat)
+        for name, a, b in zip(("m", "s", "s_hat", "scale"), got, want):
+            assert a.shape == shape and a.dtype == np.float64, (name, t)
+            assert a.tobytes() == b.tobytes(), (name, t)
 
 
 def test_all_kinds_step_and_stay_feasible():

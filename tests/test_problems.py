@@ -224,7 +224,7 @@ class TestQuadratic:
             for f, x in zip(lane, window):
                 assert f == quadratic_loss(x, prob.a, prob.b)
         for x_t in xs.transpose(1, 0, 2):
-            grads = prob.lanes_grad(x_t, 1, 0)
+            grads = prob.lanes_grad(x_t, 1, 0, np.empty_like(x_t))
             for g, x in zip(grads, x_t):
                 np.testing.assert_array_equal(g, quadratic_grad(x, prob.a, prob.b))
 
@@ -486,7 +486,7 @@ class TestSoftmaxProblem:
     def test_lanes_match_one_iterate_at_a_time(self):
         prob = self.make()
         xs = np.random.default_rng(5).standard_normal((6, prob.dim)) * 0.3
-        grads = prob.lanes_grad(xs, t=4, seed=1)
+        grads = prob.lanes_grad(xs, 4, 1, np.empty_like(xs))
         losses = prob.lanes_losses(xs[:, None], 4, 1)[:, 0]
         for x, f, g in zip(xs, losses, grads):
             idx = sample_batch(prob.dataset, 5, t=4, seed=1)
@@ -503,7 +503,7 @@ class TestSoftmaxProblem:
                   (block + 1, 1), (2 * block + 7, 1), (block - 1, 1), (4, 0)]
         for t, seed in visits:
             idx = sample_batch(prob.dataset, 5, t, seed)
-            grads = prob.lanes_grad(xs, t, seed)
+            grads = prob.lanes_grad(xs, t, seed, np.empty_like(xs))
             losses = prob.lanes_losses(xs[:, None], t, seed)[:, 0]
             for x, f, g in zip(xs, losses, grads):
                 assert f == softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01)

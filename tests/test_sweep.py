@@ -19,14 +19,17 @@ from beliefopt import (
     HyperParams,
     NumericFailure,
     QuadraticProblem,
+    SoftmaxL2Problem,
     build_problem,
     build_region,
     box_region,
     parse_config,
     run_online,
     run_sweep,
+    sample_batch,
     step,
     sweep_cells,
+    synth_classification,
 )
 from beliefopt.cli import main
 from beliefopt.optim import scheduled_alpha
@@ -211,9 +214,9 @@ def counting(region):
     shapes = []
 
     class Counting(FeasibleRegion):
-        def project(self, x):
+        def project(self, x, out=None):
             shapes.append(np.shape(x))
-            return super().project(x)
+            return super().project(x, out)
 
     return Counting(region.lower, region.upper), shapes
 
@@ -232,6 +235,82 @@ def test_one_projection_per_step_and_block_step_norms(family, horizon):
     assert shapes == [(problem.dim,)] + [(len(cells), problem.dim)] * horizon
     for trace, want in zip(traces, references(family)):
         assert trace.step_inf.tobytes() == want["step_inf"][:horizon].tobytes()
+
+
+# ------------------------------------------------- frozen softmax reference
+
+
+def frozen_log_softmax(logits):
+    top = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j])
+    shifted = logits - top[..., None]
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+class FrozenSoftmaxLanes:
+    """The softmax loss and gradient as they stood before the one-hot
+    gradient: the label entries are gathered and decremented by fancy
+    indexing.  Kept here, apart from the package, as the reference."""
+
+    def __init__(self, params, n_classes, x, y):
+        lanes, kd = params.shape[0], n_classes * x.shape[-1]
+        self.w = params[:, :kd].reshape(lanes, n_classes, -1)
+        self.b = params[:, kd:]
+        self.x, self.y = x, y
+        self.at = (slice(None), np.arange(y.shape[-1]), y)
+        self.logp = frozen_log_softmax(x @ self.w.transpose(0, 2, 1) + self.b[:, None, :])
+
+    def loss(self, sigma1, sigma2):
+        picked = np.ascontiguousarray(self.logp[self.at])
+        return (-picked.mean(axis=1) + sigma1 * np.sum(self.w * self.w, axis=(1, 2))
+                + sigma2 * np.sum(self.b * self.b, axis=1))
+
+    def grad(self, sigma1, sigma2):
+        p = np.exp(self.logp)
+        p[self.at] -= 1.0
+        p /= self.y.shape[-1]
+        gw = p.transpose(0, 2, 1) @ self.x + 2.0 * sigma1 * self.w
+        gb = np.add.reduce(p, axis=1) + 2.0 * sigma2 * self.b
+        return np.concatenate([gw.reshape(len(p), -1), gb], axis=1)
+
+
+def assert_same_bits(got, want, what):
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+# From 8 values on, numpy sums a contiguous row pairwise, so the order of
+# the class sum (10 classes) and of the batch mean (32 rows) matters.  The
+# sweeps run past the first 256-step scan block.
+@pytest.mark.parametrize("lanes", [1, 5, 28])
+@pytest.mark.parametrize("batch", [12, 32])
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_softmax_rows_match_the_frozen_fancy_index_reference(classes, batch, lanes):
+    dataset = synth_classification(seed=3, n_classes=classes, n_features=max(classes, 3),
+                                   n_samples=150, separation=1.0)
+    problem = SoftmaxL2Problem(dataset, batch_size=batch, sigma1=0.01, sigma2=0.02)
+    region = box_region(-5.0, 5.0, problem.dim)
+    kinds = ["adam", "fastadabelief", "sgd_momentum", "adabelief", "sadam", "yogi", "adabound"]
+    cells = []
+    for j in range(lanes):
+        kind = kinds[j % len(kinds)]
+        alpha = 0.05 / (1 + j // len(kinds))
+        hp = (HyperParams(alpha=alpha, beta2_mode="sadam", delta=1.0)
+              if kind in ("sadam", "fastadabelief") else HyperParams(alpha=alpha))
+        cells.append(Cell(f"{kind}_alpha{alpha:g}", kind, hp))
+    horizon, seed = 260, 5
+    traces = run_sweep(problem, cells, region, horizon, seed)
+    for t in range(1, horizon + 1):
+        idx = sample_batch(dataset, batch, t, seed)
+        x, y = dataset.features[idx], dataset.labels[idx]
+        xs = np.array([trace.x[t - 1] for trace in traces])
+        grads = FrozenSoftmaxLanes(xs, classes, x, y).grad(0.01, 0.02)
+        for trace, want in zip(traces, grads):
+            assert_same_bits(trace.g[t - 1], want, ("gradient", t, trace.kind))
+        for trace, x_t in zip(traces, xs):
+            want = FrozenSoftmaxLanes(x_t[None], classes, x, y).loss(0.01, 0.02)[0]
+            assert_same_bits(trace.loss[t - 1], want, ("loss", t, trace.kind))
 
 
 class OneAtATime:
@@ -367,8 +446,8 @@ def poisoned(problem, spots):
     base = type(problem)
 
     class Poisoned(base):
-        def lanes_grad(self, xs, t, seed):
-            g = super().lanes_grad(xs, t, seed)
+        def lanes_grad(self, xs, t, seed, out):
+            g = super().lanes_grad(xs, t, seed, out)
             for what, at, row in spots:
                 if what == "gradient" and at == t:
                     g[row] = np.nan
