@@ -22,7 +22,6 @@ lost sweep worker, 4 failed check.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import pickle
 import sys
@@ -34,10 +33,13 @@ import numpy as np
 
 from .config import RunConfig, build_problem, build_region, load_config, parse_config, sweep_cells
 from .errors import CheckFailure, ConfigError, NumericFailure
+from .optim import BOUNDED_RULE
 from .regret import (
-    BAND_TOL,
+    band_holds,
+    budget_domain,
     check_condition3,
     compute_regret,
+    gamma_holds,
     lane_groups,
     measure_constants,
     region_stepsize_table,
@@ -46,9 +48,8 @@ from .regret import (
     theoretical_bound,
 )
 from .svgchart import write_compare_svg
-from .traceio import read_trace, write_compare_csv, write_trace
-
-_G17 = "%.17g"
+from .traceio import (check_steps, g17, nonnegative_int, read_trace, trace_run,
+                      write_compare_csv, write_trace)
 
 
 def _use_color() -> bool:
@@ -324,8 +325,8 @@ def cmd_run(args) -> int:
     _, _, cells, results = _sweep(args, cfg, summarize)
     for cell, (final_loss, cum_loss, rows, path) in zip(cells, results):
         print(f"run {cell.label}: horizon={cfg.run.horizon} "
-              f"final_loss={_G17 % final_loss} "
-              f"cum_loss={_G17 % cum_loss} "
+              f"final_loss={g17(final_loss)} "
+              f"cum_loss={g17(cum_loss)} "
               f"rows={rows} trace={path}")
     return 0
 
@@ -349,7 +350,7 @@ def cmd_compare(args) -> int:
     for kind, (alpha, score, loss) in best.items():
         series[kind] = loss
         print(f"compare {kind}: best alpha={alpha:g} "
-              f"{args.select_alpha}={_G17 % score}")
+              f"{args.select_alpha}={g17(score)}")
     csv_path = os.path.join(out, "compare.csv")
     svg_path = os.path.join(out, "compare.svg")
     with _writing(csv_path):
@@ -363,62 +364,22 @@ def cmd_compare(args) -> int:
             top_kind = min(rivals, key=rivals.get)
             top = rivals[top_kind]
             ratio = fab / top if top != 0 else float("inf")
-            print(f"compare summary: fastadabelief={_G17 % fab} "
-                  f"best_baseline={top_kind}:{_G17 % top} ratio={ratio:.6g}")
+            print(f"compare summary: fastadabelief={g17(fab)} "
+                  f"best_baseline={top_kind}:{g17(top)} ratio={ratio:.6g}")
     print(f"compare wrote {csv_path} and {svg_path}")
     return 0
-
-
-def nonnegative_int(text: str) -> int:
-    """``int(text)`` for a seed; numpy's generators take no negative seeds."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected an integer >= 0, got {value}")
-    return value
-
-
-def _meta_value(tf, path: str, key: str, parse):
-    try:
-        return parse(tf.meta[key])
-    except ValueError:
-        raise ConfigError(f"{path}: metadata '# {key}: {tf.meta[key]}' is not valid") from None
-
-
-def _check_steps(tf, path: str, horizon: int) -> None:
-    """Every row's t must be an integer step of the run, 1..horizon, and
-    larger than the row before's."""
-    t = tf.columns["t"]
-    integer = np.isfinite(t) & (np.floor(t) == t)
-    earlier = np.concatenate([[0.0], t[:-1]])
-    bad = ~(integer & (t >= 1) & (t <= horizon) & (t > earlier))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not integer[i]:
-            why = "is not an integer step"
-        elif not 1 <= t[i] <= horizon:
-            why = f"lies outside the run's steps 1..{horizon}"
-        else:
-            why = f"does not follow the previous row's t = {_G17 % earlier[i]}"
-        raise ConfigError(f"{path}: line {tf.row_lines[i]}: t = {_G17 % t[i]} {why}")
 
 
 def _check_one(path: str) -> list[str]:
     failures = []
     tf = read_trace(path)
-    if not tf.row_lines:
-        raise ConfigError(f"{path}: no data rows")
-    for key in ("optimizer", "alpha", "seed", "cond4_upper"):
-        if key not in tf.meta:
-            raise CheckFailure(f"{path}: metadata line '# {key}: ...' missing")
-    upper = _meta_value(tf, path, "cond4_upper", float) + BAND_TOL
-    alpha = _meta_value(tf, path, "alpha", float)
-    seed = _meta_value(tf, path, "seed", nonnegative_int)
+    kind, alpha, seed, upper, upper_text = trace_run(tf, path)
     cols = tf.columns
-    cond4_ok = bool(np.all(cols["cond4_min"] >= 0.0) and np.all(cols["cond4_max"] <= upper))
-    gamma_ok = bool(np.all(cols["gamma_min"] >= 0.0))
+    cond4_ok = band_holds(cols["cond4_min"], cols["cond4_max"], upper)
+    gamma_ok = gamma_holds(cols["gamma_min"])
     print(f"check {path}: cond4 band {_verdict(cond4_ok)} "
           f"(min={cols['cond4_min'].min():.6g} max={cols['cond4_max'].max():.6g} "
-          f"upper={tf.meta['cond4_upper']})")
+          f"upper={upper_text})")
     print(f"check {path}: gamma positivity {_verdict(gamma_ok)} "
           f"(min={cols['gamma_min'].min():.6g})")
     if not cond4_ok:
@@ -428,12 +389,11 @@ def _check_one(path: str) -> list[str]:
     if not tf.config_text:
         raise CheckFailure(f"{path}: no embedded config to re-run")
     cfg = parse_config(tf.config_text, source=path, linenos=tf.config_lines)
-    kind = tf.meta["optimizer"]
     cell = next((c for c in sweep_cells(cfg)
                  if c.kind == kind and c.hp.alpha == alpha), None)
     if cell is None:
         raise CheckFailure(f"{path}: embedded config has no {kind} cell with alpha={alpha:g}")
-    _check_steps(tf, path, cfg.run.horizon)
+    check_steps(tf, path, cfg.run.horizon)
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)
@@ -462,13 +422,11 @@ def cmd_check(args) -> int:
 def cmd_bound(args) -> int:
     cfg = load_config(args.config)
     cells = sweep_cells(cfg)
-    bounded = [cell for cell in cells if cell.kind == "fastadabelief"]
+    bounded = [cell for cell in cells if cell.kind == BOUNDED_RULE]
     if not bounded:
-        raise ConfigError("config has no fastadabelief cell to bound")
+        raise ConfigError(f"config has no {BOUNDED_RULE} cell to bound")
     width = cfg.run.region_hi - cfg.run.region_lo
-    if not math.isfinite(width * width):
-        # The budget squares the region's diameter with float ``**``, which
-        # raises OverflowError past about 1.3e154.
+    if budget_domain(width) == "D_inf":
         raise ConfigError(
             f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
             "is too wide for the regret budget, whose D_inf^2 overflows")
@@ -476,8 +434,8 @@ def cmd_bound(args) -> int:
     region = build_region(cfg, problem.dim)
     traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
     for cell in cells:
-        if cell.kind != "fastadabelief":
-            print(f"bound {cell.label}: skipped (budget applies to fastadabelief only)")
+        if cell.kind != BOUNDED_RULE:
+            print(f"bound {cell.label}: skipped (budget applies to {BOUNDED_RULE} only)")
             continue
         trace = next(traces)
         report = compute_regret(problem, region, trace)
@@ -487,10 +445,10 @@ def cmd_bound(args) -> int:
             budget = theoretical_bound(constants)
             regret = float(report.regret[j])
             ratio = regret / budget if budget > 0 else float("inf")
-            print(f"bound {cell.label}: {upto:10d}  {_G17 % regret}  "
-                  f"{_G17 % budget}  {ratio:.6g}")
-        constants = measure_constants(trace, region)
-        print(f"bound {cell.label}: r={_G17 % constants.r} ({constants.r_rule})")
+            print(f"bound {cell.label}: {upto:10d}  {g17(regret)}  "
+                  f"{g17(budget)}  {ratio:.6g}")
+        # The last checkpoint is the horizon, so these are the whole trace's.
+        print(f"bound {cell.label}: r={g17(constants.r)} ({constants.r_rule})")
     return 0
 
 
@@ -504,7 +462,7 @@ def cmd_probe(args) -> int:
         path = os.path.join(_make_dir(args.out), "probe.csv")
         lines = ["region,optimizer,t,m,s,step_abs"]
         for region, kind, t, m, s, delta_abs in rows:
-            lines.append(f"{region},{kind},{t},{_G17 % m},{_G17 % s},{_G17 % delta_abs}")
+            lines.append(f"{region},{kind},{t},{g17(m)},{g17(s)},{g17(delta_abs)}")
         with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"probe wrote {path}")

@@ -40,16 +40,14 @@ OPTIMIZER_KINDS = (
     "fastadabelief",
 )
 
-# Canonical schedule per rule; see module docstring.
-_DEFAULT_SCHEDULE = {
-    "sgd_momentum": "constant",
-    "adam": "inverse_sqrt_t",
-    "yogi": "inverse_sqrt_t",
-    "adabound": "inverse_sqrt_t",
-    "adabelief": "inverse_sqrt_t",
-    "sadam": "inverse_t",
-    "fastadabelief": "inverse_t",
-}
+#: the strongly-convex rules, which divide by the second moment linearly
+LINEAR_DIVISOR_RULES = ("sadam", "fastadabelief")
+#: the belief rules, whose divisor is the running max s_hat
+RUNNING_MAX_RULES = ("adabelief", "fastadabelief")
+#: the rule whose regret ``regret.theoretical_bound`` bounds
+BOUNDED_RULE = "fastadabelief"
+#: the rules ``stepsize_probe`` compares
+PROBE_KINDS = ("sgd_momentum", "adam", "sadam", "adabelief", "fastadabelief")
 
 SCHEDULES = ("constant", "inverse_t", "inverse_sqrt_t")
 BETA2_MODES = ("constant", "sadam")
@@ -105,7 +103,8 @@ class HyperParams:
     def beta1_at(self, t: int) -> float:
         return self.beta1 * self.lam ** t
 
-    def beta2_at(self, t: int) -> float:
+    def beta2_at(self, t):
+        """beta2_t; t may be an array of steps."""
         if self.beta2_mode == "sadam":
             return 1.0 - self.beta2_c / t
         return self.beta2
@@ -115,7 +114,7 @@ def validate_hyperparams(kind: str, hp: HyperParams) -> None:
     """Reject combinations that a run would only discover by dividing by zero."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    if kind in ("sadam", "fastadabelief") and not hp.delta > 0:
+    if kind in LINEAR_DIVISOR_RULES and not hp.delta > 0:
         raise ValueError(f"{kind} requires delta > 0 (divisor at t=1 is the second moment plus delta)")
     if kind in ("adam", "yogi", "adabelief") and not hp.epsilon > 0:
         # A zero epsilon divides by zero on any zero-gradient prefix.
@@ -125,8 +124,10 @@ def validate_hyperparams(kind: str, hp: HyperParams) -> None:
 def scheduled_alpha(kind: str, hp: HyperParams, alpha, t):
     """Stepsize at step t for base stepsize ``alpha`` under the rule's
     schedule (or the override in hp); alpha and t may be arrays that
-    broadcast, e.g. a (lanes, 1) column against a (T,) step range."""
-    schedule = hp.step_schedule or _DEFAULT_SCHEDULE[kind]
+    broadcast, e.g. a (lanes, 1) column against a (T,) step range.  The
+    defaults are those of the module docstring."""
+    default = "inverse_t" if kind in LINEAR_DIVISOR_RULES else "inverse_sqrt_t"
+    schedule = hp.step_schedule or ("constant" if kind == "sgd_momentum" else default)
     if schedule == "inverse_t":
         return alpha / t
     if schedule == "inverse_sqrt_t":
@@ -205,13 +206,8 @@ def step_betas(kind: str, hp: HyperParams, horizon: int) -> tuple[list, list]:
         b1 = [hp.beta1_at(t) for t in range(1, horizon + 1)]
     else:
         b1 = [hp.beta1] * horizon
-    if kind == "sgd_momentum":
-        b2 = [0.0] * horizon
-    elif hp.beta2_mode == "sadam":
-        b2 = (1.0 - hp.beta2_c / np.arange(1, horizon + 1)).tolist()
-    else:
-        b2 = [hp.beta2] * horizon
-    return b1, b2
+    b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(np.arange(1, horizon + 1))
+    return b1, np.broadcast_to(b2, horizon).tolist()
 
 
 # Rule kernels: (g, m, s, s_hat) at step t -> (m', s', s_hat', scale), where
@@ -350,7 +346,7 @@ def stepsize_probe(kind: str, m: np.ndarray, s: np.ndarray, t: int,
     a_t = scheduled_alpha(kind, hp, hp.alpha, t)
     if kind == "sgd_momentum":
         return -a_t * m
-    if kind in ("sadam", "fastadabelief"):
+    if kind in LINEAR_DIVISOR_RULES:
         denom = np.sqrt(s + hp.delta / t)
     else:
         denom = np.sqrt(s)

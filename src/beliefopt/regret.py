@@ -23,6 +23,9 @@ import numpy as np
 from .errors import NumericFailure
 from .optim import (
     KERNELS,
+    LINEAR_DIVISOR_RULES,
+    PROBE_KINDS,
+    RUNNING_MAX_RULES,
     FeasibleRegion,
     HyperParams,
     box_region,
@@ -32,9 +35,6 @@ from .optim import (
     stepsize_probe,
     validate_hyperparams,
 )
-
-#: second-moment-maximum rules; their divisor weights come from s_hat.
-_MAX_RULES = ("adabelief", "fastadabelief")
 
 
 @dataclass
@@ -49,7 +49,6 @@ class TrajectoryTrace:
     kind: str
     hp: HyperParams
     seed: int
-    region: FeasibleRegion
     horizon: int
     problem_kind: str
     sigma: float
@@ -68,16 +67,10 @@ class TrajectoryTrace:
     def truncate(self, upto: int) -> "TrajectoryTrace":
         if not 1 <= upto <= self.horizon:
             raise ValueError(f"cannot truncate horizon {self.horizon} to {upto}")
+        prefix = {name: getattr(self, name)[:upto] for name in
+                  ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2", "step_inf")}
         final = self.x_final if upto == self.horizon else self.x[upto]
-        return TrajectoryTrace(
-            kind=self.kind, hp=self.hp, seed=self.seed, region=self.region,
-            horizon=upto, problem_kind=self.problem_kind, sigma=self.sigma,
-            loss=self.loss[:upto], x=self.x[:upto], g=self.g[:upto],
-            m=self.m[:upto], s=self.s[:upto], s_hat=self.s_hat[:upto],
-            alpha=self.alpha[:upto], beta1=self.beta1[:upto],
-            beta2=self.beta2[:upto], step_inf=self.step_inf[:upto],
-            x_final=final,
-        )
+        return replace(self, horizon=upto, x_final=final, **prefix)
 
 
 @dataclass(frozen=True)
@@ -97,17 +90,14 @@ _NONFINITE = {1: "nonfinite loss at step {t}",
               3: "nonfinite optimizer state after step {t}"}
 
 
-def lane_groups(cells) -> list[list[int]]:
-    """Cell indices per lane group, in order of first appearance.
-
-    A lane group is the cells that share a rule and every hyperparameter
-    but alpha; ``run_sweep`` advances each group with one kernel call per
-    step, and ``run`` and ``compare`` shard their cells by whole groups.
-    """
-    groups = {}
-    for j, cell in enumerate(cells):
-        groups.setdefault((cell.kind, replace(cell.hp, alpha=1.0)), []).append(j)
-    return list(groups.values())
+def lane_groups(cells) -> list[range]:
+    """The cell indices of each lane group: a run of consecutive cells that
+    share a rule and every hyperparameter but alpha, as the alphas of one
+    [optimizer] section do.  ``run_sweep`` advances each group with one
+    kernel call per step; ``run`` and ``compare`` shard by whole groups."""
+    keys = [(cell.kind, replace(cell.hp, alpha=1.0)) for cell in cells]
+    starts = [j for j in range(len(cells)) if j == 0 or keys[j] != keys[j - 1]]
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(cells)])]
 
 
 def _lanes_oracle(problem):
@@ -144,12 +134,11 @@ def _lanes_oracle(problem):
     return lanes_grad, lanes_losses
 
 
-def _first_nonfinite(lo, hi, cell_rows, loss, xs, gs, ms, ss, shs):
+def _first_nonfinite(lo, hi, loss, xs, gs, ms, ss, shs):
     """(step offset, cell, code) of the earliest nonfinite value over steps
-    lo+1..hi, or None; ``cell_rows`` lists the stacked row of each cell.
-    Within a step the first cell comes first, and within a cell the loss,
-    then the gradient, then the state after the step (the moments and the
-    next iterate), in the order a one-cell run meets them."""
+    lo+1..hi, or None.  Within a step the first cell comes first, and within
+    a cell the loss, then the gradient, then the state after the step (the
+    moments and the next iterate), in the order a one-cell run meets them."""
     loss = loss[:, lo:hi]
     grad = gs[lo:hi]
     state = (ms[lo:hi], ss[lo:hi], shs[lo:hi], xs[lo + 1:hi + 1])
@@ -157,7 +146,7 @@ def _first_nonfinite(lo, hi, cell_rows, loss, xs, gs, ms, ss, shs):
         return None
     bad_state = ~np.logical_and.reduce([np.isfinite(a).all(axis=2) for a in state]).T
     code = np.select([~np.isfinite(loss), ~np.isfinite(grad).all(axis=2).T, bad_state],
-                     [1, 2, 3])[cell_rows]
+                     [1, 2, 3])
     offset, cell = np.argwhere(code.T)[0]
     return int(offset), int(cell), int(code[cell, offset])
 
@@ -168,16 +157,15 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
 
     All cells start from the problem's initial point and see the same
     (seed, t) rounds, so one time loop serves them all.  The iterates are
-    stacked as (lanes, n), and the per-step records are step-major, so each
-    step's row of iterates, gradients and moments is one contiguous
-    (lanes, n) block.  Per step the loop makes:
+    stacked as (lanes, n) in cell order, and the per-step records are
+    step-major, so each step's row of iterates, gradients and moments is one
+    contiguous (lanes, n) block.  Per step the loop makes:
 
     * one gradient call for all lanes (``lanes_grad``), which writes into
       that step's row of the gradients;
-    * per lane group (the cells that share a rule and every hyperparameter
-      but alpha, which becomes a per-lane column): one kernel call, three
-      copies of its new state into the step's rows and one multiply that
-      writes scale * m' into a block of steps;
+    * per lane group (``lane_groups``; alpha becomes a per-lane column):
+      one kernel call, three copies of its new state into the step's rows
+      and one multiply that writes scale * m' into a block of steps;
     * one step tail for all lanes: x - scale * m' written into the next
       row of iterates and projected there in place, two more ufunc calls.
 
@@ -206,9 +194,6 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         raise ValueError(f"x0 has shape {x0.shape}, region has dimension {region.dim}")
     if not region.contains(x0):
         raise ValueError("x0 lies outside the feasible region")
-    groups = lane_groups(cells)
-    lanes = [j for members in groups for j in members]  # stacked row -> cell
-    cell_rows = np.argsort(lanes)
     n_lanes, n = len(cells), region.dim
     loss = np.empty((n_lanes, horizon))
     # Step-major records (see above); row T of xs holds the final iterates.
@@ -217,11 +202,9 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     alpha, beta1, beta2, step_inf = (np.empty((n_lanes, horizon)) for _ in range(4))
     steps = np.arange(1, horizon + 1)
     plan = []
-    lo = 0
-    for members in groups:
-        rows = slice(lo, lo + len(members))
-        lo = rows.stop
-        kind, hp = cells[members[0]].kind, cells[members[0]].hp
+    for members in lane_groups(cells):
+        rows = slice(members.start, members.stop)
+        kind, hp = cells[rows.start].kind, cells[rows.start].hp
         column = np.array([[cells[j].hp.alpha] for j in members])
         alpha[rows] = scheduled_alpha(kind, hp, column, steps)
         b1, b2 = step_betas(kind, hp, horizon)
@@ -259,7 +242,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 step_inf[:, checked:t] = np.abs(block[:t - checked]).max(axis=2).T
                 loss[:, checked:t] = lanes_losses(xs[checked:t].swapaxes(0, 1), checked + 1,
                                                   seed)
-                failure = _first_nonfinite(checked, t, cell_rows, loss, xs, gs, ms, ss, shs)
+                failure = _first_nonfinite(checked, t, loss, xs, gs, ms, ss, shs)
                 if failure is not None:
                     offset, j, code = failure
                     t_bad = checked + offset + 1
@@ -269,16 +252,13 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                         message += f" in cell {label}"
                     raise NumericFailure(message, step=t_bad, cell=label)
                 checked = t
-    traces = [None] * n_lanes
-    for row, j in enumerate(lanes):
-        traces[j] = TrajectoryTrace(
-            kind=cells[j].kind, hp=cells[j].hp, seed=seed, region=region, horizon=horizon,
-            problem_kind=problem.kind, sigma=float(problem.sigma),
-            loss=loss[row], x=xs[:horizon, row], g=gs[:, row], m=ms[:, row],
-            s=ss[:, row], s_hat=shs[:, row], alpha=alpha[row], beta1=beta1[row],
-            beta2=beta2[row], step_inf=step_inf[row], x_final=xs[horizon, row],
-        )
-    return traces
+    return [TrajectoryTrace(
+        kind=cell.kind, hp=cell.hp, seed=seed, horizon=horizon,
+        problem_kind=problem.kind, sigma=float(problem.sigma),
+        loss=loss[j], x=xs[:horizon, j], g=gs[:, j], m=ms[:, j], s=ss[:, j],
+        s_hat=shs[:, j], alpha=alpha[j], beta1=beta1[j], beta2=beta2[j],
+        step_inf=step_inf[j], x_final=xs[horizon, j],
+    ) for j, cell in enumerate(cells)]
 
 
 def run_online(problem, kind: str, hp: HyperParams, region: FeasibleRegion,
@@ -536,6 +516,15 @@ def theoretical_bound(c: BoundConstants) -> float:
     return term1 + term2 + term3 + term4
 
 
+def budget_domain(d_inf: float) -> str | None:
+    """None when ``theoretical_bound`` can be evaluated on a region of
+    diameter ``d_inf``, else the input that leaves its domain: the budget
+    squares D_inf with float ``**``, which overflows past about 1.3e154."""
+    if not math.isfinite(d_inf * d_inf):
+        return "D_inf"
+    return None
+
+
 # ------------------------------------------------------------- conditions
 
 
@@ -553,12 +542,25 @@ class Condition4Result:
     passed: bool
 
 
+def _increments(weighted: np.ndarray) -> np.ndarray:
+    """Step-to-step increments of a (T, n) series from an all-zero start."""
+    return np.diff(weighted, axis=0, prepend=0.0)
+
+
 def _cond4_values(trace: TrajectoryTrace) -> np.ndarray:
     """(T, n) array of weighted sqrt-second-moment increments."""
     t = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
-    weighted = t / trace.hp.alpha * np.sqrt(trace.s)
-    prev = np.vstack([np.zeros((1, trace.s.shape[1])), weighted[:-1]])
-    return weighted - prev
+    return _increments(t / trace.hp.alpha * np.sqrt(trace.s))
+
+
+def band_holds(lhs_min, lhs_max, upper: float) -> bool:
+    """The condition-4 verdict: 0 <= increment <= upper + BAND_TOL at every step."""
+    return bool(np.all(lhs_min >= 0.0) and np.all(lhs_max <= upper + BAND_TOL))
+
+
+def gamma_holds(gamma_min) -> bool:
+    """The Gamma-positivity verdict: no weight increment below zero."""
+    return bool(np.all(gamma_min >= 0.0))
 
 
 def check_condition4(trace: TrajectoryTrace, sigma: float) -> Condition4Result:
@@ -572,8 +574,8 @@ def check_condition4(trace: TrajectoryTrace, sigma: float) -> Condition4Result:
     lhs_min = values.min(axis=1)
     lhs_max = values.max(axis=1)
     upper = sigma * (1.0 - trace.hp.beta1)
-    passed = bool(np.all(lhs_min >= 0.0) and np.all(lhs_max <= upper + BAND_TOL))
-    return Condition4Result(lhs_min=lhs_min, lhs_max=lhs_max, upper=upper, passed=passed)
+    return Condition4Result(lhs_min=lhs_min, lhs_max=lhs_max, upper=upper,
+                            passed=band_holds(lhs_min, lhs_max, upper))
 
 
 #: steps per block of the condition-3 pass; bounds its buffers at 2 x 1,024 x n
@@ -638,10 +640,8 @@ def gamma_series(trace: TrajectoryTrace) -> np.ndarray:
     monotone, so for those rules every entry is >= 0 in exact float
     arithmetic, not merely up to rounding.
     """
-    d = trace.s_hat if trace.kind in _MAX_RULES else trace.s
-    weighted = d / trace.alpha[:, None]
-    prev = np.vstack([np.zeros((1, d.shape[1])), weighted[:-1]])
-    return (weighted - prev).min(axis=1)
+    d = trace.s_hat if trace.kind in RUNNING_MAX_RULES else trace.s
+    return _increments(d / trace.alpha[:, None]).min(axis=1)
 
 
 def check_gamma_psd(trace: TrajectoryTrace) -> float:
@@ -669,11 +669,8 @@ def region_scenarios(length: int = 1000) -> dict[str, np.ndarray]:
     }
 
 
-PROBE_KINDS = ("sgd_momentum", "adam", "sadam", "adabelief", "fastadabelief")
-
-
 def _probe_hyperparams(kind: str, alpha: float, delta: float) -> HyperParams:
-    if kind in ("sadam", "fastadabelief"):
+    if kind in LINEAR_DIVISOR_RULES:
         return HyperParams(alpha=alpha, beta2_mode="sadam", delta=delta)
     return HyperParams(alpha=alpha, delta=delta)
 

@@ -3,7 +3,7 @@
 The file layout is stable so downstream checks can rely on it:
 
 * ``# key: value`` metadata lines (seed, optimizer, alpha, beta1, sigma,
-  horizon, problem, cond4_upper, thin_stride);
+  horizon, problem, cond4_upper, thin_stride), read back by ``trace_run``;
 * the originating config embedded verbatim on ``#cfg: `` lines, which is
   what lets ``check`` re-run a trace without the original file;
 * the exact header line ``t, loss, cum_loss, grad_inf_norm,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CheckFailure, ConfigError
 from .regret import TrajectoryTrace, check_condition4, checkpoint_grid, gamma_series
 
 TRACE_HEADER = ("t, loss, cum_loss, grad_inf_norm, step_inf_norm, "
@@ -38,7 +38,8 @@ _DENSE_LIMIT = 10_000
 _BLOCK_ROWS = 1024
 
 
-def _fmt(value: float) -> str:
+def g17(value: float) -> str:
+    """``value`` as %.17g, which round-trips every float bit for bit."""
     return "%.17g" % float(value)
 
 
@@ -77,12 +78,12 @@ def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
     meta = [
         ("seed", str(trace.seed)),
         ("optimizer", trace.kind),
-        ("alpha", _fmt(trace.hp.alpha)),
-        ("beta1", _fmt(trace.hp.beta1)),
-        ("sigma", _fmt(trace.sigma)),
+        ("alpha", g17(trace.hp.alpha)),
+        ("beta1", g17(trace.hp.beta1)),
+        ("sigma", g17(trace.sigma)),
         ("horizon", str(trace.horizon)),
         ("problem", trace.problem_kind),
-        ("cond4_upper", _fmt(band.upper)),
+        ("cond4_upper", g17(band.upper)),
         ("thin_stride", str(stride)),
     ]
     lines = [f"# {key}: {value}" for key, value in meta]
@@ -113,6 +114,53 @@ class TraceFile:
     @property
     def steps(self) -> np.ndarray:
         return self.columns["t"].astype(np.int64)
+
+
+def nonnegative_int(text: str) -> int:
+    """``int(text)`` for a seed; numpy's generators take no negative seeds."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
+
+
+def trace_run(tf: TraceFile, path: str) -> tuple[str, float, int, float, str]:
+    """(optimizer, alpha, seed, cond4_upper, cond4_upper as written) for
+    ``check``.  A trace without data rows or with an unparseable value is a
+    ConfigError, one without a key a CheckFailure."""
+    if not tf.row_lines:
+        raise ConfigError(f"{path}: no data rows")
+    for key in ("optimizer", "alpha", "seed", "cond4_upper"):
+        if key not in tf.meta:
+            raise CheckFailure(f"{path}: metadata line '# {key}: ...' missing")
+
+    def value(key, parse):
+        try:
+            return parse(tf.meta[key])
+        except ValueError:
+            raise ConfigError(f"{path}: metadata '# {key}: {tf.meta[key]}' is not valid") from None
+
+    upper = value("cond4_upper", float)
+    return (tf.meta["optimizer"], value("alpha", float), value("seed", nonnegative_int),
+            upper, tf.meta["cond4_upper"])
+
+
+def check_steps(tf: TraceFile, path: str, horizon: int) -> None:
+    """Every row's t must be an integer step of the run, 1..horizon, and
+    larger than the row before's."""
+    t = tf.columns["t"]
+    integer = np.isfinite(t) & (np.floor(t) == t)
+    earlier = np.concatenate([[0.0], t[:-1]])
+    bad = ~(integer & (t >= 1) & (t <= horizon) & (t > earlier))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not integer[i]:
+            why = "is not an integer step"
+        elif not 1 <= t[i] <= horizon:
+            why = f"lies outside the run's steps 1..{horizon}"
+        else:
+            why = f"does not follow the previous row's t = {g17(earlier[i])}"
+        raise ConfigError(f"{path}: line {tf.row_lines[i]}: t = {g17(t[i])} {why}")
 
 
 def read_trace(path: str) -> TraceFile:

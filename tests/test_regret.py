@@ -53,8 +53,7 @@ def make_trace(kind, s, g=None, alpha=None, beta2=None, hp=None, sigma=1.0):
     beta2 = (np.full(horizon, hp.beta2) if beta2 is None
              else np.asarray(beta2, dtype=np.float64))
     return TrajectoryTrace(
-        kind=kind, hp=hp, seed=0, region=box_region(-1.0, 1.0, n),
-        horizon=horizon, problem_kind="quadratic", sigma=sigma,
+        kind=kind, hp=hp, seed=0, horizon=horizon, problem_kind="quadratic", sigma=sigma,
         loss=np.zeros(horizon), x=np.zeros_like(s), g=g,
         m=np.zeros_like(s), s=s, s_hat=np.maximum.accumulate(s, axis=0),
         alpha=alpha, beta1=np.full(horizon, hp.beta1), beta2=beta2,

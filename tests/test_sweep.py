@@ -23,6 +23,7 @@ from beliefopt import (
     build_problem,
     build_region,
     box_region,
+    lane_groups,
     parse_config,
     run_online,
     run_sweep,
@@ -38,10 +39,9 @@ TRACE_ARRAYS = ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2",
                 "step_inf", "x_final")
 
 # All seven rules at two alphas each.  adam appears in three blocks: the
-# second differs in beta1 (cell labels need distinct alphas, too), so it is
-# a lane group of its own, and the third shares the first block's
-# hyperparameters, so its lane joins that group from a later position in
-# the cell order.
+# second differs in beta1 (cell labels need distinct alphas, too), and the
+# third shares the first block's hyperparameters but not its place in the
+# cell order; each block is a lane group of its own.
 OPTIMIZERS = """\
 [optimizer]
 kind = fastadabelief
@@ -181,6 +181,15 @@ def test_grid_has_every_rule_and_shared_groups(family):
     assert adam_beta1 == {0.9, 0.5}
 
 
+def test_lane_groups_are_runs_of_consecutive_cells():
+    # The third adam block shares the first one's hyperparameters, but it
+    # is not next to it, so it starts a group of its own.
+    _, _, cells, _ = setup("quadratic")
+    groups = lane_groups(cells)
+    assert [j for group in groups for j in group] == list(range(len(cells)))
+    assert [len(group) for group in groups] == [2] * 8 + [1]
+
+
 # Round losses are computed once per 256-step scan block, so horizons on
 # either side of a block end are cases of their own.
 @pytest.mark.parametrize("family, lanes, horizon", [
@@ -224,8 +233,8 @@ def counting(region):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("horizon", [255, 256, 257, 300])
 def test_one_projection_per_step_and_block_step_norms(family, horizon):
-    # The step tail runs once per step for all 17 lanes of the 8 lane
-    # groups.  The step norms are reduced once per 256-step scan block and
+    # The step tail runs once per step for all 17 lanes of the 9 lane
+    # groups (8 hyperparameter sets).  The step norms are reduced once per 256-step scan block and
     # must match the per-step reference on either side of a block edge.
     problem, region, cells, run = setup(family)
     assert len({(c.kind, replace(c.hp, alpha=1.0)) for c in cells}) == 8

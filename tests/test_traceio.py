@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beliefopt import (HyperParams, TrajectoryTrace, box_region, read_trace, traceio,
+from beliefopt import (HyperParams, TrajectoryTrace, read_trace, traceio,
                        write_compare_csv, write_trace)
 from beliefopt.regret import check_condition4, checkpoint_grid, gamma_series
 
@@ -47,7 +47,7 @@ def traces(draw, finite=_FINITE, nonneg=_NONNEG, max_horizon=12):
     return TrajectoryTrace(
         kind=draw(st.sampled_from(["adam", "fastadabelief"])),
         hp=HyperParams(alpha=0.01), seed=draw(st.integers(0, 2**32)),
-        region=box_region(-1.0, 1.0, n), horizon=horizon, problem_kind="quadratic",
+        horizon=horizon, problem_kind="quadratic",
         sigma=draw(_RATE), loss=series(finite, horizon), x=np.zeros((horizon, n)),
         g=series(finite, (horizon, n)), m=np.zeros((horizon, n)), s=s,
         s_hat=np.maximum.accumulate(s, axis=0), alpha=series(_RATE, horizon),
