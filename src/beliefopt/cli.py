@@ -73,6 +73,19 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+@contextmanager
+def _fitting(cfg: RunConfig):
+    """Turn a MemoryError inside the block, a sweep's records refused at
+    once, into a config error naming the [run] line.  numpy's own message
+    names the shard's lane count, so it is left out: the error is the same
+    for every worker count."""
+    try:
+        yield
+    except MemoryError:
+        raise ConfigError(f"{cfg.source}: line {cfg.run_line}: [run] horizon = "
+                          f"{cfg.run.horizon} does not fit in memory") from None
+
+
 def _out_path(args, cfg: RunConfig) -> str:
     """The output directory, not yet created; a file in its way is rejected
     here, before the run."""
@@ -308,7 +321,8 @@ def _sweep(args, cfg: RunConfig, summarize):
     seed = _seed(args, cfg)
 
     def sweep(part):
-        return run_sweep(problem, part, region, cfg.run.horizon, seed)
+        with _fitting(cfg):
+            return run_sweep(problem, part, region, cfg.run.horizon, seed)
 
     def finish(cell, trace):
         return summarize(problem, region, trace, *_write_trace(out, cfg, cell, trace))
@@ -396,7 +410,8 @@ def _check_one(path: str) -> list[str]:
     check_steps(tf, path, cfg.run.horizon)
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
-    trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)
+    with _fitting(cfg):
+        trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)
     steps = tf.steps - 1
     reproduced = bool(np.array_equal(trace.loss[steps], cols["loss"]))
     print(f"check {path}: re-run reproduces losses {_verdict(reproduced)}")
@@ -426,13 +441,24 @@ def cmd_bound(args) -> int:
     if not bounded:
         raise ConfigError(f"config has no {BOUNDED_RULE} cell to bound")
     width = cfg.run.region_hi - cfg.run.region_lo
-    if budget_domain(width) == "D_inf":
-        raise ConfigError(
-            f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
-            "is too wide for the regret budget, whose D_inf^2 overflows")
+    for spec, line in zip(cfg.optimizers, cfg.optimizer_lines):
+        if spec.kind != BOUNDED_RULE:
+            continue
+        leaves = budget_domain(width, spec.delta, cfg.run.horizon)
+        if leaves == "D_inf":
+            raise ConfigError(
+                f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
+                "is too wide for the regret budget, whose D_inf^2 overflows")
+        if leaves is not None:
+            why = ("too large for the regret budget, whose delta^2 overflows" if leaves == "delta"
+                   else f"too small for the regret budget over {cfg.run.horizon} steps, "
+                   "whose r^2 can overflow")
+            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {spec.kind}: "
+                              f"delta = {spec.delta:g} is {why}")
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
-    traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
+    with _fitting(cfg):
+        traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
     for cell in cells:
         if cell.kind != BOUNDED_RULE:
             print(f"bound {cell.label}: skipped (budget applies to {BOUNDED_RULE} only)")

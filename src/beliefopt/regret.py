@@ -516,13 +516,22 @@ def theoretical_bound(c: BoundConstants) -> float:
     return term1 + term2 + term3 + term4
 
 
-def budget_domain(d_inf: float) -> str | None:
-    """None when ``theoretical_bound`` can be evaluated on a region of
-    diameter ``d_inf``, else the input that leaves its domain: the budget
-    squares D_inf with float ``**``, which overflows past about 1.3e154."""
+def budget_domain(d_inf: float, delta: float, horizon: int) -> str | None:
+    """None when ``theoretical_bound`` can be evaluated on every trace of a
+    run with region diameter ``d_inf``, this ``delta`` and ``horizon``; else
+    the first input that leaves its domain: "D_inf", "delta" or "r".
+
+    The budget squares all three with float ``**``, which raises
+    OverflowError past about 1.3e154.  r, the largest (s_hat + delta/t)^(-1/2)
+    of the trace, is (delta/horizon)^(-1/2) on an all-zero gradient history.
+    """
     if not math.isfinite(d_inf * d_inf):
         return "D_inf"
-    return None
+    if not math.isfinite(delta * delta):
+        return "delta"
+    low = delta / horizon
+    r = 1.0 / math.sqrt(low) if low > 0.0 else math.inf
+    return None if math.isfinite(r * r) else "r"
 
 
 # ------------------------------------------------------------- conditions

@@ -34,6 +34,7 @@ from beliefopt import (
     project_weighted,
     quadratic_grad,
     run_online,
+    run_sweep,
     softmax_l2_grad,
     softmax_l2_loss,
     stepsize_probe,
@@ -86,9 +87,10 @@ def tuned_losses():
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     best: dict[str, float] = {}
-    for cell in sweep_cells(cfg):
-        trace = run_online(problem, cell.kind, cell.hp, region,
-                           cfg.run.horizon, cfg.run.seed)
+    cells = sweep_cells(cfg)
+    # One sweep over all cells; each lane is bit-identical to a run alone.
+    traces = run_sweep(problem, cells, region, cfg.run.horizon, cfg.run.seed)
+    for cell, trace in zip(cells, traces):
         score = problem.full_loss(trace.x_final)
         if cell.kind not in best or score < best[cell.kind]:
             best[cell.kind] = score

@@ -2,11 +2,13 @@
 the tests that set the sweep worker count call ``cli.main`` in-process."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -91,10 +93,17 @@ region_hi = 1e300
 """
 
 
-def cli(*argv, cwd=None):
+def cli(*argv, cwd=None, preexec_fn=None):
     env = dict(os.environ, NO_COLOR="1")
     return subprocess.run([sys.executable, "-m", "beliefopt", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          preexec_fn=preexec_fn)
+
+
+def capped_memory():
+    """Cap the calling process's address space at 16 GiB, so that a host
+    which overcommits memory refuses a huge allocation at once, too."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 34, 1 << 34))
 
 
 @pytest.fixture()
@@ -298,6 +307,31 @@ class TestBound:
         assert result.stderr == (
             f"config error: {cfg}: line 15: [run] region_hi - region_lo = {width} is too wide "
             "for the regret budget, whose D_inf^2 overflows\n")
+
+    @pytest.mark.parametrize("delta, horizon, jitter, why", [
+        ("1e200", 10 ** 12, "", "too large for the regret budget, whose delta^2 overflows"),
+        ("1e-310", 10 ** 12, "", "too small for the regret budget over 1000000000000 steps, "
+                                 "whose r^2 can overflow"),
+        # Started at the minimizer without jitter, every gradient is zero,
+        # and r^2 would overflow once measured after the sweep.
+        ("1e-310", 200, "\nx0_jitter = 0", "too small for the regret budget over 200 steps, "
+                                             "whose r^2 can overflow"),
+    ])
+    def test_a_delta_outside_the_budget_fails_before_any_sweep(self, tmp_path, delta, horizon,
+                                                               jitter, why):
+        # The budget squares delta, and r = (s_hat + delta/t)^(-1/2), which
+        # a zero gradient history leaves at (delta/horizon)^(-1/2).  A sweep
+        # of 10**12 steps could not even allocate its trace.
+        cfg = tmp_path / "delta.cfg"
+        text = (QUADRATIC.replace("horizon = 50", f"horizon = {horizon}")
+                .replace("x_star = 0.5", f"x_star = 0.5{jitter}")
+                .replace("delta = 0.1", f"delta = {delta}"))
+        cfg.write_text(text)
+        line = text.splitlines().index("[optimizer]") + 1
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] fastadabelief: "
+                                 f"delta = {float(delta):g} is {why}\n")
 
     def test_an_overflowing_skipped_cell_does_not_fail_the_bound(self, tmp_path):
         # Only the fastadabelief cells are swept; the sgd_momentum cell
@@ -568,6 +602,31 @@ class TestExitCodeContract:
         assert "Traceback" not in result.stderr
         assert words.replace("{tmp}", str(tmp_path)) in result.stderr
 
+    @pytest.mark.parametrize("command", ["run", "compare", "bound", "check"])
+    def test_a_horizon_too_long_to_hold_exits_2_naming_the_run_line(self, tmp_path, trace_text,
+                                                                    command):
+        # numpy refuses the records of 10**12 steps at once, before a step.
+        huge = "horizon = 1000000000000"
+        if command == "check":
+            path = tmp_path / "trace.csv"
+            text = trace_text.replace("#cfg: horizon = 50", f"#cfg: {huge}")
+            argv = ["check", str(path)]
+        else:
+            path = tmp_path / "case.cfg"
+            text = COMPARE.replace("horizon = 40", huge) if command == "compare" \
+                else QUADRATIC.replace("horizon = 50", huge)
+            argv = [command, "--config", str(path)]
+            if command != "bound":
+                argv += ["--out", str(tmp_path / "out")]
+        assert huge in text
+        path.write_text(text)
+        line = [raw.removeprefix("#cfg: ") for raw in text.splitlines()].index("[run]") + 1
+        result = cli(*argv, preexec_fn=capped_memory)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == \
+            f"config error: {path}: line {line}: [run] {huge} does not fit in memory\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("text, code, words", [
         pytest.param(SOFTMAX.replace("classes = 2", "classes = 1"), 2,
@@ -825,3 +884,96 @@ def test_run_on_mutated_reference_configs_exits_with_a_documented_code(name, hor
     assert code in (0, 1, 2, 3, 4)
     if code == 2:
         assert err.getvalue().startswith(f"config error: {cfg}: line "), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(horizon=st.integers(1, 64),
+       select=st.sampled_from(["final_loss", "final_regret"]),
+       mutations=st.lists(st.tuples(st.sampled_from(("drop", "repeat-cell", *BAD_VALUES)),
+                                    st.integers(0, 10 ** 6)), max_size=3))
+def test_compare_on_the_mutated_compare_config_exits_with_a_documented_code(horizon, select,
+                                                                             mutations):
+    # The same property for ``compare`` and its 28 cells, whose lane groups
+    # fan out over forked workers; the unmutated config is a case, too.
+    text = (ROOT / "configs" / "compare.cfg").read_text().replace("horizon = 5000",
+                                                                 f"horizon = {horizon}")
+    assert f"horizon = {horizon}\n" in text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp, "compare.cfg")
+        cfg.write_text(mutated(text, mutations))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = beliefopt.cli.main(["compare", "--config", str(cfg), "--out", f"{tmp}/out",
+                                       "--select-alpha", select])
+    assert code in (0, 1, 2, 3, 4)
+    if code == 2:
+        assert err.getvalue().startswith(f"config error: {cfg}: line "), err.getvalue()
+
+
+# ------------------------------------------ exit-code property of check
+
+
+@functools.cache
+def reference_trace(name, horizon):
+    """The text of the trace ``run`` writes for a shipped config at ``horizon``."""
+    text = (ROOT / "configs" / name).read_text().replace("horizon = 16384",
+                                                         f"horizon = {horizon}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp, name)
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert beliefopt.cli.main(["run", "--config", str(cfg), "--out", tmp]) == 0
+        (trace,) = pathlib.Path(tmp).glob("trace_*.csv")
+        return trace.read_text()
+
+
+def mutated_trace(text, mutations):
+    """``text`` with each (what, pick, bad) applied in turn: drop or repeat
+    the picked line, or put ``bad`` in the picked metadata value, embedded
+    config value or data field."""
+    lines = text.splitlines()
+    for what, pick, bad in mutations:
+        if what in ("drop", "repeat"):
+            i = pick % len(lines)
+            lines[i:i + 1] = [] if what == "drop" else [lines[i]] * 2
+            continue
+        if what == "meta":
+            spots = [i for i, line in enumerate(lines) if line.startswith("# ") and ":" in line]
+        elif what == "cfg":
+            spots = [i for i, line in enumerate(lines) if line.startswith("#cfg:") and "=" in line]
+        else:
+            spots = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+        if not spots:
+            continue
+        i = spots[pick % len(spots)]
+        if what == "meta":
+            lines[i] = f"{lines[i].partition(':')[0]}: {bad}"
+        elif what == "cfg":
+            lines[i] = f"{lines[i].partition('=')[0]}= {bad}"
+        else:
+            fields = lines[i].split(", ")
+            fields[pick % len(fields)] = bad
+            lines[i] = ", ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(name=st.sampled_from(["quadratic.cfg", "softmax.cfg"]),
+       horizon=st.integers(1, 64),
+       mutations=st.lists(st.tuples(st.sampled_from(("drop", "repeat", "meta", "cfg", "field")),
+                                    st.integers(0, 10 ** 6), st.sampled_from(BAD_VALUES)),
+                          min_size=1, max_size=3))
+def test_check_on_mutated_traces_exits_with_a_documented_code(name, horizon, mutations):
+    # Every mutation of a written trace ends in exit 0-4 with no traceback,
+    # and a config error or a failed check names the trace file.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "trace.csv")
+        path.write_text(mutated_trace(reference_trace(name, horizon), mutations))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = beliefopt.cli.main(["check", str(path)])
+    assert code in (0, 1, 2, 3, 4)
+    if code == 2:
+        assert err.getvalue().startswith(f"config error: {path}: "), err.getvalue()
+    if code == 4:
+        assert err.getvalue().startswith(f"check failed: {path}: "), err.getvalue()

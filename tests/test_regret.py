@@ -34,7 +34,7 @@ from beliefopt import (
     theoretical_bound,
 )
 from beliefopt.optim import BETA2_MODES, SCHEDULES, scheduled_alpha, step_betas
-from beliefopt.regret import PROBE_KINDS, _probe_hyperparams, gamma_series
+from beliefopt.regret import PROBE_KINDS, _probe_hyperparams, budget_domain, gamma_series
 
 
 def bowl(dim=1, x0=None):
@@ -358,6 +358,30 @@ class TestBound:
             self.base(r=-1.0)
         with pytest.raises(ValueError, match="d_inf"):
             self.base(d_inf=math.inf)
+
+    @pytest.mark.parametrize("delta", [1.0, 1e154, 1e155, 1e200, 1e-300, 1e-307, 1e-310,
+                                       5e-324])
+    @pytest.mark.parametrize("horizon", [1, 10, 200])
+    def test_the_domain_is_where_a_zero_gradient_budget_evaluates(self, delta, horizon):
+        # An all-zero gradient history gives the largest r a delta and a
+        # horizon allow.  Outside the domain the budget raises OverflowError
+        # from a float square, or the divisor delta/t underflows to zero.
+        hp = HyperParams(alpha=0.01, lam=0.999, delta=delta)
+        trace = make_trace("fastadabelief", np.zeros((horizon, 2)), hp=hp)
+        region = box_region(-1.0, 1.0, 2)
+        try:
+            theoretical_bound(measure_constants(trace, region))
+            evaluates = True
+        except (OverflowError, ValueError):
+            evaluates = False
+        leaves = budget_domain(region.diameter_inf, delta, horizon)
+        assert (leaves is None) == evaluates
+        assert leaves in (None, "delta" if delta > 1 else "r")
+
+    @pytest.mark.parametrize("d_inf, leaves", [(1e154, None), (2e154, "D_inf"),
+                                               (math.inf, "D_inf")])
+    def test_the_domain_bounds_the_region_diameter(self, d_inf, leaves):
+        assert budget_domain(d_inf, 1.0, 10) == leaves
 
 
 class TestMeasureConstants:
