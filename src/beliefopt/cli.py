@@ -109,6 +109,11 @@ def _seed(args, cfg: RunConfig) -> int:
     return cfg.run.seed if args.seed is None else args.seed
 
 
+def _checkpoints(cfg: RunConfig) -> list[int] | None:
+    """The configured [run] checkpoints, or None for ``auto`` (the default grid)."""
+    return None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
+
+
 class WorkerLost(RuntimeError):
     """A sweep worker process ended without reporting its shard."""
 
@@ -298,11 +303,10 @@ def _fan_out(cells, sweep, finish, start):
 
 def _write_trace(out: str, cfg: RunConfig, cell, trace):
     """Write ``cell``'s trace CSV into ``out``; returns (path, rows)."""
-    checkpoints = None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
     path = os.path.join(out, f"trace_{cell.label}.csv")
     with _writing(path):
         rows = write_trace(path, trace, config_text=cfg.text,
-                           thin_stride=cfg.run.thin_stride, checkpoints=checkpoints)
+                           thin_stride=cfg.run.thin_stride, checkpoints=_checkpoints(cfg))
     return path, rows
 
 
@@ -350,7 +354,7 @@ def cmd_compare(args) -> int:
 
     def summarize(problem, region, trace, path, rows):
         if args.select_alpha == "final_regret":
-            score = float(compute_regret(problem, region, trace).regret[-1])
+            score = float(compute_regret(problem, region, trace, _checkpoints(cfg)).regret[-1])
         else:
             score = problem.full_loss(trace.x_final)
         return score, trace.loss
@@ -459,16 +463,22 @@ def cmd_bound(args) -> int:
     region = build_region(cfg, problem.dim)
     with _fitting(cfg):
         traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
-    for cell in cells:
+    lines = [line for spec, line in zip(cfg.optimizers, cfg.optimizer_lines)
+             for _ in spec.alphas]
+    for cell, line in zip(cells, lines):
         if cell.kind != BOUNDED_RULE:
             print(f"bound {cell.label}: skipped (budget applies to {BOUNDED_RULE} only)")
             continue
         trace = next(traces)
-        report = compute_regret(problem, region, trace)
+        report = compute_regret(problem, region, trace, _checkpoints(cfg))
         print(f"bound {cell.label}: checkpoint  regret  budget  ratio")
         for j, upto in enumerate(report.checkpoints):
             constants = measure_constants(trace.truncate(upto), region)
             budget = theoretical_bound(constants)
+            if not np.isfinite(budget):
+                raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
+                                  f"the regret budget at checkpoint {upto} is {g17(budget)}, "
+                                  "not a finite number")
             regret = float(report.regret[j])
             ratio = regret / budget if budget > 0 else float("inf")
             print(f"bound {cell.label}: {upto:10d}  {g17(regret)}  "

@@ -100,40 +100,6 @@ def lane_groups(cells) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:] + [len(cells)])]
 
 
-def _lanes_oracle(problem):
-    """``(lanes_grad, lanes_losses)`` of the problem.
-
-    A problem that serves one iterate at a time gets a per-lane loop over
-    its ``round_loss_grad`` that writes each gradient into its row of
-    ``out``; the loop keeps the losses it is handed and
-    returns them, all steps since the last call, at the next
-    ``lanes_losses``.
-    """
-    if hasattr(problem, "lanes_grad"):
-        return problem.lanes_grad, problem.lanes_losses
-    recorded = []
-
-    def lanes_grad(xs, t, seed, out):
-        losses = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            f, g = problem.round_loss_grad(x.copy(), t, seed)
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != x.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} does not match state shape {x.shape}")
-            losses[i] = f
-            out[i] = g
-        recorded.append(losses)
-        return out
-
-    def lanes_losses(xs, first, seed):
-        losses = np.stack(recorded, axis=1)
-        recorded.clear()
-        return losses
-
-    return lanes_grad, lanes_losses
-
-
 def _first_nonfinite(lo, hi, loss, xs, gs, ms, ss, shs):
     """(step offset, cell, code) of the earliest nonfinite value over steps
     lo+1..hi, or None.  Within a step the first cell comes first, and within
@@ -172,10 +138,8 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     Only the gradient feeds the next step, so the round losses are computed
     once per block of _CHECK_EVERY steps, from the recorded iterates
     (``lanes_losses``), and so are the step norms, from the block's steps.
-    A problem without these two calls is served by a per-lane loop over its
-    ``round_loss_grad``.  Every operation is elementwise per lane, so each
-    trace is bit-identical to a one-cell run; the traces are views into the
-    stacked records.
+    Every operation is elementwise per lane, so each trace is bit-identical
+    to a one-cell run; the traces are views into the stacked records.
 
     A nonfinite loss, gradient or optimizer state raises NumericFailure for
     the earliest step at which any cell has one, naming that cell when
@@ -213,7 +177,6 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         zeros = np.zeros((len(members), n))
         plan.append([rows, KERNELS[kind], hp, alpha[rows].T[:, :, None],
                      b1, b2, zeros, zeros, zeros])
-    lanes_grad, lanes_losses = _lanes_oracle(problem)
     xs[0] = x0
     x = xs[0]
     # scale * m' of every lane at each step of the current scan block; the
@@ -224,7 +187,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     with np.errstate(all="ignore"):
         for t in range(1, horizon + 1):
             i = t - 1
-            g = lanes_grad(x, t, seed, gs[i])
+            g = problem.lanes_grad(x, t, seed, gs[i])
             scaled = block[i - checked]
             for group in plan:
                 rows, kernel, hp, a_t, b1, b2, m, s, s_hat = group
@@ -240,8 +203,8 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
             x = region.project(np.subtract(x, scaled, x_next), x_next)
             if t - checked == _CHECK_EVERY or t == horizon:
                 step_inf[:, checked:t] = np.abs(block[:t - checked]).max(axis=2).T
-                loss[:, checked:t] = lanes_losses(xs[checked:t].swapaxes(0, 1), checked + 1,
-                                                  seed)
+                loss[:, checked:t] = problem.lanes_losses(xs[checked:t].swapaxes(0, 1),
+                                                          checked + 1, seed)
                 failure = _first_nonfinite(checked, t, loss, xs, gs, ms, ss, shs)
                 if failure is not None:
                     offset, j, code = failure

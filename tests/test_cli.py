@@ -333,14 +333,41 @@ class TestBound:
         assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] fastadabelief: "
                                  f"delta = {float(delta):g} is {why}\n")
 
+    def test_a_budget_that_overflows_exits_2_after_the_cell_header(self, tmp_path):
+        # D_inf^2 = 4e200 and delta^2 = 1e308 are finite, so the config
+        # passes the check before the sweep, but n*delta*D_inf^2 is not.
+        cfg = tmp_path / "huge.cfg"
+        text = (QUADRATIC.replace("horizon = 50", "horizon = 200")
+                .replace("region_lo = -2", "region_lo = -1e100")
+                .replace("region_hi = 2", "region_hi = 1e100")
+                .replace("delta = 0.1", "delta = 1e154"))
+        cfg.write_text(text)
+        line = text.splitlines().index("[optimizer]") + 1
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == "bound fastadabelief_alpha0.001: checkpoint  regret  budget  ratio\n"
+        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] "
+                                 "fastadabelief_alpha0.001: the regret budget at checkpoint 128 "
+                                 "is inf, not a finite number\n")
+
+    def test_configured_checkpoints_are_the_rows(self, tmp_path):
+        cfg = tmp_path / "points.cfg"
+        cfg.write_text(QUADRATIC.replace("horizon = 50",
+                                         "horizon = 1000\ncheckpoints = 100, 300, 700"))
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        rows = [line.split()[2] for line in result.stdout.splitlines()[1:-1]]
+        assert rows == ["100", "300", "700", "1000"]
+
     def test_an_overflowing_skipped_cell_does_not_fail_the_bound(self, tmp_path):
         # Only the fastadabelief cells are swept; the sgd_momentum cell
-        # overflows at step 2 when it runs.
+        # overflows at step 2 when it runs.  beta1 = 0 drops the budget's
+        # momentum term, whose D_inf^2 * G would overflow in this region.
         text = (OVERFLOW.replace("eig_min = 1.0", "eig_min = 1e10")
                 .replace("eig_max = 1.0", "eig_max = 1e10")
                 .replace("1e300", "1e150")
-                + "\n[optimizer]\nkind = fastadabelief\nalpha = 0.001\nlam = 0.999\n"
-                  "beta2_mode = sadam\ndelta = 0.1\n")
+                + "\n[optimizer]\nkind = fastadabelief\nalpha = 0.001\nbeta1 = 0\n"
+                  "lam = 0.999\nbeta2_mode = sadam\ndelta = 0.1\n")
         cfg = tmp_path / "mixed.cfg"
         cfg.write_text(text)
         assert cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")).returncode == 3

@@ -327,6 +327,15 @@ class TestCanonicalConfigs:
         assert cfg.optimizers[0].alphas == (0.1, 0.01, 0.001, 0.0001)
         assert cfg.run.horizon == 5000
 
+    def test_readme_library_example_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```")[0]
+        scope = {}
+        exec(compile(block, "README.md", "exec"), scope)
+        assert scope["trace"].horizon == 4096
+        assert scope["report"].log_fit is not None
+        assert [t.kind for t in scope["traces"]] == ["adam"] * 2 + ["adabelief"] * 2
+
 
 # Config texts for the property test: sections built from schema keys with
 # plausible and hostile values, now and then a junk line.

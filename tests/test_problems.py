@@ -543,10 +543,17 @@ class TestSoftmaxProblem:
             kind, sigma, dim = prob.kind, prob.sigma, prob.dim
             initial_point = prob.initial_point
 
-            def round_loss_grad(self, x, t, seed):
+            def lanes_grad(self, xs, t, seed, out):
                 idx = sample_batch(prob.dataset, 5, t, seed)
-                return (softmax_l2_loss(x, prob.dataset, idx, 0.01, 0.01),
-                        softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01))
+                for x, row in zip(xs, out):
+                    row[:] = softmax_l2_grad(x, prob.dataset, idx, 0.01, 0.01)
+                return out
+
+            def lanes_losses(self, xs, first, seed):
+                return np.array([[softmax_l2_loss(x, prob.dataset,
+                                                  sample_batch(prob.dataset, 5, first + r, seed),
+                                                  0.01, 0.01)
+                                  for r, x in enumerate(lane)] for lane in xs])
 
         region = box_region(-2.0, 2.0, prob.dim)
         hp = HyperParams(alpha=0.05)

@@ -115,21 +115,17 @@ class TestRunOnline:
                        box_region(-1.0, 1.0, 1), 0, seed=0)
 
     def test_nan_loss_aborts_with_the_step_index(self):
-        class Poisoned:
-            kind = "quadratic"
-            sigma = 1.0
-            dim = 1
+        class Poisoned(QuadraticProblem):
+            """0.5*x^2 from the bottom, with a NaN loss at round 3."""
 
-            def initial_point(self, region, seed):
-                return np.zeros(1)
-
-            def round_loss_grad(self, x, t, seed):
-                if t == 3:
-                    return math.nan, np.zeros(1)
-                return float(0.5 * x @ x), x.copy()
+            def lanes_losses(self, xs, first, seed):
+                losses = super().lanes_losses(xs, first, seed)
+                if first <= 3 < first + xs.shape[1]:
+                    losses[:, 3 - first] = math.nan
+                return losses
 
         with pytest.raises(NumericFailure, match="step 3"):
-            run_online(Poisoned(), "adam", HyperParams(),
+            run_online(Poisoned(np.eye(1), np.zeros(1)), "adam", HyperParams(),
                        box_region(-1.0, 1.0, 1), 10, seed=0)
 
 
@@ -575,8 +571,12 @@ class TestGammaSeries:
             def initial_point(self, region, seed):
                 return np.zeros(self.dim)
 
-            def round_loss_grad(self, x, t, seed):
-                return 0.0, grads[t - 1].copy()
+            def lanes_grad(self, xs, t, seed, out):
+                out[:] = grads[t - 1]
+                return out
+
+            def lanes_losses(self, xs, first, seed):
+                return np.zeros(xs.shape[:2])
 
         hp = HyperParams(alpha=alpha, step_schedule=schedule, beta2_mode=beta2_mode)
         trace = run_online(Scripted(), kind, hp, box_region(-1e9, 1e9, grads.shape[1]),

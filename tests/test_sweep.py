@@ -322,63 +322,15 @@ def test_softmax_rows_match_the_frozen_fancy_index_reference(classes, batch, lan
             assert_same_bits(trace.loss[t - 1], want, ("loss", t, trace.kind))
 
 
-class OneAtATime:
-    """Duck-typed problem with no lanes_grad or lanes_losses: the sweep loops
-    over lanes."""
-
-    kind = "quadratic"
-
-    def __init__(self, inner, poison=None):
-        self.inner = inner
-        self.sigma = inner.sigma
-        self.dim = inner.dim
-        self.poison = poison  # (t, what) to corrupt
-
-    def initial_point(self, region, seed):
-        return self.inner.initial_point(region, seed)
-
-    def round_loss_grad(self, x, t, seed):
-        f, g = self.inner.round_loss_grad(x, t, seed)
-        if self.poison is not None and self.poison[0] == t:
-            what = self.poison[1]
-            if what == "loss":
-                f = float("nan")
-            elif what == "gradient":
-                g = np.full_like(g, np.nan)
-            else:  # finite, but its square overflows the second moment
-                g = np.full_like(g, 1e200)
-        return f, g
-
-
-def test_duck_typed_problem_goes_through_the_per_lane_adapter():
-    problem, region, cells, run = setup("quadratic")
-    duck = OneAtATime(problem)
-    assert not hasattr(duck, "lanes_grad") and not hasattr(duck, "lanes_losses")
-    got = run_sweep(duck, cells, region, run.horizon, run.seed)
-    want = run_sweep(problem, cells, region, run.horizon, run.seed)
-    for a, b in zip(got, want):
-        assert_same(a, {name: getattr(b, name) for name in TRACE_ARRAYS})
-
-
-def test_adapter_checks_the_gradient_shape():
-    class WrongShape(OneAtATime):
-        def round_loss_grad(self, x, t, seed):
-            return 0.0, np.zeros(self.dim + 1)
-
-    problem, region, cells, run = setup("quadratic")
-    with pytest.raises(ValueError, match="gradient shape"):
-        run_sweep(WrongShape(problem), cells[:2], region, 3, run.seed)
-
-
-class StartsAt(OneAtATime):
-    """Duck-typed problem whose initial point is ``x0``, whatever the region."""
+class StartsAt(QuadraticProblem):
+    """The same quadratic, started at ``x0`` whatever the region."""
 
     def __init__(self, inner, x0):
-        super().__init__(inner)
-        self.x0 = x0
+        super().__init__(inner.a, inner.b)
+        self.start = x0
 
     def initial_point(self, region, seed):
-        return self.x0
+        return self.start
 
 
 def _outside(problem):
@@ -417,9 +369,9 @@ ADAM = Cell("adam_alpha0.01", "adam", HyperParams(alpha=0.01))
 ])
 def test_one_cell_keeps_the_plain_failure_message(what, message):
     # Step 300 lies past the first finiteness scan, so the scan offsets count.
-    duck = OneAtATime(bowl(), poison=(300, what))
+    problem = poisoned(bowl(), [(what, 300, 0)])
     with pytest.raises(NumericFailure) as info:
-        run_online(duck, "adam", HyperParams(alpha=0.01), box_region(-2.0, 2.0, 2), 600, 0)
+        run_online(problem, "adam", HyperParams(alpha=0.01), box_region(-2.0, 2.0, 2), 600, 0)
     assert str(info.value) == message
 
 
@@ -442,24 +394,26 @@ def test_multi_cell_failure_names_the_earliest_cell():
 
 
 def test_same_step_failures_name_the_first_cell_in_order():
-    duck = OneAtATime(bowl(), poison=(7, "gradient"))
+    problem = poisoned(bowl(), [("gradient", 7, 0), ("gradient", 7, 1)])
     cells = [Cell("sadam_alpha0.1", "sadam", HyperParams(alpha=0.1, beta2_mode="sadam")), ADAM]
     with pytest.raises(NumericFailure) as info:
-        run_sweep(duck, cells, box_region(-2.0, 2.0, 2), 20, 0)
+        run_sweep(problem, cells, box_region(-2.0, 2.0, 2), 20, 0)
     assert str(info.value) == "nonfinite gradient at step 7 in cell sadam_alpha0.1"
 
 
 def poisoned(problem, spots):
     """The same problem as a subclass whose ``lanes_grad`` and
-    ``lanes_losses`` serve NaN at each (what, t, stacked row) of ``spots``."""
+    ``lanes_losses`` serve NaN at each (what, t, stacked row) of ``spots``;
+    a "state" spot serves a finite gradient whose square overflows the
+    second moment."""
     base = type(problem)
 
     class Poisoned(base):
         def lanes_grad(self, xs, t, seed, out):
             g = super().lanes_grad(xs, t, seed, out)
             for what, at, row in spots:
-                if what == "gradient" and at == t:
-                    g[row] = np.nan
+                if at == t and what in ("gradient", "state"):
+                    g[row] = np.nan if what == "gradient" else 1e200
             return g
 
         def lanes_losses(self, xs, first, seed):
