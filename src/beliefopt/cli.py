@@ -35,8 +35,11 @@ from .config import RunConfig, build_problem, build_region, load_config, parse_c
 from .errors import CheckFailure, ConfigError, NumericFailure
 from .optim import BOUNDED_RULE
 from .regret import (
+    R_RULE,
+    BoundConstants,
     band_holds,
     budget_domain,
+    budget_terms,
     check_condition3,
     compute_regret,
     gamma_holds,
@@ -109,11 +112,6 @@ def _seed(args, cfg: RunConfig) -> int:
     return cfg.run.seed if args.seed is None else args.seed
 
 
-def _checkpoints(cfg: RunConfig) -> list[int] | None:
-    """The configured [run] checkpoints, or None for ``auto`` (the default grid)."""
-    return None if cfg.run.checkpoints == "auto" else list(cfg.run.checkpoints)
-
-
 class WorkerLost(RuntimeError):
     """A sweep worker process ended without reporting its shard."""
 
@@ -184,15 +182,18 @@ def _fork(sweep, finish, cells, workers) -> _Worker:
     """Start a child that sweeps ``cells``, reports, waits for go, then
     finishes them and reports again; it never prints and ends with
     ``os._exit``.  ``workers`` are the earlier children, whose pipe ends
-    the new child closes."""
-    report_r, report_w = os.pipe()
-    go_r, go_w = os.pipe()
+    the new child closes.  A pipe or fork that fails raises WorkerLost."""
+    fds = []
     try:
+        fds.extend(os.pipe())
+        fds.extend(os.pipe())
         pid = os.fork()
-    except OSError:
-        for fd in (report_r, report_w, go_r, go_w):
+    except OSError as exc:
+        for fd in fds:
             os.close(fd)
-        raise
+        raise WorkerLost(f"the sweep worker for cells {', '.join(c.label for c in cells)} "
+                         f"could not start: {exc}") from None
+    report_r, report_w, go_r, go_w = fds
     if pid == 0:
         status = 1
         try:
@@ -306,7 +307,7 @@ def _write_trace(out: str, cfg: RunConfig, cell, trace):
     path = os.path.join(out, f"trace_{cell.label}.csv")
     with _writing(path):
         rows = write_trace(path, trace, config_text=cfg.text,
-                           thin_stride=cfg.run.thin_stride, checkpoints=_checkpoints(cfg))
+                           thin_stride=cfg.run.thin_stride, checkpoints=cfg.run.checkpoints)
     return path, rows
 
 
@@ -354,7 +355,7 @@ def cmd_compare(args) -> int:
 
     def summarize(problem, region, trace, path, rows):
         if args.select_alpha == "final_regret":
-            score = float(compute_regret(problem, region, trace, _checkpoints(cfg)).regret[-1])
+            score = float(compute_regret(problem, region, trace, cfg.run.checkpoints).regret[-1])
         else:
             score = problem.full_loss(trace.x_final)
         return score, trace.loss
@@ -461,16 +462,32 @@ def cmd_bound(args) -> int:
                               f"delta = {spec.delta:g} is {why}")
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
-    with _fitting(cfg):
-        traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
     lines = [line for spec, line in zip(cfg.optimizers, cfg.optimizer_lines)
              for _ in spec.alphas]
+    for cell, line in zip(cells, lines):
+        hp = cell.hp
+        # Every term is nondecreasing in G, r and S, so their zero values
+        # give the least budget any run of the cell can have.  At lam = 1
+        # with beta1 > 0 the momentum term is undefined, which the budget
+        # raises after the sweep.
+        if cell.kind != BOUNDED_RULE or (hp.lam == 1.0 and hp.beta1 > 0.0):
+            continue
+        least = sum(budget_terms(BoundConstants(
+            n=region.dim, horizon=cfg.run.horizon, d_inf=region.diameter_inf, g_inf=0.0,
+            r=0.0, sum_g_norms=0.0, alpha=hp.alpha, beta1=hp.beta1, lam=hp.lam,
+            delta=hp.delta)))
+        if not np.isfinite(least):
+            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
+                              f"the regret budget is {g17(least)} with zero gradients, "
+                              "so no run has a finite budget")
+    with _fitting(cfg):
+        traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
     for cell, line in zip(cells, lines):
         if cell.kind != BOUNDED_RULE:
             print(f"bound {cell.label}: skipped (budget applies to {BOUNDED_RULE} only)")
             continue
         trace = next(traces)
-        report = compute_regret(problem, region, trace, _checkpoints(cfg))
+        report = compute_regret(problem, region, trace, cfg.run.checkpoints)
         print(f"bound {cell.label}: checkpoint  regret  budget  ratio")
         for j, upto in enumerate(report.checkpoints):
             constants = measure_constants(trace.truncate(upto), region)
@@ -484,7 +501,7 @@ def cmd_bound(args) -> int:
             print(f"bound {cell.label}: {upto:10d}  {g17(regret)}  "
                   f"{g17(budget)}  {ratio:.6g}")
         # The last checkpoint is the horizon, so these are the whole trace's.
-        print(f"bound {cell.label}: r={g17(constants.r)} ({constants.r_rule})")
+        print(f"bound {cell.label}: r={g17(constants.r)} ({R_RULE})")
     return 0
 
 

@@ -97,7 +97,7 @@ class RunSpec:
     seed: int = _at_least(0, default=0)
     out_dir: str | None = None
     thin_stride: str | int = "auto"
-    checkpoints: str | tuple[int, ...] = "auto"
+    checkpoints: tuple[int, ...] | None = None  # None: auto, the default grid
 
 
 @dataclass

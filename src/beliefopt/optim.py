@@ -163,8 +163,8 @@ class FeasibleRegion:
         """D_inf: the largest per-coordinate extent."""
         return float(np.max(self.upper - self.lower))
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+    def contains(self, x: np.ndarray) -> bool:
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x clipped into the box, into ``out`` when given (it may be x)."""

@@ -238,16 +238,20 @@ def run_online(problem, kind: str, hp: HyperParams, region: FeasibleRegion,
 # ------------------------------------------------------------- hindsight
 
 
+#: the hindsight solve's fixed-point residual target and iteration cap
+_SOLVE_TOL = 1e-10
+_SOLVE_MAX_ITERS = 10 ** 6
+
+
 def _solve_projected(grad, region: FeasibleRegion, x0: np.ndarray, l_est: float,
-                     sigma: float, tol: float = 1e-10,
-                     max_iters: int = 10 ** 6) -> np.ndarray:
+                     sigma: float) -> np.ndarray:
     """Minimize a sigma-strongly-convex, L-smooth function over the box.
 
     Projected gradient steps at the fixed rate 1/l_est, with the constant
     strong-convexity momentum and a restart whenever the momentum points
     against the latest step.  Terminates only when the fixed-point residual
-    || P(x - grad(x)/L) - x ||_inf drops to ``tol``, so the returned point
-    meets that criterion regardless of the path taken.
+    || P(x - grad(x)/L) - x ||_inf drops to ``_SOLVE_TOL``, so the returned
+    point meets that criterion regardless of the path taken.
     """
     if not l_est > 0:
         raise ValueError("l_est must be positive")
@@ -256,12 +260,12 @@ def _solve_projected(grad, region: FeasibleRegion, x0: np.ndarray, l_est: float,
     theta = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)) if q > 0 else 0.0
     x_prev = region.project(np.asarray(x0, dtype=np.float64))
     y = x_prev
-    for k in range(max_iters):
+    for k in range(_SOLVE_MAX_ITERS):
         x = region.project(y - gamma * grad(y))
         moved = float(np.max(np.abs(x - x_prev))) if x.size else 0.0
-        if moved <= tol or (k & 63) == 0:
+        if moved <= _SOLVE_TOL or (k & 63) == 0:
             residual = float(np.max(np.abs(region.project(x - gamma * grad(x)) - x)))
-            if residual <= tol:
+            if residual <= _SOLVE_TOL:
                 return x
         if float((y - x) @ (x - x_prev)) > 0.0:
             y = x
@@ -269,7 +273,7 @@ def _solve_projected(grad, region: FeasibleRegion, x0: np.ndarray, l_est: float,
             y = x + theta * (x - x_prev)
         x_prev = x
     raise NumericFailure(
-        f"hindsight solve did not reach residual {tol} in {max_iters} iterations")
+        f"hindsight solve did not reach residual {_SOLVE_TOL} in {_SOLVE_MAX_ITERS} iterations")
 
 
 def best_in_hindsight(problem, region: FeasibleRegion, trace: TrajectoryTrace,
@@ -290,12 +294,12 @@ def best_in_hindsight(problem, region: FeasibleRegion, trace: TrajectoryTrace,
     return x_star, upto * f_avg(x_star)
 
 
-def checkpoint_grid(horizon: int, start: int = 128) -> list[int]:
-    """Geometric checkpoints start, 2*start, ... capped at and including T."""
+def checkpoint_grid(horizon: int) -> list[int]:
+    """Geometric checkpoints 128, 256, ... capped at and including T."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     points = []
-    c = start
+    c = 128
     while c <= horizon:
         points.append(c)
         c *= 2
@@ -366,16 +370,16 @@ def compute_regret(problem, region: FeasibleRegion, trace: TrajectoryTrace,
     Each checkpoint T' re-solves the hindsight problem on rounds 1..T' (the
     solves warm-start from the previous checkpoint, which leaves the values
     unchanged because the checkpoint chain of a truncated trace is a prefix
-    of the full chain).  The regret sum is compensated so the tiny per-round
-    excesses of near-converged runs survive the accumulation.
+    of the full chain).  The horizon is always the last checkpoint, so an
+    empty list means the horizon alone.  The regret sum is compensated so
+    the tiny per-round excesses of near-converged runs survive the
+    accumulation.
     """
     if checkpoints is None:
         checkpoints = checkpoint_grid(trace.horizon)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    checkpoints = sorted({int(c) for c in checkpoints} | {trace.horizon})
     if checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
         raise ValueError("checkpoints must lie in [1, horizon]")
-    if checkpoints[-1] != trace.horizon:
-        checkpoints.append(trace.horizon)
     regret = np.empty(len(checkpoints))
     warm = None
     x_star = None
@@ -406,7 +410,6 @@ class BoundConstants:
     d_inf: float
     g_inf: float
     r: float
-    r_rule: str
     sum_g_norms: float
     alpha: float
     beta1: float
@@ -420,37 +423,34 @@ class BoundConstants:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def measure_constants(trace: TrajectoryTrace, region: FeasibleRegion,
-                      r: float | None = None) -> BoundConstants:
+#: how ``measure_constants`` measures r, as ``bound`` prints it
+R_RULE = "max over t,i of (s_hat + delta/t)^(-1/2), measured on the trace"
+
+
+def measure_constants(trace: TrajectoryTrace, region: FeasibleRegion) -> BoundConstants:
     """Measure the bound constants on a trace (truncate first for prefixes).
 
-    The default r is the largest inverse square root of the effective
-    divisor observed along the run, max over t and i of
-    (s_hat_{t,i} + delta/t)^(-1/2).  Degenerate all-zero-gradient traces
+    r follows ``R_RULE``: the largest inverse square root of the effective
+    divisor observed along the run.  Degenerate all-zero-gradient traces
     legitimately measure g_inf = 0.
     """
     hp = trace.hp
-    if r is None:
-        tcol = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
-        divisor = trace.s_hat + hp.delta / tcol
-        low = float(divisor.min())
-        if low <= 0:
-            raise ValueError("effective divisor hit zero; cannot apply the default r rule")
-        r = 1.0 / math.sqrt(low)
-        r_rule = "max over t,i of (s_hat + delta/t)^(-1/2), measured on the trace"
-    else:
-        r_rule = "user-supplied"
+    tcol = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
+    low = float((trace.s_hat + hp.delta / tcol).min())
+    if low <= 0:
+        raise ValueError("effective divisor hit zero; cannot apply the r rule")
     g_inf = float(np.max(np.abs(trace.g))) if trace.g.size else 0.0
     sum_g_norms = float(np.sum(np.sqrt(np.sum(trace.g ** 4, axis=0))))
     return BoundConstants(
         n=region.dim, horizon=trace.horizon, d_inf=region.diameter_inf,
-        g_inf=g_inf, r=float(r), r_rule=r_rule, sum_g_norms=sum_g_norms,
+        g_inf=g_inf, r=1.0 / math.sqrt(low), sum_g_norms=sum_g_norms,
         alpha=hp.alpha, beta1=hp.beta1, lam=hp.lam, delta=hp.delta,
     )
 
 
-def theoretical_bound(c: BoundConstants) -> float:
-    """Closed-form regret budget for the linear-divisor belief rule.
+def budget_terms(c: BoundConstants) -> tuple[float, float, float, float]:
+    """The four terms of the closed-form regret budget for the
+    linear-divisor belief rule, in order:
 
     R(T) <= n*delta*D^2 / (2*alpha*(1-beta1))
           + alpha*r^2*log(T)/(1-beta1)^2 * S
@@ -458,7 +458,8 @@ def theoretical_bound(c: BoundConstants) -> float:
           + n*beta1*lam*D^2*(G+delta) / (2*alpha*(1-beta1)*(1-lam)^2)
 
     with S = sum_g_norms.  The last term exists only for decaying momentum
-    (lam < 1); with beta1 = 0 it vanishes and lam = 1 is allowed.
+    (lam < 1); with beta1 = 0 it vanishes and lam = 1 is allowed.  Every
+    term is nondecreasing in G, r and S.
     """
     if c.beta1 >= 1.0:
         raise ValueError("beta1 must be below 1")
@@ -476,6 +477,12 @@ def theoretical_bound(c: BoundConstants) -> float:
     else:
         term4 = c.n * c.beta1 * c.lam * c.d_inf ** 2 * (c.g_inf + c.delta) \
             / (2.0 * c.alpha * one_minus_b1 * (1.0 - c.lam) ** 2)
+    return term1, term2, term3, term4
+
+
+def theoretical_bound(c: BoundConstants) -> float:
+    """The closed-form regret budget: the sum of ``budget_terms``."""
+    term1, term2, term3, term4 = budget_terms(c)
     return term1 + term2 + term3 + term4
 
 
@@ -624,63 +631,60 @@ def check_gamma_psd(trace: TrajectoryTrace) -> float:
 # ------------------------------------------------------------- scenarios
 
 
-def region_scenarios(length: int = 1000) -> dict[str, np.ndarray]:
-    """The three scalar gradient scripts used for stepsize comparisons.
+#: the probe's steps, base stepsize and delta; its scripts end at the last step
+_PROBE_STEPS = (10, 100, 1000)
+_PROBE_ALPHA = 0.01
+_PROBE_DELTA = 0.1
+_SCRIPT_LENGTH = _PROBE_STEPS[-1]
+
+
+def region_scenarios() -> dict[str, np.ndarray]:
+    """The three scalar gradient scripts used for stepsize comparisons,
+    each ``_SCRIPT_LENGTH`` steps long.
 
     region1: persistently tiny gradients (plateau-like);
     region2: sign-alternating unit gradients (high-variance);
     region3: constant unit gradients (steady descent).
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    region2 = np.where(np.arange(length) % 2 == 0, 1.0, -1.0)
+    region2 = np.where(np.arange(_SCRIPT_LENGTH) % 2 == 0, 1.0, -1.0)
     return {
-        "region1": np.full(length, 1e-3),
+        "region1": np.full(_SCRIPT_LENGTH, 1e-3),
         "region2": region2,
-        "region3": np.ones(length),
+        "region3": np.ones(_SCRIPT_LENGTH),
     }
 
 
-def _probe_hyperparams(kind: str, alpha: float, delta: float) -> HyperParams:
+def _probe_hyperparams(kind: str) -> HyperParams:
     if kind in LINEAR_DIVISOR_RULES:
-        return HyperParams(alpha=alpha, beta2_mode="sadam", delta=delta)
-    return HyperParams(alpha=alpha, delta=delta)
+        return HyperParams(alpha=_PROBE_ALPHA, beta2_mode="sadam", delta=_PROBE_DELTA)
+    return HyperParams(alpha=_PROBE_ALPHA, delta=_PROBE_DELTA)
 
 
-def region_stepsize_table(t_values=(10, 100, 1000), alpha: float = 0.01,
-                          delta: float = 0.1, length: int | None = None):
+def region_stepsize_table():
     """|Delta_t| for the five comparison rules on the three scripts.
 
     Each rule's own recursions evolve (m, s) along the scripts (by running
     the real step kernels, one script per lane, on an effectively
     unconstrained scalar problem), then the probe evaluates the
-    displacement at the requested steps.  Returns rows of
+    displacement at each of ``_PROBE_STEPS``.  Returns rows of
     (region, optimizer, t, m, s, delta_abs).
     """
-    t_values = sorted({int(t) for t in t_values})
-    if t_values[0] < 1:
-        raise ValueError("probe steps must be >= 1")
-    if length is None:
-        length = t_values[-1]
-    if length < t_values[-1]:
-        raise ValueError("script shorter than the largest probe step")
     wide = box_region(-1e18, 1e18, 1)
-    scripts = region_scenarios(length)
+    scripts = region_scenarios()
     grads = np.stack(list(scripts.values()), axis=1)[:, :, None]  # (T, lanes, 1)
-    wanted = set(t_values)
     found = {}
     for kind in PROBE_KINDS:
-        hp = _probe_hyperparams(kind, alpha, delta)
-        b1, b2 = step_betas(kind, hp, length)
+        hp = _probe_hyperparams(kind)
+        b1, b2 = step_betas(kind, hp, _SCRIPT_LENGTH)
         x = m = s = s_hat = np.zeros((len(scripts), 1))
-        for t in range(1, length + 1):
+        for t in range(1, _SCRIPT_LENGTH + 1):
             a_t = scheduled_alpha(kind, hp, hp.alpha, t)
             x, m, s, s_hat, _, _ = step(kind, hp, t, a_t, b1[t - 1], b2[t - 1],
                                         grads[t - 1], x, m, s, s_hat, wide)
-            if t in wanted:
+            if t in _PROBE_STEPS:
                 delta_t = stepsize_probe(kind, m, s, t, hp)
                 for lane, name in enumerate(scripts):
                     found[name, kind, t] = (float(m[lane, 0]), float(s[lane, 0]),
                                             float(np.abs(delta_t[lane, 0])))
     return [(name, kind, t, *found[name, kind, t])
-            for name in scripts for kind in PROBE_KINDS for t in t_values]
+            for name in scripts for kind in PROBE_KINDS for t in _PROBE_STEPS]

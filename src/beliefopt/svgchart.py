@@ -27,6 +27,8 @@ PALETTE = (
 )
 
 MAX_POINTS = 1600
+#: ticks per axis, both ends included
+_TICKS = 5
 
 
 def _subsample(values: np.ndarray) -> np.ndarray:
@@ -40,8 +42,8 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def _tick_label(value: float) -> str:

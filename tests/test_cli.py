@@ -2,6 +2,7 @@
 the tests that set the sweep worker count call ``cli.main`` in-process."""
 
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -21,6 +22,8 @@ from test_sweep import poisoned
 
 import beliefopt.cli
 from beliefopt import NumericFailure, lane_groups, load_config, read_trace, sweep_cells
+from beliefopt.regret import budget_terms
+from beliefopt.traceio import g17
 
 QUADRATIC = """\
 [problem]
@@ -333,11 +336,13 @@ class TestBound:
         assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] fastadabelief: "
                                  f"delta = {float(delta):g} is {why}\n")
 
-    def test_a_budget_that_overflows_exits_2_after_the_cell_header(self, tmp_path):
+    def test_a_budget_infinite_for_every_run_fails_before_any_sweep(self, tmp_path):
         # D_inf^2 = 4e200 and delta^2 = 1e308 are finite, so the config
-        # passes the check before the sweep, but n*delta*D_inf^2 is not.
+        # passes the float-domain check, but n*delta*D_inf^2 is not, with
+        # any gradients.  A sweep of 10**12 steps could not even allocate
+        # its trace.
         cfg = tmp_path / "huge.cfg"
-        text = (QUADRATIC.replace("horizon = 50", "horizon = 200")
+        text = (QUADRATIC.replace("horizon = 50", "horizon = 1000000000000")
                 .replace("region_lo = -2", "region_lo = -1e100")
                 .replace("region_hi = 2", "region_hi = 1e100")
                 .replace("delta = 0.1", "delta = 1e154"))
@@ -345,10 +350,54 @@ class TestBound:
         line = text.splitlines().index("[optimizer]") + 1
         result = cli("bound", "--config", str(cfg))
         assert result.returncode == 2, result.stderr
-        assert result.stdout == "bound fastadabelief_alpha0.001: checkpoint  regret  budget  ratio\n"
+        assert result.stdout == ""
         assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] "
-                                 "fastadabelief_alpha0.001: the regret budget at checkpoint 128 "
+                                 "fastadabelief_alpha0.001: the regret budget is inf with zero "
+                                 "gradients, so no run has a finite budget\n")
+
+    def test_a_budget_that_overflows_exits_2_after_the_cell_header(self, tmp_path):
+        # With zero gradients every term is finite: the momentum term is
+        # 9*D_inf^2*(G + 0.1) = 3.6e300.  Started at 0 against a minimizer
+        # at 0.5 with curvature 1e10, the run measures G near 5e9, and only
+        # then does the momentum term overflow.
+        cfg = tmp_path / "steep.cfg"
+        text = (QUADRATIC.replace("dim = 2", "dim = 1")
+                .replace("eig_min = 0.5", "eig_min = 1e10")
+                .replace("eig_max = 1.0", "eig_max = 1e10")
+                .replace("x_star = 0.5", "x_star = 0.5\nx0 = zeros\nx0_jitter = 0")
+                .replace("alpha = 0.001", "alpha = 1")
+                .replace("lam = 0.999", "lam = 0.5")
+                .replace("horizon = 50", "horizon = 200")
+                .replace("region_lo = -2", "region_lo = -1e150")
+                .replace("region_hi = 2", "region_hi = 1e150"))
+        cfg.write_text(text)
+        line = text.splitlines().index("[optimizer]") + 1
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == "bound fastadabelief_alpha1: checkpoint  regret  budget  ratio\n"
+        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] "
+                                 "fastadabelief_alpha1: the regret budget at checkpoint 128 "
                                  "is inf, not a finite number\n")
+
+    @pytest.mark.parametrize("name, lam", [("quadratic.cfg", "0.999"), ("softmax.cfg", "0.99")])
+    def test_the_budget_terms_add_up_to_the_printed_budget(self, tmp_path, monkeypatch, capsys,
+                                                           name, lam):
+        # The constants of every checkpoint, as ``bound`` measured them.
+        measured = []
+        real = beliefopt.cli.theoretical_bound
+        monkeypatch.setattr(beliefopt.cli, "theoretical_bound",
+                            lambda c: measured.append(c) or real(c))
+        text = (ROOT / "configs" / name).read_text()
+        cfg = tmp_path / name
+        cfg.write_text(text.replace("lam = 1.0", f"lam = {lam}"))
+        assert f"lam = {lam}" in cfg.read_text()
+        assert beliefopt.cli.main(["bound", "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert len(rows) == len(measured) == 8
+        for row, c in zip(rows, measured):
+            term1, term2, term3, term4 = budget_terms(c)
+            _, _, upto, _, budget, _ = row.split()
+            assert (upto, budget) == (str(c.horizon), g17(term1 + term2 + term3 + term4))
 
     def test_configured_checkpoints_are_the_rows(self, tmp_path):
         cfg = tmp_path / "points.cfg"
@@ -828,6 +877,31 @@ class TestFanOut:
         named = beliefopt.cli._first_failure(cells, failures)
         assert (str(named), named.step, named.cell) == \
             ("nonfinite loss at step 1 in cell sgd_momentum_alpha0.01", 1, "sgd_momentum_alpha0.01")
+
+    # With three workers the children sweep cells 2-4 (the adam group) and
+    # 0, 1, 5.  The second child cannot start: its fork fails, or the
+    # second pipe made for it.  The first child is killed and reaped.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("call, failing", [("fork", 2), ("pipe", 4)])
+    def test_a_worker_that_cannot_start_fails_the_run(
+            self, cfg, tmp_path, monkeypatch, capsys, command, call, failing):
+        real = getattr(os, call)
+        calls = []
+
+        def flaky():
+            calls.append(call)
+            if len(calls) == failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, call, flaky)
+        out = tmp_path / "out"
+        code, stdout, stderr = self.main(monkeypatch, capsys, 3, [command, "--config", cfg], out)
+        assert (code, stdout) == (3, "")
+        assert stderr == ("run failed: the sweep worker for cells fastadabelief_alpha0.05, "
+                          "fastadabelief_alpha0.01, sgd_momentum_alpha0.01 could not start: "
+                          f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+        assert not out.exists()
 
     # With three workers the children sweep cells 2-4 (the adam group) and
     # 0, 1, 5: the adam child ends without a report, and the other one

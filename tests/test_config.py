@@ -208,7 +208,7 @@ class TestRunSection:
     def test_auto_markers_survive(self):
         cfg = parse_config(MINIMAL + "\n[run]\nthin_stride = auto\ncheckpoints = auto\n")
         assert cfg.run.thin_stride == "auto"
-        assert cfg.run.checkpoints == "auto"
+        assert cfg.run.checkpoints is None  # auto: the default grid
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match=r"unknown \[run\] key"):
@@ -396,7 +396,7 @@ class TestSchema:
         }
         assert asdict(quad.run) == {
             "horizon": 1000, "region_lo": -5.0, "region_hi": 5.0, "seed": 0,
-            "out_dir": None, "thin_stride": "auto", "checkpoints": "auto",
+            "out_dir": None, "thin_stride": "auto", "checkpoints": None,
         }
 
     @settings(max_examples=400, deadline=None, database=None)

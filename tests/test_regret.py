@@ -247,6 +247,11 @@ class TestRegret:
                            region, 5, seed=0)
         report = compute_regret(problem, region, trace, checkpoints=[1, 2])
         assert report.checkpoints == [1, 2, 5]
+        # An empty list is the horizon alone.
+        report = compute_regret(problem, region, trace, checkpoints=[])
+        assert report.checkpoints == [5]
+        assert report.regret[0] == compute_regret(problem, region, trace,
+                                                  checkpoints=[5]).regret[0]
 
     def test_checkpoints_outside_the_horizon_are_rejected(self):
         problem = bowl(x0=[1.0])
@@ -322,8 +327,7 @@ class TestGrowthFits:
 class TestBound:
     def base(self, **kw):
         args = dict(n=1, horizon=1, d_inf=2.0, g_inf=0.0, r=1.0,
-                    r_rule="user-supplied", sum_g_norms=1.0, alpha=1.0,
-                    beta1=0.0, lam=1.0, delta=1.0)
+                    sum_g_norms=1.0, alpha=1.0, beta1=0.0, lam=1.0, delta=1.0)
         args.update(kw)
         return BoundConstants(**args)
 
@@ -401,13 +405,6 @@ class TestMeasureConstants:
         assert c.sum_g_norms == pytest.approx(expected_s, rel=1e-15)
         assert c.d_inf == 4.0
         assert c.n == 2 and c.horizon == 30
-        assert "measured on the trace" in c.r_rule
-
-    def test_user_supplied_r_is_taken_verbatim(self, trace_and_region):
-        trace, region = trace_and_region
-        c = measure_constants(trace, region, r=2.5)
-        assert c.r == 2.5
-        assert c.r_rule == "user-supplied"
 
     def test_budget_dominates_a_short_run(self, trace_and_region):
         trace, region = trace_and_region
@@ -587,26 +584,23 @@ class TestGammaSeries:
 
 class TestScenariosAndProbeTable:
     def test_scripts_have_the_advertised_shapes(self):
-        scripts = region_scenarios(6)
+        scripts = region_scenarios()
         assert set(scripts) == {"region1", "region2", "region3"}
-        npt.assert_array_equal(scripts["region1"], np.full(6, 1e-3))
-        npt.assert_array_equal(scripts["region2"], [1, -1, 1, -1, 1, -1])
-        npt.assert_array_equal(scripts["region3"], np.ones(6))
-
-    def test_script_length_validation(self):
-        with pytest.raises(ValueError):
-            region_scenarios(0)
+        npt.assert_array_equal(scripts["region1"], np.full(1000, 1e-3))
+        npt.assert_array_equal(scripts["region2"], [1, -1] * 500)
+        npt.assert_array_equal(scripts["region3"], np.ones(1000))
 
     def test_table_covers_regions_kinds_and_steps(self):
-        rows = region_stepsize_table(t_values=(10, 100), length=100)
-        assert len(rows) == 3 * 5 * 2
+        rows = region_stepsize_table()
+        assert len(rows) == 3 * 5 * 3
         kinds = {r[1] for r in rows}
         assert kinds == {"sgd_momentum", "adam", "sadam", "adabelief",
                          "fastadabelief"}
+        assert {r[2] for r in rows} == {10, 100, 1000}
 
     def test_steady_descent_row_values(self):
         # Constant unit gradients for ten steps, alpha=0.01, delta=0.1.
-        rows = {(r[0], r[1]): r for r in region_stepsize_table(t_values=(10,))}
+        rows = {(r[0], r[1]): r for r in region_stepsize_table() if r[2] == 10}
         region3 = {k[1]: v for k, v in rows.items() if k[0] == "region3"}
         assert region3["sgd_momentum"][5] == pytest.approx(
             0.06513215599000001, rel=1e-12)
@@ -625,13 +619,13 @@ class TestScenariosAndProbeTable:
         # The table runs each rule's three scripts as three lanes of step;
         # every row must equal a plain loop over one (1,) lane at a time.
         t_values = (10, 100, 1000)
-        rows = region_stepsize_table(t_values=t_values)
+        rows = region_stepsize_table()
         assert len(rows) == 3 * len(PROBE_KINDS) * len(t_values)
         wide = box_region(-1e18, 1e18, 1)
         want = []
-        for name, script in region_scenarios(1000).items():
+        for name, script in region_scenarios().items():
             for kind in PROBE_KINDS:
-                hp = _probe_hyperparams(kind, 0.01, 0.1)
+                hp = _probe_hyperparams(kind)
                 b1, b2 = step_betas(kind, hp, 1000)
                 x = m = s = s_hat = np.zeros(1)
                 for t in range(1, 1001):
@@ -648,14 +642,8 @@ class TestScenariosAndProbeTable:
             assert np.array(got[3:]).tobytes() == np.array(expected[3:]).tobytes(), got[:3]
 
     def test_linear_divisor_displacement_shrinks_with_t(self):
-        rows = region_stepsize_table(t_values=(10, 100, 1000))
+        rows = region_stepsize_table()
         fab = sorted((r[2], r[5]) for r in rows
                      if r[0] == "region3" and r[1] == "fastadabelief")
         deltas = [d for _, d in fab]
         assert deltas[0] > deltas[1] > deltas[2]
-
-    def test_probe_step_validation(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            region_stepsize_table(t_values=(0, 10))
-        with pytest.raises(ValueError, match="shorter"):
-            region_stepsize_table(t_values=(10,), length=5)
