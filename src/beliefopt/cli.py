@@ -36,10 +36,8 @@ from .errors import CheckFailure, ConfigError, NumericFailure
 from .optim import BOUNDED_RULE
 from .regret import (
     R_RULE,
-    BoundConstants,
     band_holds,
     budget_domain,
-    budget_terms,
     check_condition3,
     compute_regret,
     gamma_holds,
@@ -445,40 +443,28 @@ def cmd_bound(args) -> int:
     bounded = [cell for cell in cells if cell.kind == BOUNDED_RULE]
     if not bounded:
         raise ConfigError(f"config has no {BOUNDED_RULE} cell to bound")
-    width = cfg.run.region_hi - cfg.run.region_lo
-    for spec, line in zip(cfg.optimizers, cfg.optimizer_lines):
-        if spec.kind != BOUNDED_RULE:
-            continue
-        leaves = budget_domain(width, spec.delta, cfg.run.horizon)
-        if leaves == "D_inf":
-            raise ConfigError(
-                f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
-                "is too wide for the regret budget, whose D_inf^2 overflows")
-        if leaves is not None:
-            why = ("too large for the regret budget, whose delta^2 overflows" if leaves == "delta"
-                   else f"too small for the regret budget over {cfg.run.horizon} steps, "
-                   "whose r^2 can overflow")
-            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {spec.kind}: "
-                              f"delta = {spec.delta:g} is {why}")
     problem = build_problem(cfg)
     region = build_region(cfg, problem.dim)
     lines = [line for spec, line in zip(cfg.optimizers, cfg.optimizer_lines)
              for _ in spec.alphas]
+    width = cfg.run.region_hi - cfg.run.region_lo
     for cell, line in zip(cells, lines):
-        hp = cell.hp
-        # Every term is nondecreasing in G, r and S, so their zero values
-        # give the least budget any run of the cell can have.  At lam = 1
-        # with beta1 > 0 the momentum term is undefined, which the budget
-        # raises after the sweep.
-        if cell.kind != BOUNDED_RULE or (hp.lam == 1.0 and hp.beta1 > 0.0):
+        if cell.kind != BOUNDED_RULE:
             continue
-        least = sum(budget_terms(BoundConstants(
-            n=region.dim, horizon=cfg.run.horizon, d_inf=region.diameter_inf, g_inf=0.0,
-            r=0.0, sum_g_norms=0.0, alpha=hp.alpha, beta1=hp.beta1, lam=hp.lam,
-            delta=hp.delta)))
-        if not np.isfinite(least):
+        leaves = budget_domain(region.dim, width, cfg.run.horizon, cell.hp)
+        if leaves == "D_inf":
+            raise ConfigError(
+                f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
+                "is too wide for the regret budget, whose D_inf^2 overflows")
+        if leaves in ("delta", "r"):
+            why = ("too large for the regret budget, whose delta^2 overflows" if leaves == "delta"
+                   else f"too small for the regret budget over {cfg.run.horizon} steps, "
+                   "whose r^2 can overflow")
+            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.kind}: "
+                              f"delta = {cell.hp.delta:g} is {why}")
+        if leaves == "budget":
             raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
-                              f"the regret budget is {g17(least)} with zero gradients, "
+                              "the regret budget is not finite even with zero gradients, "
                               "so no run has a finite budget")
     with _fitting(cfg):
         traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))

@@ -486,22 +486,38 @@ def theoretical_bound(c: BoundConstants) -> float:
     return term1 + term2 + term3 + term4
 
 
-def budget_domain(d_inf: float, delta: float, horizon: int) -> str | None:
-    """None when ``theoretical_bound`` can be evaluated on every trace of a
-    run with region diameter ``d_inf``, this ``delta`` and ``horizon``; else
-    the first input that leaves its domain: "D_inf", "delta" or "r".
+def budget_domain(n: int, d_inf: float, horizon: int, hp: HyperParams) -> str | None:
+    """None when ``theoretical_bound`` can be evaluated, and is finite with
+    zero gradients, on every trace of a run of the belief rule with ``hp``
+    over ``horizon`` steps in an ``n``-dimensional region of diameter
+    ``d_inf``; else what leaves the domain: "D_inf", "delta", "r" or
+    "budget".
 
-    The budget squares all three with float ``**``, which raises
+    The budget squares D_inf, delta and r with float ``**``, which raises
     OverflowError past about 1.3e154.  r, the largest (s_hat + delta/t)^(-1/2)
     of the trace, is (delta/horizon)^(-1/2) on an all-zero gradient history.
+    Every term is nondecreasing in G, r and S, so the budget at
+    G = S = r = 0 is the least any run can have; "budget" means it is not
+    finite, or a divisor underflows to zero.  An undefined momentum term
+    (lam = 1 with beta1 > 0) is left to ``theoretical_bound``, which raises.
     """
     if not math.isfinite(d_inf * d_inf):
         return "D_inf"
-    if not math.isfinite(delta * delta):
+    if not math.isfinite(hp.delta * hp.delta):
         return "delta"
-    low = delta / horizon
+    low = hp.delta / horizon
     r = 1.0 / math.sqrt(low) if low > 0.0 else math.inf
-    return None if math.isfinite(r * r) else "r"
+    if not math.isfinite(r * r):
+        return "r"
+    least = BoundConstants(n=n, horizon=horizon, d_inf=d_inf, g_inf=0.0, r=0.0,
+                           sum_g_norms=0.0, alpha=hp.alpha, beta1=hp.beta1, lam=hp.lam,
+                           delta=hp.delta)
+    try:
+        return None if math.isfinite(theoretical_bound(least)) else "budget"
+    except ZeroDivisionError:
+        return "budget"
+    except ValueError:
+        return None
 
 
 # ------------------------------------------------------------- conditions

@@ -336,24 +336,31 @@ class TestBound:
         assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] fastadabelief: "
                                  f"delta = {float(delta):g} is {why}\n")
 
-    def test_a_budget_infinite_for_every_run_fails_before_any_sweep(self, tmp_path):
+    @pytest.mark.parametrize("region, delta, alpha, label", [
         # D_inf^2 = 4e200 and delta^2 = 1e308 are finite, so the config
-        # passes the float-domain check, but n*delta*D_inf^2 is not, with
-        # any gradients.  A sweep of 10**12 steps could not even allocate
-        # its trace.
+        # passes the float-domain check, but n*delta*D_inf^2 is not.
+        ("1e100", "1e154", "0.001", "fastadabelief_alpha0.001"),
+        # 2*alpha*(1-beta1) underflows to zero, a divisor of the first term.
+        ("2", "0.1", "5e-324", "fastadabelief_alpha4.94066e-324"),
+    ])
+    def test_a_budget_infinite_for_every_run_fails_before_any_sweep(self, tmp_path, region,
+                                                                     delta, alpha, label):
+        # Infinite with zero gradients means infinite with any.  A sweep of
+        # 10**12 steps could not even allocate its trace.
         cfg = tmp_path / "huge.cfg"
         text = (QUADRATIC.replace("horizon = 50", "horizon = 1000000000000")
-                .replace("region_lo = -2", "region_lo = -1e100")
-                .replace("region_hi = 2", "region_hi = 1e100")
-                .replace("delta = 0.1", "delta = 1e154"))
+                .replace("region_lo = -2", f"region_lo = -{region}")
+                .replace("region_hi = 2", f"region_hi = {region}")
+                .replace("delta = 0.1", f"delta = {delta}")
+                .replace("alpha = 0.001", f"alpha = {alpha}"))
         cfg.write_text(text)
         line = text.splitlines().index("[optimizer]") + 1
         result = cli("bound", "--config", str(cfg))
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
-        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] "
-                                 "fastadabelief_alpha0.001: the regret budget is inf with zero "
-                                 "gradients, so no run has a finite budget\n")
+        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] {label}: "
+                                 "the regret budget is not finite even with zero gradients, "
+                                 "so no run has a finite budget\n")
 
     def test_a_budget_that_overflows_exits_2_after_the_cell_header(self, tmp_path):
         # With zero gradients every term is finite: the momentum term is

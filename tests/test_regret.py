@@ -374,14 +374,31 @@ class TestBound:
             evaluates = True
         except (OverflowError, ValueError):
             evaluates = False
-        leaves = budget_domain(region.diameter_inf, delta, horizon)
+        leaves = budget_domain(region.dim, region.diameter_inf, horizon, hp)
         assert (leaves is None) == evaluates
         assert leaves in (None, "delta" if delta > 1 else "r")
 
     @pytest.mark.parametrize("d_inf, leaves", [(1e154, None), (2e154, "D_inf"),
                                                (math.inf, "D_inf")])
     def test_the_domain_bounds_the_region_diameter(self, d_inf, leaves):
-        assert budget_domain(d_inf, 1.0, 10) == leaves
+        # Without momentum the zero-gradient budget is delta*D_inf^2/(2*alpha),
+        # finite for every D_inf whose square is.
+        hp = HyperParams(alpha=1.0, beta1=0.0, lam=0.999, delta=0.1)
+        assert budget_domain(1, d_inf, 10, hp) == leaves
+
+    @pytest.mark.parametrize("hp, leaves", [
+        # n*delta*D_inf^2 = 4e354 overflows the first term.
+        (HyperParams(alpha=0.01, lam=0.999, delta=1e154), "budget"),
+        # 2*alpha*(1-beta1) underflows to zero, a divisor of the first term.
+        (HyperParams(alpha=5e-324, lam=0.999, delta=0.1), "budget"),
+        # (1-lam)^2, about 1e-32, takes the momentum term's divisor to zero.
+        (HyperParams(alpha=1e-300, lam=1 - 1e-16, delta=0.1), "budget"),
+        # At lam = 1 the momentum term is undefined, which the budget raises.
+        (HyperParams(alpha=0.01, lam=1.0, delta=1e154), None),
+        (HyperParams(alpha=0.01, lam=0.999, delta=0.1), None),
+    ])
+    def test_the_domain_needs_a_finite_zero_gradient_budget(self, hp, leaves):
+        assert budget_domain(1, 2e100, 10, hp) == leaves
 
 
 class TestMeasureConstants:
