@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -135,6 +136,10 @@ def scheduled_alpha(kind: str, hp: HyperParams, alpha, t):
     return alpha
 
 
+#: the ufunc np.clip forwards to, called without np.clip's Python wrappers
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
+
+
 @dataclass(frozen=True)
 class FeasibleRegion:
     """Axis-aligned box {x : lower <= x <= upper}, bounds finite elementwise."""
@@ -153,6 +158,9 @@ class FeasibleRegion:
             raise ValueError("region bounds must be finite")
         if np.any(lower > upper):
             raise ValueError("region has lower > upper in some coordinate")
+        # The bounds broadcast to each shape ``project`` has clipped, so a
+        # stack of lanes is clipped against same-shape operands.
+        object.__setattr__(self, "_bounds", {lower.shape: (lower, upper)})
 
     @property
     def dim(self) -> int:
@@ -167,10 +175,14 @@ class FeasibleRegion:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x clipped into the box, into ``out`` when given (it may be x)."""
-        # np.clip's bytes, without its Python wrappers; this order keeps
-        # np.clip's signed zeros, the reverse one does not.
-        return np.minimum(np.maximum(x, self.lower, out=out), self.upper, out=out)
+        """x clipped into the box, into ``out`` when given (it may be x).
+        x is a point (n,) or a stack of points such as (lanes, n)."""
+        bounds = self._bounds.get(x.shape)
+        if bounds is None:
+            bounds = self._bounds[x.shape] = tuple(
+                np.broadcast_to(b, x.shape).copy() for b in (self.lower, self.upper))
+        lower, upper = bounds
+        return _clip(x, lower, upper, out)
 
 
 def box_region(lo: float, hi: float, dim: int) -> FeasibleRegion:
@@ -202,91 +214,192 @@ def step_betas(kind: str, hp: HyperParams, horizon: int) -> tuple[list, list]:
     keeps no second moment and records beta2_t = 0.
     """
     if kind == "fastadabelief":
-        # Python float power: numpy's array power can differ in the last bit.
-        b1 = [hp.beta1_at(t) for t in range(1, horizon + 1)]
+        # beta1_at(t), inline.  Python float power: numpy's array power can
+        # differ in the last bit.
+        beta1, lam = hp.beta1, hp.lam
+        b1 = [beta1 * lam ** t for t in range(1, horizon + 1)]
     else:
         b1 = [hp.beta1] * horizon
     b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(np.arange(1, horizon + 1))
     return b1, np.broadcast_to(b2, horizon).tolist()
 
 
-# Rule kernels: (g, m, s, s_hat) at step t -> (m', s', s_hat', scale), where
-# scale is the elementwise stepsize multiplying m'.  Arrays are (n,) for one
-# lane or (lanes, n) for a stack of lanes, with a_t a scalar shared by all
-# lanes or a (lanes, 1) column of per-lane stepsizes.  Every operation is
-# elementwise and nothing is written in place, so a lane's values never
-# depend on the other lanes or on the lane count.  ``step`` adds the step
-# tail to one kernel call (``region_stepsize_table`` runs a rule's scripts as
-# its lanes); ``run_sweep`` calls the kernels of all its lane groups through
-# KERNELS, copies each group's new state into that step's contiguous rows of
-# its records and runs one tail for all of them.  Kernels that wrote their
-# state into those rows through ``out=`` instead measured no faster.
+class StepCoefficients(NamedTuple):
+    """The per-step coefficients the rule kernels read, in the order
+    ``step_coefficients`` computes them."""
+
+    b1: Any
+    one_minus_b1: Any
+    b2: Any
+    one_minus_b2: Any
+    delta_t: Any
+    a_t: Any
+    eta_l: Any
+    eta_u: Any
+    eps: Any
 
 
-def _sgd_momentum(hp, t, a_t, b1, b2, g, m, s, s_hat):
+def step_coefficients(hp: HyperParams, t, a_t, b1, b2) -> StepCoefficients:
+    """Step t's coefficients from its stepsize a_t (``scheduled_alpha``) and
+    betas b1, b2 (``step_betas``): beta1_t, 1 - beta1_t, beta2_t, 1 - beta2_t,
+    delta/t, alpha_t, adabound's eta_l(t) and eta_u(t), and epsilon.
+
+    The arguments may be scalars or arrays of steps that broadcast; each
+    value is the same float64 operations either way, so an array entry
+    equals the scalar of its step bit for bit."""
+    return StepCoefficients(
+        b1, 1.0 - b1, b2, 1.0 - b2, hp.delta / t, a_t,
+        hp.eta_final * (1.0 - 1.0 / (hp.bound_gamma * t + 1.0)),
+        hp.eta_final * (1.0 + 1.0 / (hp.bound_gamma * t)),
+        hp.epsilon)
+
+
+_ADAM_SHAPED = ("b1", "one_minus_b1", "b2", "one_minus_b2", "a_t")
+#: the coefficients each rule's kernel reads
+KERNEL_READS = {
+    "sgd_momentum": ("b1", "a_t"),
+    "adam": _ADAM_SHAPED + ("eps",),
+    "yogi": ("b1", "one_minus_b1", "one_minus_b2", "a_t", "eps"),
+    "adabound": _ADAM_SHAPED + ("eta_l", "eta_u"),
+    "adabelief": _ADAM_SHAPED + ("eps",),
+    "sadam": _ADAM_SHAPED + ("delta_t",),
+    "fastadabelief": _ADAM_SHAPED + ("delta_t",),
+}
+
+
+def _step_major(records: np.ndarray) -> np.ndarray:
+    """Per-step records (lanes, T) as a step-major (T, lanes, 1) view, cut
+    to the first step when every step holds the same bits."""
+    bits = records.view(np.uint64)
+    return records.T[:1 if (bits == bits[:, :1]).all() else None, :, None]
+
+
+class CoefficientRows:
+    """A lane group's coefficients at each step of a block of ``width``
+    steps, as same-shape (lanes, n) rows: ``steps[k]`` is the
+    StepCoefficients of the block's k-th step.
+
+    ``alpha`` (lanes, T) holds each lane's stepsize at steps 1..T and
+    ``beta1``, ``beta2`` (T,) the group's betas, as ``scheduled_alpha`` and
+    ``step_betas`` give them.  Coefficients the rule's kernel does not read
+    are None.  Those that vary over the T steps get one row per step in a
+    table that ``fill`` rewrites in place for each block; the others share
+    one row.  So the views in ``steps`` are made once.
+    """
+
+    def __init__(self, kind: str, hp: HyperParams, alpha: np.ndarray, beta1: np.ndarray,
+                 beta2: np.ndarray, width: int, n: int):
+        steps = np.arange(1, alpha.shape[1] + 1)[:, None, None]
+        self._args = (hp, steps, *(_step_major(a) for a in (alpha, beta1[None], beta2[None])))
+        shape = (len(alpha), n)
+        reads = KERNEL_READS[kind]
+        values = self._values(0, width)
+        self._varying = [j for j, (name, value) in enumerate(zip(StepCoefficients._fields, values))
+                         if name in reads and np.ndim(value) and len(value) > 1]
+        self._table = np.empty((len(self._varying), width) + shape)
+        rows = iter(self._table)
+        fields = []
+        for j, (name, value) in enumerate(zip(StepCoefficients._fields, values)):
+            if j in self._varying:
+                fields.append(list(next(rows)))
+            elif name in reads:
+                shared = np.empty(shape)
+                shared[...] = value
+                fields.append([shared] * width)
+            else:
+                fields.append([None] * width)
+        self.steps = [StepCoefficients(*step) for step in zip(*fields)]
+
+    def _values(self, lo: int, hi: int) -> StepCoefficients:
+        hp, *args = self._args
+        return step_coefficients(hp, *(a if len(a) == 1 else a[lo:hi] for a in args))
+
+    def fill(self, lo: int) -> None:
+        """Write the varying rows of the block whose first step has index lo."""
+        values = self._values(lo, lo + len(self.steps))
+        for j, rows in zip(self._varying, self._table):
+            rows[:len(values[j])] = values[j]
+
+
+# Rule kernels: (c, g, m, s, s_hat) -> (m', s', s_hat', scale), where c is
+# the step's StepCoefficients and scale is the elementwise stepsize
+# multiplying m'.  Arrays are (n,) for one lane or (lanes, n) for a stack of
+# lanes.  ``step`` passes scalar coefficients (a_t may be a (lanes, 1)
+# column of per-lane stepsizes); ``run_sweep`` passes the (lanes, n) rows of
+# ``CoefficientRows``, so every ufunc in its loop takes same-shape operands,
+# the cheapest numpy dispatch.  A row holds the scalar of its step
+# and lane, so the two give the same bits.  Every operation is elementwise
+# and nothing is written in place, so a lane's values never depend on the
+# other lanes or on the lane count.  ``step`` adds the step tail to one
+# kernel call (``region_stepsize_table`` runs a rule's scripts as its
+# lanes); ``run_sweep`` calls the kernels of all its lane groups through
+# KERNELS and runs one tail for all of them.  Kernels that wrote their state
+# into the sweep's records through ``out=`` instead measured no faster.
+
+
+def _sgd_momentum(c, g, m, s, s_hat):
     """Heavy-ball update m' = beta1*m + g (no EMA damping on the gradient)."""
-    m = b1 * m + g
-    return m, s, s_hat, np.full_like(m, a_t)
+    m = c.b1 * m + g
+    return m, s, s_hat, np.full_like(m, c.a_t)
 
 
-def _adam(hp, t, a_t, b1, b2, g, m, s, s_hat):
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * s + (1.0 - b2) * g * g
-    return m, v, s_hat, a_t / (np.sqrt(v) + hp.epsilon)
+def _adam(c, g, m, s, s_hat):
+    m = c.b1 * m + c.one_minus_b1 * g
+    v = c.b2 * s + c.one_minus_b2 * g * g
+    return m, v, s_hat, c.a_t / (np.sqrt(v) + c.eps)
 
 
-def _yogi(hp, t, a_t, b1, b2, g, m, s, s_hat):
+def _yogi(c, g, m, s, s_hat):
     """Adam-shaped, but the second moment moves additively:
     v' = v - (1-beta2) * sign(v - g^2) * g^2."""
-    m = b1 * m + (1.0 - b1) * g
+    m = c.b1 * m + c.one_minus_b1 * g
     g2 = g * g
-    v = s - (1.0 - b2) * np.sign(s - g2) * g2
-    return m, v, s_hat, a_t / (np.sqrt(v) + hp.epsilon)
+    v = s - c.one_minus_b2 * np.sign(s - g2) * g2
+    return m, v, s_hat, c.a_t / (np.sqrt(v) + c.eps)
 
 
-def _adabound(hp, t, a_t, b1, b2, g, m, s, s_hat):
+def _adabound(c, g, m, s, s_hat):
     """Adam with the per-coordinate rate alpha_t/sqrt(v) clipped into the
     closing interval [eta_l(t), eta_u(t)] around eta_final."""
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * s + (1.0 - b2) * g * g
-    eta_l = hp.eta_final * (1.0 - 1.0 / (hp.bound_gamma * t + 1.0))
-    eta_u = hp.eta_final * (1.0 + 1.0 / (hp.bound_gamma * t))
+    m = c.b1 * m + c.one_minus_b1 * g
+    v = c.b2 * s + c.one_minus_b2 * g * g
     # Where v = 0 the raw rate is unbounded and the clip lands on eta_u.
-    raw = np.divide(a_t, np.sqrt(v), out=np.full(v.shape, np.inf), where=v > 0)
-    # np.clip's bytes, without its Python wrappers (see FeasibleRegion.project).
-    return m, v, s_hat, np.minimum(np.maximum(raw, eta_l), eta_u)
+    raw = np.divide(c.a_t, np.sqrt(v), out=np.full(v.shape, np.inf), where=v > 0)
+    # np.clip's bytes: this order keeps np.clip's signed zeros, the reverse
+    # one does not.
+    return m, v, s_hat, np.minimum(np.maximum(raw, c.eta_l), c.eta_u)
 
 
-def _adabelief(hp, t, a_t, b1, b2, g, m, s, s_hat):
+def _adabelief(c, g, m, s, s_hat):
     """Belief rule: the second moment averages (g - m')^2 and a running max
     keeps the divisor sqrt(s_hat) + epsilon nondecreasing."""
-    m = b1 * m + (1.0 - b1) * g
+    m = c.b1 * m + c.one_minus_b1 * g
     resid = g - m
-    s = b2 * s + (1.0 - b2) * resid * resid
+    s = c.b2 * s + c.one_minus_b2 * resid * resid
     s_hat = np.maximum(s_hat, s)
-    return m, s, s_hat, a_t / (np.sqrt(s_hat) + hp.epsilon)
+    return m, s, s_hat, c.a_t / (np.sqrt(s_hat) + c.eps)
 
 
-def _sadam(hp, t, a_t, b1, b2, g, m, s, s_hat):
+def _sadam(c, g, m, s, s_hat):
     """Squared-gradient average with the 1 - c/t schedule, divided linearly:
     x' = P(x - a_t * m' / (v' + delta/t))."""
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * s + (1.0 - b2) * g * g
-    return m, v, s_hat, a_t / (v + hp.delta / t)
+    m = c.b1 * m + c.one_minus_b1 * g
+    v = c.b2 * s + c.one_minus_b2 * g * g
+    return m, v, s_hat, c.a_t / (v + c.delta_t)
 
 
-def _fastadabelief(hp, t, a_t, b1, b2, g, m, s, s_hat):
+def _fastadabelief(c, g, m, s, s_hat):
     """Belief second moment with running max, divided linearly with the
     vanishing offset:  x' = P(x - (alpha/t) * m' / (s_hat' + delta/t)).
 
     The first-moment coefficient decays as beta1 * lam**t; with the default
     lam = 1 it stays constant.
     """
-    m = b1 * m + (1.0 - b1) * g
+    m = c.b1 * m + c.one_minus_b1 * g
     resid = g - m
-    s = b2 * s + (1.0 - b2) * resid * resid
+    s = c.b2 * s + c.one_minus_b2 * resid * resid
     s_hat = np.maximum(s_hat, s)
-    return m, s, s_hat, a_t / (s_hat + hp.delta / t)
+    return m, s, s_hat, c.a_t / (s_hat + c.delta_t)
 
 
 KERNELS = {
@@ -311,7 +424,8 @@ def step(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,
     a_t, b1 and b2 come from ``scheduled_alpha`` and ``step_betas``; the
     caller checks the gradient and the new state for nonfinite values.
     """
-    m, s, s_hat, scale = KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
+    c = step_coefficients(hp, t, a_t, b1, b2)
+    m, s, s_hat, scale = KERNELS[kind](c, g, m, s, s_hat)
     delta = -scale * m
     return region.project(x + delta), m, s, s_hat, delta, scale
 

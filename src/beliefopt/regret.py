@@ -26,6 +26,7 @@ from .optim import (
     LINEAR_DIVISOR_RULES,
     PROBE_KINDS,
     RUNNING_MAX_RULES,
+    CoefficientRows,
     FeasibleRegion,
     HyperParams,
     box_region,
@@ -125,19 +126,24 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     (seed, t) rounds, so one time loop serves them all.  The iterates are
     stacked as (lanes, n) in cell order, and the per-step records are
     step-major, so each step's row of iterates, gradients and moments is one
-    contiguous (lanes, n) block.  Per step the loop makes:
+    contiguous (lanes, n) block.  The loop runs in scan blocks of
+    _CHECK_EVERY steps, and every ufunc of its kernels and step tail takes
+    same-shape (lanes, n) operands.  Per step it makes:
 
     * one gradient call for all lanes (``lanes_grad``), which writes into
-      that step's row of the gradients;
-    * per lane group (``lane_groups``; alpha becomes a per-lane column):
-      one kernel call, three copies of its new state into the step's rows
-      and one multiply that writes scale * m' into a block of steps;
+      the step's row of the block's gradients;
+    * per lane group (``lane_groups``): one kernel call on the step's
+      coefficient rows (``CoefficientRows``, alpha per lane) and the state
+      the group's last call returned, whose new state is kept for the
+      block's records, and one multiply that writes scale * m' into the
+      step's row of the block;
     * one step tail for all lanes: x - scale * m' written into the next
       row of iterates and projected there in place, two more ufunc calls.
 
-    Only the gradient feeds the next step, so the round losses are computed
-    once per block of _CHECK_EVERY steps, from the recorded iterates
-    (``lanes_losses``), and so are the step norms, from the block's steps.
+    Only the gradient feeds the next step, so once per block the loop fills
+    the next block's coefficient rows, copies the block's gradients and
+    states into the records, and computes the round losses of the recorded
+    iterates (``lanes_losses``) and the step norms of the block's steps.
     Every operation is elementwise per lane, so each trace is bit-identical
     to a one-cell run; the traces are views into the stacked records.
 
@@ -165,56 +171,65 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     gs, ms, ss, shs = (np.empty((horizon, n_lanes, n)) for _ in range(4))
     alpha, beta1, beta2, step_inf = (np.empty((n_lanes, horizon)) for _ in range(4))
     steps = np.arange(1, horizon + 1)
-    plan = []
+    width = min(_CHECK_EVERY, horizon)
+    # The gradients, and scale * m', of every lane at each step of the
+    # current scan block; the step taken is the negation of scale * m'.
+    grads, block = np.empty((width, n_lanes, n)), np.empty((width, n_lanes, n))
+    grad_rows, step_rows = list(grads), list(block)
+    coefficients, plan = [], []
     for members in lane_groups(cells):
         rows = slice(members.start, members.stop)
         kind, hp = cells[rows.start].kind, cells[rows.start].hp
         column = np.array([[cells[j].hp.alpha] for j in members])
         alpha[rows] = scheduled_alpha(kind, hp, column, steps)
-        b1, b2 = step_betas(kind, hp, horizon)
-        beta1[rows] = b1
-        beta2[rows] = b2
+        beta1[rows], beta2[rows] = step_betas(kind, hp, horizon)
+        group = CoefficientRows(kind, hp, alpha[rows], beta1[rows.start], beta2[rows.start],
+                                width, n)
+        coefficients.append(group)
+        # Per step of a block, the kernel's coefficients, gradient rows and
+        # scale * m' rows; then the group's states m', s', s_hat' of the
+        # block's steps, after the one carried in from the block before.
         zeros = np.zeros((len(members), n))
-        plan.append([rows, KERNELS[kind], hp, alpha[rows].T[:, :, None],
-                     b1, b2, zeros, zeros, zeros])
+        plan.append((KERNELS[kind], list(zip(group.steps, grads[:, rows], block[:, rows])),
+                     [zeros], [zeros], [zeros], rows))
     xs[0] = x0
     x = xs[0]
-    # scale * m' of every lane at each step of the current scan block; the
-    # step taken is its negation.
-    block = np.empty((_CHECK_EVERY, n_lanes, n))
-    checked = 0
+    lanes_grad, project = problem.lanes_grad, region.project
     # Nonfinite values are reported through the scans below, not as warnings.
     with np.errstate(all="ignore"):
-        for t in range(1, horizon + 1):
-            i = t - 1
-            g = problem.lanes_grad(x, t, seed, gs[i])
-            scaled = block[i - checked]
-            for group in plan:
-                rows, kernel, hp, a_t, b1, b2, m, s, s_hat = group
-                m, s, s_hat, scale = kernel(hp, t, a_t[i], b1[i], b2[i], g[rows], m, s, s_hat)
-                ms[i, rows] = m
-                ss[i, rows] = s
-                shs[i, rows] = s_hat
-                np.multiply(scale, m, scaled[rows])
-                group[6:] = m, s, s_hat
-            # The step tail of ``step``, once for every lane: x - scale * m'
-            # is x + delta bit for bit.
-            x_next = xs[t]
-            x = region.project(np.subtract(x, scaled, x_next), x_next)
-            if t - checked == _CHECK_EVERY or t == horizon:
-                step_inf[:, checked:t] = np.abs(block[:t - checked]).max(axis=2).T
-                loss[:, checked:t] = problem.lanes_losses(xs[checked:t].swapaxes(0, 1),
-                                                          checked + 1, seed)
-                failure = _first_nonfinite(checked, t, loss, xs, gs, ms, ss, shs)
-                if failure is not None:
-                    offset, j, code = failure
-                    t_bad = checked + offset + 1
-                    message = _NONFINITE[code].format(t=t_bad)
-                    label = cells[j].label if n_lanes > 1 else None
-                    if label is not None:
-                        message += f" in cell {label}"
-                    raise NumericFailure(message, step=t_bad, cell=label)
-                checked = t
+        for lo in range(0, horizon, width):
+            hi = min(lo + width, horizon)
+            for group in coefficients:
+                group.fill(lo)
+            for k, (t, x_next, g_row, step_row) in enumerate(
+                    zip(range(lo + 1, hi + 1), xs[lo + 1:hi + 1], grad_rows, step_rows)):
+                lanes_grad(x, t, seed, g_row)
+                for kernel, block_steps, m_run, s_run, sh_run, _ in plan:
+                    c, g, scaled = block_steps[k]
+                    m, s, s_hat, scale = kernel(c, g, m_run[-1], s_run[-1], sh_run[-1])
+                    m_run.append(m)
+                    s_run.append(s)
+                    sh_run.append(s_hat)
+                    np.multiply(scale, m, scaled)
+                # The step tail of ``step``, once for every lane: x - scale * m'
+                # is x + delta bit for bit.
+                x = project(np.subtract(x, step_row, x_next), x_next)
+            gs[lo:hi] = grads[:hi - lo]
+            for _, _, *runs, rows in plan:
+                for records, run in zip((ms, ss, shs), runs):
+                    records[lo:hi, rows] = np.concatenate(run[1:]).reshape(hi - lo, -1, n)
+                    del run[:-1]
+            step_inf[:, lo:hi] = np.abs(block[:hi - lo]).max(axis=2).T
+            loss[:, lo:hi] = problem.lanes_losses(xs[lo:hi].swapaxes(0, 1), lo + 1, seed)
+            failure = _first_nonfinite(lo, hi, loss, xs, gs, ms, ss, shs)
+            if failure is not None:
+                offset, j, code = failure
+                t_bad = lo + offset + 1
+                message = _NONFINITE[code].format(t=t_bad)
+                label = cells[j].label if n_lanes > 1 else None
+                if label is not None:
+                    message += f" in cell {label}"
+                raise NumericFailure(message, step=t_bad, cell=label)
     return [TrajectoryTrace(
         kind=cell.kind, hp=cell.hp, seed=seed, horizon=horizon,
         problem_kind=problem.kind, sigma=float(problem.sigma),
@@ -457,17 +472,21 @@ def budget_terms(c: BoundConstants) -> tuple[float, float, float, float]:
           + (2*alpha*r^2 + alpha*delta^2) / (2*(1-beta1)^2) * S
           + n*beta1*lam*D^2*(G+delta) / (2*alpha*(1-beta1)*(1-lam)^2)
 
-    with S = sum_g_norms.  The last term exists only for decaying momentum
-    (lam < 1); with beta1 = 0 it vanishes and lam = 1 is allowed.  Every
-    term is nondecreasing in G, r and S.
+    with S = sum_g_norms.  The two S terms are 0 when S = 0.  The last term
+    exists only for decaying momentum (lam < 1); with beta1 = 0 it vanishes
+    and lam = 1 is allowed.  Every term is nondecreasing in G, r and S.
     """
     if c.beta1 >= 1.0:
         raise ValueError("beta1 must be below 1")
     one_minus_b1 = 1.0 - c.beta1
     term1 = c.n * c.delta * c.d_inf ** 2 / (2.0 * c.alpha * one_minus_b1)
-    term2 = c.alpha * c.r ** 2 * math.log(c.horizon) / one_minus_b1 ** 2 * c.sum_g_norms
-    term3 = (2.0 * c.alpha * c.r ** 2 + c.alpha * c.delta ** 2) \
-        / (2.0 * one_minus_b1 ** 2) * c.sum_g_norms
+    if c.sum_g_norms == 0.0:
+        # Their prefixes can overflow to inf, and inf * 0 is nan.
+        term2 = term3 = 0.0
+    else:
+        term2 = c.alpha * c.r ** 2 * math.log(c.horizon) / one_minus_b1 ** 2 * c.sum_g_norms
+        term3 = (2.0 * c.alpha * c.r ** 2 + c.alpha * c.delta ** 2) \
+            / (2.0 * one_minus_b1 ** 2) * c.sum_g_norms
     if c.beta1 == 0.0:
         term4 = 0.0
     elif c.lam == 1.0:

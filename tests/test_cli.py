@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import resource
@@ -316,7 +317,8 @@ class TestBound:
         ("1e-310", 10 ** 12, "", "too small for the regret budget over 1000000000000 steps, "
                                  "whose r^2 can overflow"),
         # Started at the minimizer without jitter, every gradient is zero,
-        # and r^2 would overflow once measured after the sweep.
+        # which measures the largest r after the sweep; any run with a
+        # gradient would square it.
         ("1e-310", 200, "\nx0_jitter = 0", "too small for the regret budget over 200 steps, "
                                              "whose r^2 can overflow"),
     ])
@@ -405,6 +407,26 @@ class TestBound:
             term1, term2, term3, term4 = budget_terms(c)
             _, _, upto, _, budget, _ = row.split()
             assert (upto, budget) == (str(c.horizon), g17(term1 + term2 + term3 + term4))
+
+    def test_a_run_without_gradients_has_finite_budgets(self, tmp_path):
+        # Started at the minimizer without jitter, every gradient is zero,
+        # so S = 0, while r = (delta/T)^(-1/2) is about 1e154 and the log
+        # term's prefix alpha*r^2*log(T)/(1-beta1)^2 overflows.  Times S,
+        # that would be nan; both S terms are 0 instead.
+        text = (ROOT / "configs" / "quadratic.cfg").read_text()
+        edits = [("x0_jitter = 1e-5", "x0_jitter = 0"), ("alpha = 0.001", "alpha = 0.01"),
+                 ("delta = 1.0", "delta = 1e-307"), ("horizon = 16384", "horizon = 10")]
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        assert "lam = 0.999" in text
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text(text)
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        rows = result.stdout.splitlines()[1:-1]
+        assert [row.split()[2:4] for row in rows] == [["10", "0"]]
+        assert 0.0 < float(rows[0].split()[4]) < math.inf
 
     def test_configured_checkpoints_are_the_rows(self, tmp_path):
         cfg = tmp_path / "points.cfg"

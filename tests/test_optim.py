@@ -20,7 +20,8 @@ from beliefopt import (
     stepsize_probe,
     validate_hyperparams,
 )
-from beliefopt.optim import KERNELS, scheduled_alpha, step_betas
+from beliefopt.optim import (KERNELS, CoefficientRows, scheduled_alpha, step_betas,
+                             step_coefficients)
 
 GS = (1.0, -0.5, 0.25)
 
@@ -165,8 +166,8 @@ _CLIP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -1.
 
 
 def test_projection_matches_np_clip_bit_for_bit():
-    # project takes max then min instead of np.clip; signed zeros, NaN,
-    # infinities, subnormals and lo == hi must come out as np.clip's bytes,
+    # project calls the ufunc np.clip forwards to, not np.clip; signed zeros,
+    # NaN, infinities, subnormals and lo == hi must come out as np.clip's bytes,
     # for one iterate and for a (lanes, n) stack of them, also when the
     # iterate is clipped in place.
     x = np.array(_CLIP_EDGES)
@@ -335,8 +336,11 @@ STATES = {
 def test_kernels_match_the_written_out_formulas_bit_for_bit(kind, state, lanes):
     # Independent of ``step`` and the sweep: a rewrite of a kernel that moves
     # one bit of m', s', s_hat' or the stepsize fails here.  ``lanes`` None
-    # is one (n,) state with a scalar stepsize; 3 is a (lanes, n) stack with
-    # a per-lane stepsize column.
+    # is one (n,) state with scalar coefficients, as ``step`` passes them; 3
+    # is a (lanes, n) stack with the (lanes, n) coefficient rows that
+    # ``run_sweep`` passes, with a per-lane stepsize; a coefficient the
+    # kernel does not declare in KERNEL_READS is None there.  The written-out
+    # formulas always take the scalars (and the stepsizes as a column).
     hp = (HyperParams(alpha=0.1, beta1=0.9, lam=0.999, beta2_mode="sadam", delta=0.5)
           if kind in ("sadam", "fastadabelief") else HyperParams(alpha=0.1, beta1=0.8))
     shape = (5,) if lanes is None else (lanes, 5)
@@ -346,12 +350,18 @@ def test_kernels_match_the_written_out_formulas_bit_for_bit(kind, state, lanes):
     m = m0 * signs * rng.uniform(0.5, 2.0, shape)
     s, s_hat = s0 * rng.uniform(0.5, 2.0, shape), sh0 * rng.uniform(0.5, 2.0, shape)
     g = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), g0 * signs[..., ::-1])
+    alphas = np.array([[0.1], [1e-3], [1e3]])
+    b1s, b2s = step_betas(kind, hp, 1000)
+    if lanes is not None:
+        rows = CoefficientRows(kind, hp, scheduled_alpha(kind, hp, alphas, np.arange(1, 1001)),
+                               np.array(b1s), np.array(b2s), 1000, shape[1])
+        rows.fill(0)
     for t in (1, 7, 1000):
-        b1, b2 = (column[t - 1] for column in step_betas(kind, hp, t))
-        a_t = (scheduled_alpha(kind, hp, hp.alpha, t) if lanes is None
-               else scheduled_alpha(kind, hp, np.array([[0.1], [1e-3], [1e3]]), t))
+        b1, b2 = b1s[t - 1], b2s[t - 1]
+        a_t = scheduled_alpha(kind, hp, hp.alpha if lanes is None else alphas, t)
+        coeffs = step_coefficients(hp, t, a_t, b1, b2) if lanes is None else rows.steps[t - 1]
         with np.errstate(all="ignore"):
-            got = KERNELS[kind](hp, t, a_t, b1, b2, g, m, s, s_hat)
+            got = KERNELS[kind](coeffs, g, m, s, s_hat)
             want = written_out(kind, hp, t, a_t, b1, b2, g, m, s, s_hat)
         for name, a, b in zip(("m", "s", "s_hat", "scale"), got, want):
             assert a.shape == shape and a.dtype == np.float64, (name, t)

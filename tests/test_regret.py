@@ -1,6 +1,7 @@
 """Tests for the online-run laboratory: traces, hindsight, fits, checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -34,7 +35,8 @@ from beliefopt import (
     theoretical_bound,
 )
 from beliefopt.optim import BETA2_MODES, SCHEDULES, scheduled_alpha, step_betas
-from beliefopt.regret import PROBE_KINDS, _probe_hyperparams, budget_domain, gamma_series
+from beliefopt.regret import (PROBE_KINDS, _probe_hyperparams, budget_domain, budget_terms,
+                              gamma_series)
 
 
 def bowl(dim=1, x0=None):
@@ -345,6 +347,13 @@ class TestBound:
         c = self.base(d_inf=1.0, g_inf=1.0, beta1=0.5, lam=0.5)
         assert theoretical_bound(c) == 9.0
 
+    def test_the_s_terms_are_zero_without_gradients(self):
+        # alpha*r^2*log(T)/(1-beta1)^2 overflows at r = 1e154; times S = 0
+        # that would be nan.  With S > 0 the terms keep their expressions.
+        c = self.base(horizon=10, r=1e154, sum_g_norms=0.0)
+        assert budget_terms(c) == (2.0, 0.0, 0.0, 0.0)
+        assert budget_terms(self.base(horizon=10, r=1e154))[1:3] == (math.inf, math.inf)
+
     def test_flat_momentum_schedule_has_no_finite_budget(self):
         with pytest.raises(ValueError, match="lam = 1"):
             theoretical_bound(self.base(beta1=0.5, lam=1.0))
@@ -364,13 +373,16 @@ class TestBound:
     @pytest.mark.parametrize("horizon", [1, 10, 200])
     def test_the_domain_is_where_a_zero_gradient_budget_evaluates(self, delta, horizon):
         # An all-zero gradient history gives the largest r a delta and a
-        # horizon allow.  Outside the domain the budget raises OverflowError
-        # from a float square, or the divisor delta/t underflows to zero.
+        # horizon allow.  Its S is 0, which zeroes the two S terms, the only
+        # ones that square r and delta, so that r is paired with S = 1, as a
+        # history with gradients just above zero has it.  Outside the domain
+        # the budget raises OverflowError from a float square, or the
+        # divisor delta/t underflows to zero.
         hp = HyperParams(alpha=0.01, lam=0.999, delta=delta)
         trace = make_trace("fastadabelief", np.zeros((horizon, 2)), hp=hp)
         region = box_region(-1.0, 1.0, 2)
         try:
-            theoretical_bound(measure_constants(trace, region))
+            theoretical_bound(replace(measure_constants(trace, region), sum_g_norms=1.0))
             evaluates = True
         except (OverflowError, ValueError):
             evaluates = False
