@@ -136,8 +136,13 @@ def scheduled_alpha(kind: str, hp: HyperParams, alpha, t):
     return alpha
 
 
-#: the ufunc np.clip forwards to, called without np.clip's Python wrappers
-_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
+try:
+    # The ufunc np.clip forwards to, called without np.clip's Python
+    # wrappers, which cost more than the clip of a few lanes.
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x keeps it elsewhere: take the public call
+    def _clip(x, lower, upper, out):
+        return np.clip(x, lower, upper, out=out)
 
 
 @dataclass(frozen=True)
@@ -214,10 +219,8 @@ def step_betas(kind: str, hp: HyperParams, horizon: int) -> tuple[list, list]:
     keeps no second moment and records beta2_t = 0.
     """
     if kind == "fastadabelief":
-        # beta1_at(t), inline.  Python float power: numpy's array power can
-        # differ in the last bit.
-        beta1, lam = hp.beta1, hp.lam
-        b1 = [beta1 * lam ** t for t in range(1, horizon + 1)]
+        # Python float power: numpy's array power can differ in the last bit.
+        b1 = [hp.beta1_at(t) for t in range(1, horizon + 1)]
     else:
         b1 = [hp.beta1] * horizon
     b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(np.arange(1, horizon + 1))
@@ -254,26 +257,6 @@ def step_coefficients(hp: HyperParams, t, a_t, b1, b2) -> StepCoefficients:
         hp.epsilon)
 
 
-_ADAM_SHAPED = ("b1", "one_minus_b1", "b2", "one_minus_b2", "a_t")
-#: the coefficients each rule's kernel reads
-KERNEL_READS = {
-    "sgd_momentum": ("b1", "a_t"),
-    "adam": _ADAM_SHAPED + ("eps",),
-    "yogi": ("b1", "one_minus_b1", "one_minus_b2", "a_t", "eps"),
-    "adabound": _ADAM_SHAPED + ("eta_l", "eta_u"),
-    "adabelief": _ADAM_SHAPED + ("eps",),
-    "sadam": _ADAM_SHAPED + ("delta_t",),
-    "fastadabelief": _ADAM_SHAPED + ("delta_t",),
-}
-
-
-def _step_major(records: np.ndarray) -> np.ndarray:
-    """Per-step records (lanes, T) as a step-major (T, lanes, 1) view, cut
-    to the first step when every step holds the same bits."""
-    bits = records.view(np.uint64)
-    return records.T[:1 if (bits == bits[:, :1]).all() else None, :, None]
-
-
 class CoefficientRows:
     """A lane group's coefficients at each step of a block of ``width``
     steps, as same-shape (lanes, n) rows: ``steps[k]`` is the
@@ -281,44 +264,27 @@ class CoefficientRows:
 
     ``alpha`` (lanes, T) holds each lane's stepsize at steps 1..T and
     ``beta1``, ``beta2`` (T,) the group's betas, as ``scheduled_alpha`` and
-    ``step_betas`` give them.  Coefficients the rule's kernel does not read
-    are None.  Those that vary over the T steps get one row per step in a
-    table that ``fill`` rewrites in place for each block; the others share
-    one row.  So the views in ``steps`` are made once.
+    ``step_betas`` give them.  ``fill`` rewrites the rows in place for each
+    block, so the views in ``steps`` are made once and no table spans the
+    T steps.
     """
 
-    def __init__(self, kind: str, hp: HyperParams, alpha: np.ndarray, beta1: np.ndarray,
+    def __init__(self, hp: HyperParams, alpha: np.ndarray, beta1: np.ndarray,
                  beta2: np.ndarray, width: int, n: int):
-        steps = np.arange(1, alpha.shape[1] + 1)[:, None, None]
-        self._args = (hp, steps, *(_step_major(a) for a in (alpha, beta1[None], beta2[None])))
-        shape = (len(alpha), n)
-        reads = KERNEL_READS[kind]
-        values = self._values(0, width)
-        self._varying = [j for j, (name, value) in enumerate(zip(StepCoefficients._fields, values))
-                         if name in reads and np.ndim(value) and len(value) > 1]
-        self._table = np.empty((len(self._varying), width) + shape)
-        rows = iter(self._table)
-        fields = []
-        for j, (name, value) in enumerate(zip(StepCoefficients._fields, values)):
-            if j in self._varying:
-                fields.append(list(next(rows)))
-            elif name in reads:
-                shared = np.empty(shape)
-                shared[...] = value
-                fields.append([shared] * width)
-            else:
-                fields.append([None] * width)
-        self.steps = [StepCoefficients(*step) for step in zip(*fields)]
-
-    def _values(self, lo: int, hi: int) -> StepCoefficients:
-        hp, *args = self._args
-        return step_coefficients(hp, *(a if len(a) == 1 else a[lo:hi] for a in args))
+        self._hp = hp
+        # Step-major: entry i of each holds step i + 1.
+        self._t = np.arange(1, alpha.shape[1] + 1)[:, None, None]
+        self._args = (alpha.T[:, :, None], beta1[:, None, None], beta2[:, None, None])
+        self._table = np.empty((len(StepCoefficients._fields), width, len(alpha), n))
+        self.steps = [StepCoefficients(*rows) for rows in self._table.swapaxes(0, 1)]
 
     def fill(self, lo: int) -> None:
-        """Write the varying rows of the block whose first step has index lo."""
-        values = self._values(lo, lo + len(self.steps))
-        for j, rows in zip(self._varying, self._table):
-            rows[:len(values[j])] = values[j]
+        """Write the rows of the block whose first step has index lo."""
+        hi = lo + len(self.steps)
+        t = self._t[lo:hi]
+        values = step_coefficients(self._hp, t, *(a[lo:hi] for a in self._args))
+        for rows, value in zip(self._table, values):
+            rows[:len(t)] = value
 
 
 # Rule kernels: (c, g, m, s, s_hat) -> (m', s', s_hat', scale), where c is

@@ -183,8 +183,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         column = np.array([[cells[j].hp.alpha] for j in members])
         alpha[rows] = scheduled_alpha(kind, hp, column, steps)
         beta1[rows], beta2[rows] = step_betas(kind, hp, horizon)
-        group = CoefficientRows(kind, hp, alpha[rows], beta1[rows.start], beta2[rows.start],
-                                width, n)
+        group = CoefficientRows(hp, alpha[rows], beta1[rows.start], beta2[rows.start], width, n)
         coefficients.append(group)
         # Per step of a block, the kernel's coefficients, gradient rows and
         # scale * m' rows; then the group's states m', s', s_hat' of the

@@ -181,6 +181,15 @@ class TestRun:
         name = "trace_fastadabelief_alpha0.001.csv"
         assert (a / name).read_bytes() != (b / name).read_bytes()
 
+    def test_an_overflowing_unused_coefficient_prints_no_warning(self, tmp_path):
+        # Every rule's coefficient rows hold adabound's eta_u(t) =
+        # eta_final * (1 + 1/(bound_gamma*t)), which overflows here.
+        path = tmp_path / "gamma.cfg"
+        path.write_text(QUADRATIC.replace("delta = 0.1", "delta = 0.1\nbound_gamma = 1e-310"))
+        result = cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
 
 class TestCompare:
     @pytest.fixture()

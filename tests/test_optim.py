@@ -22,6 +22,7 @@ from beliefopt import (
 )
 from beliefopt.optim import (KERNELS, CoefficientRows, scheduled_alpha, step_betas,
                              step_coefficients)
+from beliefopt.regret import _CHECK_EVERY
 
 GS = (1.0, -0.5, 0.25)
 
@@ -338,9 +339,10 @@ def test_kernels_match_the_written_out_formulas_bit_for_bit(kind, state, lanes):
     # one bit of m', s', s_hat' or the stepsize fails here.  ``lanes`` None
     # is one (n,) state with scalar coefficients, as ``step`` passes them; 3
     # is a (lanes, n) stack with the (lanes, n) coefficient rows that
-    # ``run_sweep`` passes, with a per-lane stepsize; a coefficient the
-    # kernel does not declare in KERNEL_READS is None there.  The written-out
-    # formulas always take the scalars (and the stepsizes as a column).
+    # ``run_sweep`` passes, with a per-lane stepsize, filled per block of
+    # _CHECK_EVERY steps (1000 ends inside a short last block).  The
+    # written-out formulas always take the scalars (and the stepsizes as a
+    # column).
     hp = (HyperParams(alpha=0.1, beta1=0.9, lam=0.999, beta2_mode="sadam", delta=0.5)
           if kind in ("sadam", "fastadabelief") else HyperParams(alpha=0.1, beta1=0.8))
     shape = (5,) if lanes is None else (lanes, 5)
@@ -353,13 +355,17 @@ def test_kernels_match_the_written_out_formulas_bit_for_bit(kind, state, lanes):
     alphas = np.array([[0.1], [1e-3], [1e3]])
     b1s, b2s = step_betas(kind, hp, 1000)
     if lanes is not None:
-        rows = CoefficientRows(kind, hp, scheduled_alpha(kind, hp, alphas, np.arange(1, 1001)),
-                               np.array(b1s), np.array(b2s), 1000, shape[1])
-        rows.fill(0)
-    for t in (1, 7, 1000):
+        alpha = np.broadcast_to(scheduled_alpha(kind, hp, alphas, np.arange(1, 1001)), (3, 1000))
+        rows = CoefficientRows(hp, alpha, np.array(b1s), np.array(b2s), _CHECK_EVERY, shape[1])
+    for t in (1, 7, 300, 1000):
         b1, b2 = b1s[t - 1], b2s[t - 1]
         a_t = scheduled_alpha(kind, hp, hp.alpha if lanes is None else alphas, t)
-        coeffs = step_coefficients(hp, t, a_t, b1, b2) if lanes is None else rows.steps[t - 1]
+        if lanes is None:
+            coeffs = step_coefficients(hp, t, a_t, b1, b2)
+        else:
+            lo = (t - 1) // _CHECK_EVERY * _CHECK_EVERY
+            rows.fill(lo)
+            coeffs = rows.steps[t - 1 - lo]
         with np.errstate(all="ignore"):
             got = KERNELS[kind](coeffs, g, m, s, s_hat)
             want = written_out(kind, hp, t, a_t, b1, b2, g, m, s, s_hat)
