@@ -9,7 +9,8 @@ Subcommands:
                compare.csv plus compare.svg for the winners;
 * ``check``    validate trace CSVs: increment band and weight positivity
                from the stored columns, plus a deterministic re-run from
-               the embedded config that must reproduce the file;
+               the embedded config that must reproduce every stored
+               column and metadata value;
 * ``bound``    print measured constants and the closed-form regret budget
                against measured regret at each checkpoint;
 * ``probe``    print the stepsize magnitude table for the three gradient
@@ -26,7 +27,7 @@ import os
 import pickle
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 import numpy as np
@@ -49,8 +50,8 @@ from .regret import (
     theoretical_bound,
 )
 from .svgchart import write_compare_svg
-from .traceio import (check_steps, g17, nonnegative_int, read_trace, trace_run,
-                      write_compare_csv, write_trace)
+from .traceio import (check_steps, g17, nonnegative_int, read_trace, stored_mismatches,
+                      trace_run, write_compare_csv, write_trace)
 
 
 def _use_color() -> bool:
@@ -415,11 +416,15 @@ def _check_one(path: str) -> list[str]:
     region = build_region(cfg, problem.dim)
     with _fitting(cfg):
         trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)
-    steps = tf.steps - 1
-    reproduced = bool(np.array_equal(trace.loss[steps], cols["loss"]))
+    # Nothing below reads the iterates or the first moments; dropping them
+    # keeps check's peak memory below run's.
+    trace = replace(trace, x=None, m=None, x_final=None)
+    differ = stored_mismatches(tf, trace, cfg.run.thin_stride)
+    reproduced = "loss" not in differ
     print(f"check {path}: re-run reproduces losses {_verdict(reproduced)}")
     if not reproduced:
         failures.append("re-run did not reproduce the stored losses")
+    failures.extend(message for name, message in differ.items() if name != "loss")
     c3 = check_condition3(trace)
     zeta_ok = bool(np.isfinite(c3.zeta))
     print(f"check {path}: finite zeta {_verdict(zeta_ok)} (zeta*={c3.zeta:.6g})")
@@ -452,6 +457,10 @@ def cmd_bound(args) -> int:
         if cell.kind != BOUNDED_RULE:
             continue
         leaves = budget_domain(region.dim, width, cfg.run.horizon, cell.hp)
+        if leaves == "schedule":
+            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.kind}: "
+                              f"schedule = {cell.hp.step_schedule} voids the regret budget, "
+                              "which is derived for the alpha/t stepsize")
         if leaves == "D_inf":
             raise ConfigError(
                 f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "

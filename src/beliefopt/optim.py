@@ -295,12 +295,13 @@ class CoefficientRows:
 # ``CoefficientRows``, so every ufunc in its loop takes same-shape operands,
 # the cheapest numpy dispatch.  A row holds the scalar of its step
 # and lane, so the two give the same bits.  Every operation is elementwise
-# and nothing is written in place, so a lane's values never depend on the
-# other lanes or on the lane count.  ``step`` adds the step tail to one
-# kernel call (``region_stepsize_table`` runs a rule's scripts as its
-# lanes); ``run_sweep`` calls the kernels of all its lane groups through
-# KERNELS and runs one tail for all of them.  Kernels that wrote their state
-# into the sweep's records through ``out=`` instead measured no faster.
+# and no argument is written in place, so a lane's values never depend on the
+# other lanes or on the lane count.  ``run_sweep`` calls the kernels of all
+# its lane groups through KERNELS and runs one step tail for all of them,
+# and ``region_stepsize_table`` calls them with no tail.  ``step``, one
+# kernel call plus the tail, is the tests' per-step reference and a name
+# the benchmark's layer spans wrap.  Kernels that wrote their state into the
+# sweep's records through ``out=`` instead measured no faster.
 
 
 def _sgd_momentum(c, g, m, s, s_hat):
@@ -331,9 +332,7 @@ def _adabound(c, g, m, s, s_hat):
     v = c.b2 * s + c.one_minus_b2 * g * g
     # Where v = 0 the raw rate is unbounded and the clip lands on eta_u.
     raw = np.divide(c.a_t, np.sqrt(v), out=np.full(v.shape, np.inf), where=v > 0)
-    # np.clip's bytes: this order keeps np.clip's signed zeros, the reverse
-    # one does not.
-    return m, v, s_hat, np.minimum(np.maximum(raw, c.eta_l), c.eta_u)
+    return m, v, s_hat, _clip(raw, c.eta_l, c.eta_u, raw)
 
 
 def _adabelief(c, g, m, s, s_hat):

@@ -29,10 +29,10 @@ from .optim import (
     CoefficientRows,
     FeasibleRegion,
     HyperParams,
-    box_region,
     scheduled_alpha,
-    step,
+    step,  # unused here: bench/layers.py wraps regret.step
     step_betas,
+    step_coefficients,
     stepsize_probe,
     validate_hyperparams,
 )
@@ -338,7 +338,6 @@ class RegretReport:
     regret: np.ndarray
     ratio: np.ndarray
     hindsight_x_star: np.ndarray
-    hindsight_value: float
     log_fit: GrowthFit | None
     sqrt_fit: GrowthFit | None
 
@@ -397,7 +396,6 @@ def compute_regret(problem, region: FeasibleRegion, trace: TrajectoryTrace,
     regret = np.empty(len(checkpoints))
     warm = None
     x_star = None
-    value = math.nan
     for j, upto in enumerate(checkpoints):
         x_star, value = best_in_hindsight(problem, region, trace, upto, x_start=warm)
         warm = x_star
@@ -408,8 +406,7 @@ def compute_regret(problem, region: FeasibleRegion, trace: TrajectoryTrace,
     if len(checkpoints) >= 4:
         log_fit, sqrt_fit = fit_growth(checkpoints, regret)
     return RegretReport(checkpoints=checkpoints, regret=regret, ratio=ratio,
-                        hindsight_x_star=x_star, hindsight_value=value,
-                        log_fit=log_fit, sqrt_fit=sqrt_fit)
+                        hindsight_x_star=x_star, log_fit=log_fit, sqrt_fit=sqrt_fit)
 
 
 # ------------------------------------------------------------- constants
@@ -431,10 +428,13 @@ class BoundConstants:
     delta: float
 
     def __post_init__(self):
-        for name in ("d_inf", "g_inf", "r", "sum_g_norms", "alpha", "delta"):
+        for name in ("d_inf", "g_inf", "r", "alpha", "delta"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        # S may be +inf, its fourth powers overflowed; the budget is then inf.
+        if not self.sum_g_norms >= 0:
+            raise ValueError(f"sum_g_norms must be nonnegative, got {self.sum_g_norms}")
 
 
 #: how ``measure_constants`` measures r, as ``bound`` prints it
@@ -446,7 +446,8 @@ def measure_constants(trace: TrajectoryTrace, region: FeasibleRegion) -> BoundCo
 
     r follows ``R_RULE``: the largest inverse square root of the effective
     divisor observed along the run.  Degenerate all-zero-gradient traces
-    legitimately measure g_inf = 0.
+    legitimately measure g_inf = 0, and gradients past about 1e77 measure
+    an S whose fourth powers overflow to inf.
     """
     hp = trace.hp
     tcol = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
@@ -454,7 +455,8 @@ def measure_constants(trace: TrajectoryTrace, region: FeasibleRegion) -> BoundCo
     if low <= 0:
         raise ValueError("effective divisor hit zero; cannot apply the r rule")
     g_inf = float(np.max(np.abs(trace.g))) if trace.g.size else 0.0
-    sum_g_norms = float(np.sum(np.sqrt(np.sum(trace.g ** 4, axis=0))))
+    with np.errstate(over="ignore"):
+        sum_g_norms = float(np.sum(np.sqrt(np.sum(trace.g ** 4, axis=0))))
     return BoundConstants(
         n=region.dim, horizon=trace.horizon, d_inf=region.diameter_inf,
         g_inf=g_inf, r=1.0 / math.sqrt(low), sum_g_norms=sum_g_norms,
@@ -471,7 +473,8 @@ def budget_terms(c: BoundConstants) -> tuple[float, float, float, float]:
           + (2*alpha*r^2 + alpha*delta^2) / (2*(1-beta1)^2) * S
           + n*beta1*lam*D^2*(G+delta) / (2*alpha*(1-beta1)*(1-lam)^2)
 
-    with S = sum_g_norms.  The two S terms are 0 when S = 0.  The last term
+    with S = sum_g_norms, which may be inf.  The two S terms are 0 when
+    S = 0, and the log term is 0 at T = 1.  The last term
     exists only for decaying momentum (lam < 1); with beta1 = 0 it vanishes
     and lam = 1 is allowed.  Every term is nondecreasing in G, r and S.
     """
@@ -483,7 +486,9 @@ def budget_terms(c: BoundConstants) -> tuple[float, float, float, float]:
         # Their prefixes can overflow to inf, and inf * 0 is nan.
         term2 = term3 = 0.0
     else:
-        term2 = c.alpha * c.r ** 2 * math.log(c.horizon) / one_minus_b1 ** 2 * c.sum_g_norms
+        # log(1) = 0 zeroes the log term, also against an S that overflowed.
+        term2 = 0.0 if c.horizon == 1 else \
+            c.alpha * c.r ** 2 * math.log(c.horizon) / one_minus_b1 ** 2 * c.sum_g_norms
         term3 = (2.0 * c.alpha * c.r ** 2 + c.alpha * c.delta ** 2) \
             / (2.0 * one_minus_b1 ** 2) * c.sum_g_norms
     if c.beta1 == 0.0:
@@ -508,9 +513,11 @@ def budget_domain(n: int, d_inf: float, horizon: int, hp: HyperParams) -> str | 
     """None when ``theoretical_bound`` can be evaluated, and is finite with
     zero gradients, on every trace of a run of the belief rule with ``hp``
     over ``horizon`` steps in an ``n``-dimensional region of diameter
-    ``d_inf``; else what leaves the domain: "D_inf", "delta", "r" or
-    "budget".
+    ``d_inf``; else what leaves the domain: "schedule", "D_inf", "delta",
+    "r" or "budget".
 
+    The budget is derived for the rule's alpha/t stepsize, so a
+    ``step_schedule`` other than that default ("inverse_t") voids it.
     The budget squares D_inf, delta and r with float ``**``, which raises
     OverflowError past about 1.3e154.  r, the largest (s_hat + delta/t)^(-1/2)
     of the trace, is (delta/horizon)^(-1/2) on an all-zero gradient history.
@@ -519,6 +526,8 @@ def budget_domain(n: int, d_inf: float, horizon: int, hp: HyperParams) -> str | 
     finite, or a divisor underflows to zero.  An undefined momentum term
     (lam = 1 with beta1 > 0) is left to ``theoretical_bound``, which raises.
     """
+    if hp.step_schedule not in (None, "inverse_t"):
+        return "schedule"
     if not math.isfinite(d_inf * d_inf):
         return "D_inf"
     if not math.isfinite(hp.delta * hp.delta):
@@ -556,8 +565,13 @@ class Condition4Result:
 
 
 def _increments(weighted: np.ndarray) -> np.ndarray:
-    """Step-to-step increments of a (T, n) series from an all-zero start."""
-    return np.diff(weighted, axis=0, prepend=0.0)
+    """Step-to-step increments of a (T, n) series from an all-zero start
+    (x - 0.0 is x bit for bit, so row 0 is copied).  They go into one new
+    array; np.diff's prepend would allocate a second."""
+    out = np.empty_like(weighted)
+    out[0] = weighted[0]
+    np.subtract(weighted[1:], weighted[:-1], out=out[1:])
+    return out
 
 
 def _cond4_values(trace: TrajectoryTrace) -> np.ndarray:
@@ -591,10 +605,6 @@ def check_condition4(trace: TrajectoryTrace, sigma: float) -> Condition4Result:
                             passed=band_holds(lhs_min, lhs_max, upper))
 
 
-#: steps per block of the condition-3 pass; bounds its buffers at 2 x 1,024 x n
-_COND3_ROWS = 1024
-
-
 @dataclass
 class Condition3Result:
     """Smallest feasible zeta per step, and its maximum over the horizon."""
@@ -612,34 +622,25 @@ def check_condition3(trace: TrajectoryTrace) -> Condition3Result:
     a nonzero gradient history force zeta = inf; an all-zero history
     contributes 0 by convention.
     """
-    horizon, n = trace.g.shape
-    zeta_series = np.empty(horizon)
-    w_t, g2_sum = np.zeros(n), np.zeros(n)
+    g2 = trace.g ** 2
+    w = (1.0 - trace.beta2)[:, None] * g2
+    w_t = np.zeros(trace.g.shape[1])
     # Only the W recursion runs step by step; everything else is computed
-    # on blocks of steps, in place in two (steps, n) buffers.
-    for lo in range(0, horizon, _COND3_ROWS):
-        g2 = trace.g[lo:lo + _COND3_ROWS] ** 2
-        beta2 = trace.beta2[lo:lo + _COND3_ROWS]
-        w = (1.0 - beta2)[:, None] * g2
-        for i, b2 in enumerate(beta2):
-            w[i] += b2 * w_t
-            w_t = w[i]
-        w_t = w[-1].copy()  # w and g2 are reused in place below
-        g2[0] += g2_sum
-        g2_sum = np.cumsum(g2, axis=0, out=g2)[-1].copy()
-        t = np.arange(lo + 1, lo + len(g2) + 1, dtype=np.float64)[:, None]
-        lhs = np.sqrt(w, out=w)
-        lhs *= t / trace.hp.alpha
-        rhs = np.sqrt(g2, out=g2)
-        zero = rhs == 0.0
-        unbounded = (lhs == 0.0) & (rhs > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(rhs, lhs, out=rhs)
-        ratio[zero] = 0.0
-        ratio[unbounded] = np.inf
-        # Every ratio is >= 0 or nan, so a start at 0 changes no maximum and
-        # gives 0 for n = 0.
-        zeta_series[lo:lo + len(g2)] = ratio.max(axis=1, initial=0.0)
+    # on the whole trace, in place in the two (T, n) arrays.
+    for i, b2 in enumerate(trace.beta2):
+        w[i] += b2 * w_t
+        w_t = w[i]
+    t = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
+    lhs = np.sqrt(w, out=w)
+    lhs *= t / trace.hp.alpha
+    rhs = np.sqrt(np.cumsum(g2, axis=0, out=g2), out=g2)
+    # lhs >= +0 (W is, for beta2 in [0, 1]), so rhs/lhs is inf where
+    # lhs = 0 < rhs; where rhs = 0 the division is skipped, leaving 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(rhs, lhs, out=rhs, where=rhs != 0.0)
+    # Every ratio is >= 0 or nan, so a start at 0 changes no maximum and
+    # gives 0 for n = 0.
+    zeta_series = ratio.max(axis=1, initial=0.0)
     return Condition3Result(zeta_series=zeta_series, zeta=float(zeta_series.max()))
 
 
@@ -698,23 +699,22 @@ def region_stepsize_table():
     """|Delta_t| for the five comparison rules on the three scripts.
 
     Each rule's own recursions evolve (m, s) along the scripts (by running
-    the real step kernels, one script per lane, on an effectively
-    unconstrained scalar problem), then the probe evaluates the
-    displacement at each of ``_PROBE_STEPS``.  Returns rows of
-    (region, optimizer, t, m, s, delta_abs).
+    the real step kernels, one script per lane; no iterate is kept, as the
+    probe never reads one), then the probe evaluates the displacement at
+    each of ``_PROBE_STEPS``.  Returns rows of (region, optimizer, t, m, s,
+    delta_abs).
     """
-    wide = box_region(-1e18, 1e18, 1)
     scripts = region_scenarios()
     grads = np.stack(list(scripts.values()), axis=1)[:, :, None]  # (T, lanes, 1)
     found = {}
     for kind in PROBE_KINDS:
         hp = _probe_hyperparams(kind)
         b1, b2 = step_betas(kind, hp, _SCRIPT_LENGTH)
-        x = m = s = s_hat = np.zeros((len(scripts), 1))
+        m = s = s_hat = np.zeros((len(scripts), 1))
         for t in range(1, _SCRIPT_LENGTH + 1):
-            a_t = scheduled_alpha(kind, hp, hp.alpha, t)
-            x, m, s, s_hat, _, _ = step(kind, hp, t, a_t, b1[t - 1], b2[t - 1],
-                                        grads[t - 1], x, m, s, s_hat, wide)
+            c = step_coefficients(hp, t, scheduled_alpha(kind, hp, hp.alpha, t),
+                                  b1[t - 1], b2[t - 1])
+            m, s, s_hat, _ = KERNELS[kind](c, grads[t - 1], m, s, s_hat)
             if t in _PROBE_STEPS:
                 delta_t = stepsize_probe(kind, m, s, t, hp)
                 for lane, name in enumerate(scripts):

@@ -10,6 +10,9 @@ The file layout is stable so downstream checks can rely on it:
   step_inf_norm, alpha_t, beta2_t, cond4_min, cond4_max, gamma_min``;
 * data rows serialized with %.17g so floats round-trip bit-exactly.
 
+``trace_record`` builds what ``write_trace`` writes, and
+``stored_mismatches`` compares a read trace with it for ``check``.
+
 The writers format their rows a table at a time: the kept values go into
 one float64 table, and blocks of _BLOCK_ROWS rows go through one row
 template each.  The bytes are those of formatting value by value.
@@ -29,6 +32,7 @@ from .regret import TrajectoryTrace, check_condition4, checkpoint_grid, gamma_se
 
 TRACE_HEADER = ("t, loss, cum_loss, grad_inf_norm, step_inf_norm, "
                 "alpha_t, beta2_t, cond4_min, cond4_max, gamma_min")
+_COLUMNS = [name.strip() for name in TRACE_HEADER.split(",")]
 COMPARE_HEADER = "optimizer,t,loss"
 
 #: past this many steps, auto thinning keeps every 10th row.
@@ -64,13 +68,11 @@ def kept_steps(horizon: int, stride: int, checkpoints=None) -> np.ndarray:
     return np.array(sorted(keep), dtype=np.int64)
 
 
-def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
-                thin_stride="auto", checkpoints=None) -> int:
-    """Write one run's trace; returns the number of data rows written."""
-    stride = auto_stride(trace.horizon) if thin_stride == "auto" else int(thin_stride)
-    if stride < 1:
-        raise ValueError("thin_stride must be >= 1")
-    steps = kept_steps(trace.horizon, stride, checkpoints)
+def trace_record(trace: TrajectoryTrace, steps: np.ndarray,
+                 stride: int) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """What ``write_trace`` writes for ``trace`` at thinning ``stride``: its
+    metadata as (key, text) pairs, and the float64 table of its data rows at
+    the 1-based ``steps``, one column per TRACE_HEADER field."""
     band = check_condition4(trace, trace.sigma)
     gamma = gamma_series(trace)
     cum_loss = np.cumsum(trace.loss)
@@ -86,17 +88,32 @@ def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
         ("cond4_upper", g17(band.upper)),
         ("thin_stride", str(stride)),
     ]
+    columns = (trace.loss, cum_loss, grad_inf, trace.step_inf, trace.alpha, trace.beta2,
+               band.lhs_min, band.lhs_max, gamma)
+    return meta, np.column_stack([steps] + [c[steps - 1] for c in columns])
+
+
+def _stride(horizon: int, thin_stride) -> int:
+    """The stride a ``thin_stride`` setting ("auto" or an int) keeps."""
+    stride = auto_stride(horizon) if thin_stride == "auto" else int(thin_stride)
+    if stride < 1:
+        raise ValueError("thin_stride must be >= 1")
+    return stride
+
+
+def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
+                thin_stride="auto", checkpoints=None) -> int:
+    """Write one run's trace; returns the number of data rows written."""
+    stride = _stride(trace.horizon, thin_stride)
+    meta, table = trace_record(trace, kept_steps(trace.horizon, stride, checkpoints), stride)
     lines = [f"# {key}: {value}" for key, value in meta]
     for cfg_line in config_text.splitlines():
         lines.append(f"#cfg: {cfg_line}")
     lines.append(TRACE_HEADER)
-    columns = (trace.loss, cum_loss, grad_inf, trace.step_inf, trace.alpha, trace.beta2,
-               band.lhs_min, band.lhs_max, gamma)
-    table = np.column_stack([steps] + [c[steps - 1] for c in columns])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        _write_rows(fh, "%d" + ", %.17g" * len(columns) + "\n", table)
-    return len(steps)
+        _write_rows(fh, "%d" + ", %.17g" * (len(_COLUMNS) - 1) + "\n", table)
+    return len(table)
 
 
 @dataclass
@@ -163,6 +180,43 @@ def check_steps(tf: TraceFile, path: str, horizon: int) -> None:
         raise ConfigError(f"{path}: line {tf.row_lines[i]}: t = {g17(t[i])} {why}")
 
 
+def _same_value(stored: str, written: str) -> bool:
+    """Whether a stored metadata text holds the value written: the same
+    text or the same number."""
+    if stored == written:
+        return True
+    try:
+        return float(stored) == float(written)
+    except ValueError:
+        return False
+
+
+def stored_mismatches(tf: TraceFile, trace: TrajectoryTrace, thin_stride) -> dict[str, str]:
+    """The failure message of each metadata key and data column of ``tf``
+    that is not what ``write_trace`` writes for ``trace``, its re-run with
+    the ``thin_stride`` setting, keyed by name.
+
+    Metadata compare by value, columns bit for bit at the file's rows; a
+    column's message names the file line of its first differing row.
+    """
+    meta, table = trace_record(trace, tf.steps, _stride(trace.horizon, thin_stride))
+    found = {}
+    for key, written in meta:
+        if key not in tf.meta:
+            found[key] = f"metadata line '# {key}: ...' missing"
+        elif not _same_value(tf.meta[key], written):
+            found[key] = (f"metadata '# {key}: {tf.meta[key]}': "
+                          f"stored {key} does not match the re-run")
+    # %.17g writes every nan as "nan", which reads back as np.nan.
+    table[np.isnan(table)] = np.nan
+    for name, written in zip(_COLUMNS[1:], table.T[1:]):
+        differ = tf.columns[name].view(np.int64) != written.view(np.int64)
+        if differ.any():
+            line = tf.row_lines[int(np.argmax(differ))]
+            found[name] = f"line {line}: stored {name} does not match the re-run"
+    return found
+
+
 def read_trace(path: str) -> TraceFile:
     meta: dict[str, str] = {}
     cfg_lines: list[str] = []
@@ -192,8 +246,7 @@ def read_trace(path: str) -> TraceFile:
             continue
         if header is None:
             header = [part.strip() for part in line.split(",")]
-            expected = [part.strip() for part in TRACE_HEADER.split(",")]
-            if header != expected:
+            if header != _COLUMNS:
                 raise ConfigError(f"{path}: unexpected trace header at line {lineno}")
             continue
         parts = [part.strip() for part in line.split(",")]

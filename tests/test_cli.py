@@ -272,6 +272,40 @@ class TestCheck:
         assert "metadata" in result.stderr
 
 
+    @pytest.mark.parametrize("forgery, passes", [("band columns", 4), ("band upper", 4),
+                                                 ("upper by value", 3), ("no beta1", 3)])
+    def test_stored_values_must_match_the_re_run(self, tmp_path, capsys, forgery, passes):
+        # The band of the shipped softmax run fails.  Columns or an upper
+        # edge forged to pass it print four PASS lines, and the check fails
+        # on each stored value the re-run does not reproduce.  Metadata
+        # compare by value, not by text.
+        lines = reference_trace("softmax.cfg", 64).splitlines()
+        row = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+        upper = lines.index("# cond4_upper: 0.0019999999999999996")
+        if forgery == "band columns":
+            for i in range(row, len(lines)):
+                fields = lines[i].split(", ")
+                fields[7:9] = ["0", "0"]
+                lines[i] = ", ".join(fields)
+            why = [f"line {row + 1}: stored {name} does not match the re-run"
+                   for name in ("cond4_min", "cond4_max")]
+        elif forgery == "band upper":
+            lines[upper] = "# cond4_upper: 1e9"
+            why = ["metadata '# cond4_upper: 1e9': stored cond4_upper does not match the re-run"]
+        elif forgery == "upper by value":
+            lines[upper] = "# cond4_upper: 1.9999999999999996e-3"
+            why = ["cond4 band violated"]
+        else:
+            lines.remove("# beta1: 0.90000000000000002")
+            why = ["cond4 band violated", "metadata line '# beta1: ...' missing"]
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert beliefopt.cli.main(["check", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out.count("PASS") == passes
+        assert err == "check failed: " + "; ".join(f"{path}: {w}" for w in why) + "\n"
+
+
 class TestBound:
     def test_budget_table_for_the_belief_rule(self, quad_cfg, tmp_path):
         result = cli("bound", "--config", quad_cfg)
@@ -396,6 +430,43 @@ class TestBound:
         assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] "
                                  "fastadabelief_alpha1: the regret budget at checkpoint 128 "
                                  "is inf, not a finite number\n")
+
+    def test_an_overflowing_s_exits_2_after_the_cell_header(self, tmp_path):
+        # Gradients near 1e100 overflow g^4 in S = sum_i sqrt(sum_t g_ti^4),
+        # so the budget is inf, with no warning printed.
+        text = (ROOT / "configs" / "quadratic.cfg").read_text()
+        edits = [("x_star = 0.5", "x_star = 1e100\nx0 = zeros"),
+                 ("region_lo = -5", "region_lo = -1e101"),
+                 ("region_hi = 5", "region_hi = 1e101"), ("horizon = 16384", "horizon = 200")]
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(text)
+        assert cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")).returncode == 0
+        line = text.splitlines().index("[optimizer]") + 1
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == "bound fastadabelief_alpha0.001: checkpoint  regret  budget  ratio\n"
+        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] "
+                                 "fastadabelief_alpha0.001: the regret budget at checkpoint 128 "
+                                 "is inf, not a finite number\n")
+
+    @pytest.mark.parametrize("schedule", ["constant", "inverse_sqrt_t"])
+    def test_a_schedule_that_voids_the_budget_fails_before_any_sweep(self, tmp_path, schedule):
+        # The budget is derived for the alpha/t stepsize.  A sweep of 10**12
+        # steps could not even allocate its trace.
+        cfg = tmp_path / "schedule.cfg"
+        text = (QUADRATIC.replace("horizon = 50", "horizon = 1000000000000")
+                .replace("delta = 0.1", f"delta = 0.1\nschedule = {schedule}"))
+        cfg.write_text(text)
+        line = text.splitlines().index("[optimizer]") + 1
+        result = cli("bound", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (f"config error: {cfg}: line {line}: [optimizer] fastadabelief: "
+                                 f"schedule = {schedule} voids the regret budget, which is "
+                                 "derived for the alpha/t stepsize\n")
 
     @pytest.mark.parametrize("name, lam", [("quadratic.cfg", "0.999"), ("softmax.cfg", "0.99")])
     def test_the_budget_terms_add_up_to_the_printed_budget(self, tmp_path, monkeypatch, capsys,

@@ -270,10 +270,10 @@ def test_adabound_zero_second_moment_hits_upper_envelope():
 
 
 def test_adabound_clip_matches_np_clip_bit_for_bit():
-    # The rate alpha_t/sqrt(v) is clipped by max then min instead of
-    # np.clip: v = 0 (raw rate +inf), rates below eta_l, inside the band and
-    # above eta_u must come out as np.clip's bytes, for one lane and for a
-    # (lanes, n) stack with a per-lane stepsize column.
+    # The rate alpha_t/sqrt(v) is clipped by the ufunc np.clip forwards to,
+    # without np.clip's wrappers: v = 0 (raw rate +inf), rates below eta_l,
+    # inside the band and above eta_u must come out as np.clip's bytes, for
+    # one lane and for a (lanes, n) stack with a per-lane stepsize column.
     hp = HyperParams(alpha=0.01, beta1=0.9, beta2=0.999, eta_final=0.1, bound_gamma=1e-3)
     g = np.array([0.0, 1e6, 3.0, 0.01, 1e-9, 0.5])
     zeros = np.zeros_like(g)

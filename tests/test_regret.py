@@ -368,6 +368,19 @@ class TestBound:
         with pytest.raises(ValueError, match="d_inf"):
             self.base(d_inf=math.inf)
 
+    def test_an_overflowed_s_is_an_infinite_budget(self):
+        assert theoretical_bound(self.base(sum_g_norms=math.inf)) == math.inf
+        for bad in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="sum_g_norms must be nonnegative"):
+                self.base(sum_g_norms=bad)
+
+    @pytest.mark.parametrize("schedule, leaves", [(None, None), ("inverse_t", None),
+                                                  ("constant", "schedule"),
+                                                  ("inverse_sqrt_t", "schedule")])
+    def test_the_domain_needs_the_alpha_over_t_schedule(self, schedule, leaves):
+        hp = HyperParams(alpha=0.01, lam=0.999, delta=0.1, step_schedule=schedule)
+        assert budget_domain(1, 2.0, 10, hp) == leaves
+
     @pytest.mark.parametrize("delta", [1.0, 1e154, 1e155, 1e200, 1e-300, 1e-307, 1e-310,
                                        5e-324])
     @pytest.mark.parametrize("horizon", [1, 10, 200])
@@ -455,6 +468,15 @@ class TestMeasureConstants:
         assert c.sum_g_norms == 0.0
         assert math.isfinite(theoretical_bound(c))
 
+    def test_gradients_whose_fourth_powers_overflow_measure_an_infinite_s(self):
+        # 1e100^4 overflows; the tier-1 settings turn the RuntimeWarning
+        # numpy would print into a failure.
+        hp = HyperParams(alpha=0.01, lam=0.999, delta=0.1)
+        trace = make_trace("fastadabelief", np.ones((3, 2)), g=np.full((3, 2), 1e100), hp=hp)
+        c = measure_constants(trace, box_region(-1.0, 1.0, 2))
+        assert c.sum_g_norms == math.inf
+        assert theoretical_bound(c) == math.inf
+
 
 class TestCondition4:
     def s_ramp(self):
@@ -533,7 +555,7 @@ class TestCondition3:
         return np.array(series)
 
     def test_matches_the_per_step_definition_bit_for_bit(self):
-        # 2,500 steps span three blocks of the vectorized pass.  Coordinate
+        # 2,500 steps, all in the one vectorized pass.  Coordinate
         # 0 stays zero until step 40, coordinate 1 is zero throughout, and
         # beta2 = 1 at step 1 leaves W = 0 under a nonzero gradient there
         # (ratio inf).
@@ -645,8 +667,8 @@ class TestScenariosAndProbeTable:
             0.03376034531636645, rel=1e-12)
 
     def test_table_equals_a_one_lane_loop_bit_for_bit(self):
-        # The table runs each rule's three scripts as three lanes of step;
-        # every row must equal a plain loop over one (1,) lane at a time.
+        # The table runs each rule's three scripts as three lanes of its
+        # kernel; every row must equal a loop of step over one (1,) lane.
         t_values = (10, 100, 1000)
         rows = region_stepsize_table()
         assert len(rows) == 3 * len(PROBE_KINDS) * len(t_values)
