@@ -9,15 +9,21 @@ Subcommands:
                compare.csv plus compare.svg for the winners;
 * ``check``    validate trace CSVs: increment band and weight positivity
                from the stored columns, plus a deterministic re-run from
-               the embedded config that must reproduce every stored
-               column and metadata value;
+               the embedded config, one trace at a time, that must
+               reproduce every stored column and metadata value;
 * ``bound``    print measured constants and the closed-form regret budget
-               against measured regret at each checkpoint;
+               against measured regret at each checkpoint; its belief-rule
+               cells are sharded like ``run``'s;
 * ``probe``    print the stepsize magnitude table for the three gradient
                scripts.
 
+Every command that runs the engine does so through ``_drive``; ``run``,
+``compare`` and ``bound`` print only once every cell has run and been
+summarized.
+
 Exit codes: 0 success, 1 usage, 2 config problem, 3 numeric failure or a
-lost sweep worker, 4 failed check.
+lost sweep worker, 4 failed check.  A numeric failure names the trace
+``check`` re-ran, or the cell whose run or hindsight solve failed.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .regret import (
     lane_groups,
     measure_constants,
     region_stepsize_table,
-    run_online,
+    run_online,  # unused here: bench/layers.py wraps cli.run_online
     run_sweep,
     theoretical_bound,
 )
@@ -73,19 +79,6 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-@contextmanager
-def _fitting(cfg: RunConfig):
-    """Turn a MemoryError inside the block, a sweep's records refused at
-    once, into a config error naming the [run] line.  numpy's own message
-    names the shard's lane count, so it is left out: the error is the same
-    for every worker count."""
-    try:
-        yield
-    except MemoryError:
-        raise ConfigError(f"{cfg.source}: line {cfg.run_line}: [run] horizon = "
-                          f"{cfg.run.horizon} does not fit in memory") from None
 
 
 def _out_path(args, cfg: RunConfig) -> str:
@@ -310,6 +303,34 @@ def _write_trace(out: str, cfg: RunConfig, cell, trace):
     return path, rows
 
 
+def _drive(cfg: RunConfig, problem, seed: int, cells, finish, start=lambda: None):
+    """[finish(region, cell, trace)] for every cell, in cell order, from
+    ``run_sweep`` on each shard of ``_fan_out`` over the config's region.
+
+    Each trace reaches ``finish`` with ``x`` and ``m`` None and ``x_final``
+    copied, so the records no command reads are freed first.  Records
+    refused at once are a config error naming the [run] line, the same for
+    every worker count; a numeric failure inside ``finish`` names its cell.
+    """
+    region = build_region(cfg, problem.dim)
+
+    def sweep(part):
+        try:
+            traces = run_sweep(problem, part, region, cfg.run.horizon, seed)
+        except MemoryError:
+            raise ConfigError(f"{cfg.source}: line {cfg.run_line}: [run] horizon = "
+                              f"{cfg.run.horizon} does not fit in memory") from None
+        return [replace(t, x=None, m=None, x_final=t.x_final.copy()) for t in traces]
+
+    def named(cell, trace):
+        try:
+            return finish(region, cell, trace)
+        except NumericFailure as exc:
+            raise NumericFailure(f"{exc} in cell {cell.label}", cell=cell.label) from None
+
+    return _fan_out(cells, sweep, named, start)
+
+
 def _sweep(args, cfg: RunConfig, summarize):
     """Run every cell of the config and write its trace into the output
     directory, created once every cell has run.
@@ -320,18 +341,13 @@ def _sweep(args, cfg: RunConfig, summarize):
     """
     out = _out_path(args, cfg)
     problem = build_problem(cfg)
-    region = build_region(cfg, problem.dim)
     cells = sweep_cells(cfg)
-    seed = _seed(args, cfg)
 
-    def sweep(part):
-        with _fitting(cfg):
-            return run_sweep(problem, part, region, cfg.run.horizon, seed)
-
-    def finish(cell, trace):
+    def finish(region, cell, trace):
         return summarize(problem, region, trace, *_write_trace(out, cfg, cell, trace))
 
-    return out, problem, cells, _fan_out(cells, sweep, finish, lambda: _make_dir(out))
+    return out, problem, cells, _drive(cfg, problem, _seed(args, cfg), cells, finish,
+                                       lambda: _make_dir(out))
 
 
 def cmd_run(args) -> int:
@@ -412,13 +428,10 @@ def _check_one(path: str) -> list[str]:
     if cell is None:
         raise CheckFailure(f"{path}: embedded config has no {kind} cell with alpha={alpha:g}")
     check_steps(tf, path, cfg.run.horizon)
-    problem = build_problem(cfg)
-    region = build_region(cfg, problem.dim)
-    with _fitting(cfg):
-        trace = run_online(problem, cell.kind, cell.hp, region, cfg.run.horizon, seed)
-    # Nothing below reads the iterates or the first moments; dropping them
-    # keeps check's peak memory below run's.
-    trace = replace(trace, x=None, m=None, x_final=None)
+    try:
+        [trace] = _drive(cfg, build_problem(cfg), seed, [cell], lambda region, cell, trace: trace)
+    except NumericFailure as exc:
+        raise NumericFailure(f"{path}: {exc}") from None
     differ = stored_mismatches(tf, trace, cfg.run.thin_stride)
     reproduced = "loss" not in differ
     print(f"check {path}: re-run reproduces losses {_verdict(reproduced)}")
@@ -449,14 +462,13 @@ def cmd_bound(args) -> int:
     if not bounded:
         raise ConfigError(f"config has no {BOUNDED_RULE} cell to bound")
     problem = build_problem(cfg)
-    region = build_region(cfg, problem.dim)
     lines = [line for spec, line in zip(cfg.optimizers, cfg.optimizer_lines)
              for _ in spec.alphas]
     width = cfg.run.region_hi - cfg.run.region_lo
     for cell, line in zip(cells, lines):
         if cell.kind != BOUNDED_RULE:
             continue
-        leaves = budget_domain(region.dim, width, cfg.run.horizon, cell.hp)
+        leaves = budget_domain(problem.dim, width, cfg.run.horizon, cell.hp)
         if leaves == "schedule":
             raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.kind}: "
                               f"schedule = {cell.hp.step_schedule} voids the regret budget, "
@@ -475,23 +487,25 @@ def cmd_bound(args) -> int:
             raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
                               "the regret budget is not finite even with zero gradients, "
                               "so no run has a finite budget")
-    with _fitting(cfg):
-        traces = iter(run_sweep(problem, bounded, region, cfg.run.horizon, _seed(args, cfg)))
+
+    def finish(region, cell, trace):
+        report = compute_regret(problem, region, trace, cfg.run.checkpoints)
+        return report, [measure_constants(trace.truncate(upto), region)
+                        for upto in report.checkpoints]
+
+    reports = iter(_drive(cfg, problem, _seed(args, cfg), bounded, finish))
     for cell, line in zip(cells, lines):
         if cell.kind != BOUNDED_RULE:
             print(f"bound {cell.label}: skipped (budget applies to {BOUNDED_RULE} only)")
             continue
-        trace = next(traces)
-        report = compute_regret(problem, region, trace, cfg.run.checkpoints)
+        report, measured = next(reports)
         print(f"bound {cell.label}: checkpoint  regret  budget  ratio")
-        for j, upto in enumerate(report.checkpoints):
-            constants = measure_constants(trace.truncate(upto), region)
+        for upto, regret, constants in zip(report.checkpoints, report.regret.tolist(), measured):
             budget = theoretical_bound(constants)
             if not np.isfinite(budget):
                 raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
                                   f"the regret budget at checkpoint {upto} is {g17(budget)}, "
                                   "not a finite number")
-            regret = float(report.regret[j])
             ratio = regret / budget if budget > 0 else float("inf")
             print(f"bound {cell.label}: {upto:10d}  {g17(regret)}  "
                   f"{g17(budget)}  {ratio:.6g}")

@@ -68,9 +68,11 @@ class TrajectoryTrace:
     def truncate(self, upto: int) -> "TrajectoryTrace":
         if not 1 <= upto <= self.horizon:
             raise ValueError(f"cannot truncate horizon {self.horizon} to {upto}")
-        prefix = {name: getattr(self, name)[:upto] for name in
-                  ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2", "step_inf")}
-        final = self.x_final if upto == self.horizon else self.x[upto]
+        # A trace whose iterates or first moments were dropped keeps them None.
+        prefix = {name: value[:upto] for name in
+                  ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2", "step_inf")
+                  if (value := getattr(self, name)) is not None}
+        final = self.x_final if upto == self.horizon else None if self.x is None else self.x[upto]
         return replace(self, horizon=upto, x_final=final, **prefix)
 
 
@@ -95,7 +97,7 @@ def lane_groups(cells) -> list[range]:
     """The cell indices of each lane group: a run of consecutive cells that
     share a rule and every hyperparameter but alpha, as the alphas of one
     [optimizer] section do.  ``run_sweep`` advances each group with one
-    kernel call per step; ``run`` and ``compare`` shard by whole groups."""
+    kernel call per step; the commands shard by whole groups."""
     keys = [(cell.kind, replace(cell.hp, alpha=1.0)) for cell in cells]
     starts = [j for j in range(len(cells)) if j == 0 or keys[j] != keys[j - 1]]
     return [range(a, b) for a, b in zip(starts, starts[1:] + [len(cells)])]

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from test_sweep import poisoned
 
 import beliefopt.cli
-from beliefopt import NumericFailure, lane_groups, load_config, read_trace, sweep_cells
+from beliefopt import (NumericFailure, build_problem, build_region, lane_groups, load_config,
+                       read_trace, run_sweep, sweep_cells)
 from beliefopt.regret import budget_terms
 from beliefopt.traceio import g17
 
@@ -246,6 +247,25 @@ class TestCheck:
         assert "gamma positivity PASS" in result.stdout
         assert "re-run reproduces losses PASS" in result.stdout
         assert "finite zeta PASS" in result.stdout
+
+    def test_a_re_run_that_overflows_exits_3_naming_its_trace(self, quad_cfg, tmp_path, capsys):
+        # The embedded config of bad.csv starts the run at 1e300, whose
+        # first loss overflows; good.csv is checked in full before it.
+        good = self.trace_path(quad_cfg, tmp_path)
+        bad = tmp_path / "bad.csv"
+        text = good.read_text()
+        for old, new in [("x_star = 0.5", "x_star = 1e300"),
+                         ("region_lo = -2", "region_lo = -1e301"),
+                         ("region_hi = 2", "region_hi = 1e301")]:
+            assert f"#cfg: {old}\n" in text
+            text = text.replace(f"#cfg: {old}\n", f"#cfg: {new}\n")
+        bad.write_text(text)
+        assert beliefopt.cli.main(["check", str(good), str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert [line.partition(":")[0] for line in out.splitlines()] == \
+            [f"check {good}"] * 4 + [f"check {bad}"] * 2
+        assert out.count("PASS") == 6
+        assert err == f"numeric failure: {bad}: nonfinite loss at step 1\n"
 
     def test_tampered_loss_is_detected(self, quad_cfg, tmp_path):
         path = self.trace_path(quad_cfg, tmp_path)
@@ -556,33 +576,61 @@ class TestProbe:
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: bench/run.py workload -> the commands of its sequence that write files
-WRITERS = {
-    "quad-lab": [("run", "--config", "quadratic.cfg", "--seed", "0"), ("probe",)],
-    "softmax-lab": [("run", "--config", "softmax.cfg", "--seed", "0")],
-    "compare-sweep": [("compare", "--config", "compare.cfg", "--seed", "0")],
+def _lab(config):
+    return [("run", ["run", "--config", config, "--out", "OUT", "--seed", "0"]),
+            ("check", ["check", "TRACES"]),
+            ("bound", ["bound", "--config", config, "--seed", "0"])]
+
+
+#: bench/run.py workload -> its seed-0 command sequence, where OUT is the
+#: output directory and TRACES the sorted traces written into it
+SEQUENCES = {
+    "quad-lab": _lab("quadratic.cfg") + [("probe", ["probe", "--out", "OUT"])],
+    "softmax-lab": _lab("softmax.cfg"),
+    "compare-sweep": [("compare",
+                       ["compare", "--config", "compare.cfg", "--out", "OUT", "--seed", "0"])],
 }
 
 
+def _sequence_argv(argv, out):
+    args = []
+    for a in argv:
+        if a == "TRACES":
+            args.extend(sorted(str(path) for path in pathlib.Path(out).glob("trace_*.csv")))
+        else:
+            args.append(str(ROOT / "configs" / a) if a.endswith(".cfg") else
+                        out if a == "OUT" else a)
+    return args
+
+
 @pytest.mark.parametrize("workload, workers", [
-    *(pytest.param(workload, None, id=workload) for workload in sorted(WRITERS)),
+    *(pytest.param(workload, None, id=workload) for workload in sorted(SEQUENCES)),
     pytest.param("compare-sweep", 2, id="compare-sweep-2-workers"),
 ])
 def test_seed0_files_match_the_bench_reference_digests(workload, workers, tmp_path,
-                                                       monkeypatch, capsys):
-    # Every file the benchmark's seed-0 sequence writes, byte for byte.  With
-    # ``workers`` set the commands run in-process on that many sweep
-    # workers, so the forked shards are checked on any host.
+                                                       monkeypatch):
+    # The exit code and stdout of every command of the benchmark's seed-0
+    # sequence, and every file it writes, byte for byte.  The commands run
+    # in-process as bench/run.py runs them: the output directory reads OUT
+    # in stdout, and an exception that escapes main counts by its type name
+    # (softmax-lab's bound raises ValueError).  With ``workers`` set they run
+    # on that many sweep workers, so the forked shards are checked on any
+    # host.
     references = json.loads((ROOT / "bench" / "reference_seed0.json").read_text())
-    monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
-    for argv in WRITERS[workload]:
-        argv = [str(ROOT / "configs" / a) if a.endswith(".cfg") else a for a in argv]
-        if workers is None:
-            result = cli(*argv, "--out", str(tmp_path))
-            assert result.returncode == 0, result.stderr
-        else:
-            assert beliefopt.cli.main([*argv, "--out", str(tmp_path)]) == 0, \
-                capsys.readouterr().err
+    if workers is not None:
+        monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
+    out = str(tmp_path)
+    commands = {}
+    for name, argv in SEQUENCES[workload]:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = beliefopt.cli.main(_sequence_argv(argv, out))
+            except Exception as exc:
+                code = type(exc).__name__
+        text = stdout.getvalue().replace(out, "OUT")
+        commands[name] = {"exit": code, "stdout": hashlib.sha256(text.encode()).hexdigest()}
+    assert commands == references[workload]["commands"]
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in tmp_path.iterdir()}
     assert got == references[workload]["files"]
@@ -864,11 +912,46 @@ region_hi = 2
 seed = 3
 """
 
+# Lane groups of 3, 2 and 1 lanes; ``bound`` sweeps the two fastadabelief
+# groups and skips the adam cells, which come first.
+BOUND_FANOUT = """\
+[problem]
+kind = quadratic
+dim = 2
+eig_min = 0.5
+eig_max = 1.0
+x_star = 0.5
+
+[optimizer]
+kind = adam
+alpha = 0.05, 0.01, 0.002
+
+[optimizer]
+kind = fastadabelief
+alpha = 0.05, 0.01
+lam = 0.999
+beta2_mode = sadam
+delta = 0.1
+
+[optimizer]
+kind = fastadabelief
+alpha = 0.02
+lam = 0.99
+beta2_mode = sadam
+delta = 0.1
+
+[run]
+horizon = 300
+region_lo = -2
+region_hi = 2
+seed = 3
+"""
+
 
 class TestFanOut:
-    """``run`` and ``compare`` shard their lane groups over forked workers.
-    Every worker count gives the same bytes and the same failures, and no
-    call leaves a child process behind."""
+    """``run``, ``compare`` and ``bound`` shard their lane groups over forked
+    workers.  Every worker count gives the same bytes and the same failures,
+    and no call leaves a child process behind."""
 
     WORKERS = (1, 2, 3, 9)  # 9 is more than the four lane groups
 
@@ -878,12 +961,18 @@ class TestFanOut:
         path.write_text(FANOUT)
         return str(path)
 
+    @pytest.fixture()
+    def bound_cfg(self, tmp_path):
+        path = tmp_path / "bound.cfg"
+        path.write_text(BOUND_FANOUT)
+        return str(path)
+
     @staticmethod
-    def main(monkeypatch, capsys, workers, argv, out):
+    def main(monkeypatch, capsys, workers, argv, out=None):
         """``cli.main`` on ``workers`` workers: (exit code, stdout, stderr),
-        with ``out`` written as OUT."""
+        with ``--out`` ``out``, if given, written as OUT."""
         monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
-        code = beliefopt.cli.main([*argv, "--out", str(out)])
+        code = beliefopt.cli.main([*argv, "--out", str(out)] if out else argv)
         captured = capsys.readouterr()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1041,6 +1130,69 @@ class TestFanOut:
                           "adam_alpha0.002 ended without reporting (exit status 7)\n")
         assert out.exists() == (stage == "write_trace")
 
+    def test_bound_prints_the_same_bytes_on_every_worker_count(self, bound_cfg, monkeypatch,
+                                                                capsys):
+        seen = {self.main(monkeypatch, capsys, workers, ["bound", "--config", bound_cfg])
+                for workers in self.WORKERS}
+        assert len(seen) == 1
+        ((code, stdout, stderr),) = seen
+        assert (code, stderr) == (0, "")
+        # Three skipped adam cells, then per fastadabelief cell a header, the
+        # checkpoints 128, 256 and 300, and r.
+        lines = stdout.splitlines()
+        assert len(lines) == 3 + 3 * 5
+        assert lines[3] == "bound fastadabelief_alpha0.05: checkpoint  regret  budget  ratio"
+        assert lines[-1].startswith("bound fastadabelief_alpha0.02: r=")
+
+    @pytest.mark.parametrize("spots, message", [
+        ([("gradient", 257, "fastadabelief_alpha0.05"), ("loss", 256, "fastadabelief_alpha0.02")],
+         "nonfinite loss at step 256 in cell fastadabelief_alpha0.02"),
+        ([("gradient", 256, "fastadabelief_alpha0.02"), ("loss", 256, "fastadabelief_alpha0.01")],
+         "nonfinite loss at step 256 in cell fastadabelief_alpha0.01"),
+    ])
+    def test_bound_raises_the_earliest_failure_and_prints_nothing(
+            self, bound_cfg, monkeypatch, capsys, spots, message):
+        self.poison(monkeypatch, spots)
+        for workers in self.WORKERS:
+            got = self.main(monkeypatch, capsys, workers, ["bound", "--config", bound_cfg])
+            assert got == (3, "", f"numeric failure: {message}\n")
+
+    # Every hindsight solve fails; the first cell's failure is reported, and
+    # bound prints nothing, not even the skipped cells before it.
+    @pytest.mark.parametrize("argv, cell", [
+        pytest.param(("bound",), "fastadabelief_alpha0.05", id="bound"),
+        pytest.param(("compare", "--select-alpha", "final_regret"), "adam_alpha0.05",
+                     id="compare-final-regret"),
+    ])
+    def test_a_failed_hindsight_solve_names_its_cell(self, bound_cfg, tmp_path, monkeypatch,
+                                                     capsys, argv, cell):
+        monkeypatch.setattr(beliefopt.regret, "_SOLVE_MAX_ITERS", 1)
+        out = tmp_path / "out" if argv[0] == "compare" else None
+        message = ("numeric failure: hindsight solve did not reach residual 1e-10 "
+                   f"in 1 iterations in cell {cell}\n")
+        for workers in self.WORKERS:
+            got = self.main(monkeypatch, capsys, workers,
+                            [argv[0], "--config", bound_cfg, *argv[1:]], out)
+            assert got == (3, "", message)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_finish_sees_each_trace_without_iterates_or_moments(self, cfg, monkeypatch,
+                                                                workers):
+        monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: workers)
+        config = load_config(cfg)
+        problem = build_problem(config)
+        cells = sweep_cells(config)
+        got = beliefopt.cli._drive(config, problem, 3, cells, lambda region, cell, trace: trace)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        want = run_sweep(problem, cells, build_region(config, problem.dim),
+                         config.run.horizon, 3)
+        for trace, full in zip(got, want, strict=True):
+            assert (trace.kind, trace.hp) == (full.kind, full.hp)
+            assert trace.x is None and trace.m is None
+            assert trace.x_final.tobytes() == full.x_final.tobytes()
+            assert trace.s_hat.tobytes() == full.s_hat.tobytes()
+
 
 # ------------------------------------------------ exit-code property of run
 
@@ -1185,5 +1337,7 @@ def test_check_on_mutated_traces_exits_with_a_documented_code(name, horizon, mut
     assert code in (0, 1, 2, 3, 4)
     if code == 2:
         assert err.getvalue().startswith(f"config error: {path}: "), err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith(f"numeric failure: {path}: "), err.getvalue()
     if code == 4:
         assert err.getvalue().startswith(f"check failed: {path}: "), err.getvalue()

@@ -150,6 +150,19 @@ class TestTruncate:
         cut = trace.truncate(12)
         npt.assert_array_equal(cut.x_final, trace.x_final)
 
+    @pytest.mark.parametrize("upto", [1, 5, 12])
+    def test_a_trace_without_iterates_or_moments_truncates_alike(self, trace, upto):
+        # The shape the commands' sweep driver hands on: x and m dropped,
+        # x_final copied.  A prefix's final iterate is then unknown.
+        lean = replace(trace, x=None, m=None, x_final=trace.x_final.copy())
+        cut, want = lean.truncate(upto), trace.truncate(upto)
+        dropped = {"x", "m"} | ({"x_final"} if upto < 12 else set())
+        for name, value in vars(cut).items():
+            if name in dropped:
+                assert value is None, name
+            else:
+                npt.assert_array_equal(value, getattr(want, name), err_msg=name)
+
     @pytest.mark.parametrize("upto", [0, 13, -1])
     def test_out_of_range_is_rejected(self, trace, upto):
         with pytest.raises(ValueError, match="truncate"):
