@@ -152,7 +152,7 @@ class TestTruncate:
 
     @pytest.mark.parametrize("upto", [1, 5, 12])
     def test_a_trace_without_iterates_or_moments_truncates_alike(self, trace, upto):
-        # The shape the commands' sweep driver hands on: x and m dropped,
+        # The shape `cli._drive` hands each finish: x and m dropped,
         # x_final copied.  A prefix's final iterate is then unknown.
         lean = replace(trace, x=None, m=None, x_final=trace.x_final.copy())
         cut, want = lean.truncate(upto), trace.truncate(upto)
