@@ -7,19 +7,19 @@ Subcommands:
                lane groups are sharded over one process per CPU;
 * ``compare``  run the sweep, pick the best alpha per optimizer, and emit
                compare.csv plus compare.svg for the winners;
-* ``check``    validate trace CSVs: increment band and weight positivity
-               from the stored columns, plus a deterministic re-run from
-               the embedded config, one trace at a time, that must
-               reproduce every stored column and metadata value;
+* ``check``    validate trace CSVs: a deterministic re-run from the
+               embedded config, one trace at a time, that must reproduce
+               every stored column and metadata value, and the increment
+               band and weight positivity of that re-run at the file's rows;
 * ``bound``    print measured constants and the closed-form regret budget
                against measured regret at each checkpoint; its belief-rule
                cells are sharded like ``run``'s;
 * ``probe``    print the stepsize magnitude table for the three gradient
                scripts.
 
-Every command that runs the engine does so through ``_drive``; ``run``,
-``compare`` and ``bound`` print only once every cell has run and been
-summarized.
+Every command that runs the engine does so through ``_drive``; ``run``
+and ``compare`` write their files, and ``run``, ``compare`` and ``bound``
+print, only once every cell has run and been summarized.
 
 Exit codes: 0 success, 1 usage, 2 config problem, 3 numeric failure or a
 lost sweep worker, 4 failed check.  A numeric failure names the trace
@@ -33,7 +33,8 @@ import os
 import pickle
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import BinaryIO
 
 import numpy as np
@@ -56,8 +57,9 @@ from .regret import (
     theoretical_bound,
 )
 from .svgchart import write_compare_svg
-from .traceio import (check_steps, g17, nonnegative_int, read_trace, stored_mismatches,
-                      trace_run, write_compare_csv, write_trace)
+from .traceio import (TRACE_COLUMNS, check_steps, g17, nonnegative_int, read_trace,
+                      resolve_stride, stored_mismatches, trace_record, trace_run,
+                      write_compare_csv, write_trace)
 
 
 def _use_color() -> bool:
@@ -138,12 +140,12 @@ def _attempt(fn, *args):
         return None, exc
 
 
-def _finish_shard(finish, cells, traces):
-    """([finish(cell, trace)] up to the first cell whose finish raises, and
+def _finish_shard(finish, cells, values):
+    """([finish(cell, value)] up to the first cell whose finish raises, and
     that exception or None)."""
     done = []
-    for cell, trace in zip(cells, traces):
-        value, exc = _attempt(finish, cell, trace)
+    for cell, swept in zip(cells, values):
+        value, exc = _attempt(finish, cell, swept)
         if exc is not None:
             return done, exc
         done.append(value)
@@ -193,10 +195,10 @@ def _fork(sweep, finish, cells, workers) -> _Worker:
                        *(w.go for w in workers)]:
                 os.close(fd)
             with os.fdopen(report_w, "wb") as report:
-                traces, exc = _attempt(sweep, cells)
+                values, exc = _attempt(sweep, cells)
                 _send(report, None, exc)
                 if exc is None and os.read(go_r, 1) == b"g":
-                    _send(report, *_finish_shard(finish, cells, traces))
+                    _send(report, *_finish_shard(finish, cells, values))
             status = 0
         finally:
             os._exit(status)
@@ -235,16 +237,19 @@ def _reap(workers) -> None:
 
 def _first_failure(cells, failures) -> Exception:
     """The error the one-process sweep over all ``cells`` would raise, from
-    [(shard, error)] in shard order: an error that is not a step's numeric
-    failure (the first shard's), else the numeric failure at the earliest
-    (step, cell), with the cell named."""
+    [(shard, error)] in shard order: an error that is not a numeric failure
+    of a step or a cell (the first shard's), else the numeric failure at the
+    earliest (step, cell), with the cell named, else the first cell's failed
+    summary."""
     def rank(failure):
         shard, exc = failure
-        if not isinstance(exc, NumericFailure) or exc.step is None:
+        if not isinstance(exc, NumericFailure) or exc.step is None and exc.cell is None:
             return 0, 0, 0
         if exc.cell is None:  # a one-lane shard
             return 1, exc.step, shard[0]
-        return 1, exc.step, next(j for j in shard if cells[j].label == exc.cell)
+        cell = next(j for j in shard if cells[j].label == exc.cell)
+        # A failure without a step comes after the whole sweep.
+        return (1, exc.step, cell) if exc.step is not None else (2, 0, cell)
 
     shard, exc = min(failures, key=rank)
     if isinstance(exc, NumericFailure) and exc.step is not None \
@@ -255,7 +260,8 @@ def _first_failure(cells, failures) -> Exception:
 
 
 def _fan_out(cells, sweep, finish, start):
-    """[finish(cell, trace)] for every cell, in cell order.
+    """[finish(cell, value)] for every cell, in cell order, where ``sweep``
+    gives each cell of its part a value.
 
     The cells are split into ``_shards``.  Each shard runs ``sweep`` on its
     cells: shard 0 here, every other one in a forked child that reports
@@ -271,7 +277,7 @@ def _fan_out(cells, sweep, finish, start):
     try:
         for part in parts[1:]:
             workers.append(_fork(sweep, finish, part, workers))
-        traces, exc = _attempt(sweep, parts[0])
+        values, exc = _attempt(sweep, parts[0])
         swept = [exc] + [_receive(worker)[1] for worker in workers]
         failures = [(shard, exc) for shard, exc in zip(shards, swept) if exc is not None]
         if failures:
@@ -279,7 +285,7 @@ def _fan_out(cells, sweep, finish, start):
         start()
         for worker in workers:
             os.write(worker.go, b"g")
-        reports = [_finish_shard(finish, parts[0], traces)] + [_receive(w) for w in workers]
+        reports = [_finish_shard(finish, parts[0], values)] + [_receive(w) for w in workers]
     finally:
         _reap(workers)
     results = [None] * len(cells)
@@ -303,14 +309,17 @@ def _write_trace(out: str, cfg: RunConfig, cell, trace):
     return path, rows
 
 
-def _drive(cfg: RunConfig, problem, seed: int, cells, finish, start=lambda: None):
-    """[finish(region, cell, trace)] for every cell, in cell order, from
-    ``run_sweep`` on each shard of ``_fan_out`` over the config's region.
+def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, start=lambda: None,
+           write=lambda cell, trace, summary: summary):
+    """[write(cell, trace, summarize(region, trace))] for every cell,
+    in cell order, from ``run_sweep`` on each shard of ``_fan_out`` over the
+    config's region.
 
-    Each trace reaches ``finish`` with ``x`` and ``m`` None and ``x_final``
-    copied, so the records no command reads are freed first.  Records
+    Each shard summarizes its cells right after its sweep; only once every
+    shard has run and summarized do ``start()`` and the writes run.  Records
     refused at once are a config error naming the [run] line, the same for
-    every worker count; a numeric failure inside ``finish`` names its cell.
+    every worker count; a numeric failure inside ``summarize`` names its
+    cell.
     """
     region = build_region(cfg, problem.dim)
 
@@ -320,44 +329,45 @@ def _drive(cfg: RunConfig, problem, seed: int, cells, finish, start=lambda: None
         except MemoryError:
             raise ConfigError(f"{cfg.source}: line {cfg.run_line}: [run] horizon = "
                               f"{cfg.run.horizon} does not fit in memory") from None
-        return [replace(t, x=None, m=None, x_final=t.x_final.copy()) for t in traces]
+        return [(trace, named(cell, trace)) for cell, trace in zip(part, traces)]
 
     def named(cell, trace):
         try:
-            return finish(region, cell, trace)
+            return summarize(region, trace)
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} in cell {cell.label}", cell=cell.label) from None
 
-    return _fan_out(cells, sweep, named, start)
+    return _fan_out(cells, sweep, lambda cell, swept: write(cell, *swept), start)
 
 
 def _sweep(args, cfg: RunConfig, summarize):
-    """Run every cell of the config and write its trace into the output
-    directory, created once every cell has run.
+    """Run and summarize every cell of the config, then write its trace
+    into the output directory, created once every cell has run and been
+    summarized.
 
-    Returns (out, problem, cells, [summarize(problem, region, trace, path,
-    rows)] in cell order); each shard of ``_fan_out`` writes and summarizes
+    Returns (out, problem, cells, [(summarize(problem, region, trace), path,
+    rows)] in cell order); each shard of ``_fan_out`` summarizes and writes
     its own cells.
     """
     out = _out_path(args, cfg)
     problem = build_problem(cfg)
     cells = sweep_cells(cfg)
 
-    def finish(region, cell, trace):
-        return summarize(problem, region, trace, *_write_trace(out, cfg, cell, trace))
+    def write(cell, trace, summary):
+        return summary, *_write_trace(out, cfg, cell, trace)
 
-    return out, problem, cells, _drive(cfg, problem, _seed(args, cfg), cells, finish,
-                                       lambda: _make_dir(out))
+    return out, problem, cells, _drive(cfg, problem, _seed(args, cfg), cells,
+                                       partial(summarize, problem), lambda: _make_dir(out), write)
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
 
-    def summarize(problem, region, trace, path, rows):
-        return problem.full_loss(trace.x_final), float(np.sum(trace.loss)), rows, path
+    def summarize(problem, region, trace):
+        return problem.full_loss(trace.x_final), float(np.sum(trace.loss))
 
     _, _, cells, results = _sweep(args, cfg, summarize)
-    for cell, (final_loss, cum_loss, rows, path) in zip(cells, results):
+    for cell, ((final_loss, cum_loss), path, rows) in zip(cells, results):
         print(f"run {cell.label}: horizon={cfg.run.horizon} "
               f"final_loss={g17(final_loss)} "
               f"cum_loss={g17(cum_loss)} "
@@ -368,7 +378,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
 
-    def summarize(problem, region, trace, path, rows):
+    def summarize(problem, region, trace):
         if args.select_alpha == "final_regret":
             score = float(compute_regret(problem, region, trace, cfg.run.checkpoints).regret[-1])
         else:
@@ -377,7 +387,7 @@ def cmd_compare(args) -> int:
 
     out, problem, cells, results = _sweep(args, cfg, summarize)
     best = {}  # kind -> (alpha, score, loss series), kinds in order of first cell
-    for cell, (score, loss) in zip(cells, results):
+    for cell, ((score, loss), _, _) in zip(cells, results):
         if cell.kind not in best or score < best[cell.kind][1]:
             best[cell.kind] = (cell.hp.alpha, score, loss)
     series = {}
@@ -407,9 +417,27 @@ def cmd_compare(args) -> int:
 def _check_one(path: str) -> list[str]:
     failures = []
     tf = read_trace(path)
-    kind, alpha, seed, upper, upper_text = trace_run(tf, path)
-    cols = tf.columns
-    cond4_ok = band_holds(cols["cond4_min"], cols["cond4_max"], upper)
+    kind, alpha, seed = trace_run(tf, path)
+    if not tf.config_text:
+        raise CheckFailure(f"{path}: no embedded config to re-run")
+    cfg = parse_config(tf.config_text, source=path, linenos=tf.config_lines)
+    cell = next((c for c in sweep_cells(cfg)
+                 if c.kind == kind and c.hp.alpha == alpha), None)
+    if cell is None:
+        raise CheckFailure(f"{path}: embedded config has no {kind} cell with alpha={alpha:g}")
+    check_steps(tf, path, cfg.run.horizon)
+    try:
+        [trace] = _drive(cfg, build_problem(cfg), seed, [cell], lambda region, trace: trace)
+    except NumericFailure as exc:
+        raise NumericFailure(f"{path}: {exc}") from None
+    # The verdicts and the comparison read one record of the re-run, at the
+    # file's rows; a stored upper edge of the same value keeps its text.
+    meta, table = trace_record(trace, tf.steps,
+                               resolve_stride(cfg.run.horizon, cfg.run.thin_stride))
+    differ = stored_mismatches(tf, meta, table)
+    cols = dict(zip(TRACE_COLUMNS, table.T))
+    upper_text = dict(meta)["cond4_upper"] if "cond4_upper" in differ else tf.meta["cond4_upper"]
+    cond4_ok = band_holds(cols["cond4_min"], cols["cond4_max"], float(upper_text))
     gamma_ok = gamma_holds(cols["gamma_min"])
     print(f"check {path}: cond4 band {_verdict(cond4_ok)} "
           f"(min={cols['cond4_min'].min():.6g} max={cols['cond4_max'].max():.6g} "
@@ -420,19 +448,6 @@ def _check_one(path: str) -> list[str]:
         failures.append("cond4 band violated")
     if not gamma_ok:
         failures.append("gamma positivity violated")
-    if not tf.config_text:
-        raise CheckFailure(f"{path}: no embedded config to re-run")
-    cfg = parse_config(tf.config_text, source=path, linenos=tf.config_lines)
-    cell = next((c for c in sweep_cells(cfg)
-                 if c.kind == kind and c.hp.alpha == alpha), None)
-    if cell is None:
-        raise CheckFailure(f"{path}: embedded config has no {kind} cell with alpha={alpha:g}")
-    check_steps(tf, path, cfg.run.horizon)
-    try:
-        [trace] = _drive(cfg, build_problem(cfg), seed, [cell], lambda region, cell, trace: trace)
-    except NumericFailure as exc:
-        raise NumericFailure(f"{path}: {exc}") from None
-    differ = stored_mismatches(tf, trace, cfg.run.thin_stride)
     reproduced = "loss" not in differ
     print(f"check {path}: re-run reproduces losses {_verdict(reproduced)}")
     if not reproduced:
@@ -488,12 +503,12 @@ def cmd_bound(args) -> int:
                               "the regret budget is not finite even with zero gradients, "
                               "so no run has a finite budget")
 
-    def finish(region, cell, trace):
+    def summarize(region, trace):
         report = compute_regret(problem, region, trace, cfg.run.checkpoints)
         return report, [measure_constants(trace.truncate(upto), region)
                         for upto in report.checkpoints]
 
-    reports = iter(_drive(cfg, problem, _seed(args, cfg), bounded, finish))
+    reports = iter(_drive(cfg, problem, _seed(args, cfg), bounded, summarize))
     for cell, line in zip(cells, lines):
         if cell.kind != BOUNDED_RULE:
             print(f"bound {cell.label}: skipped (budget applies to {BOUNDED_RULE} only)")

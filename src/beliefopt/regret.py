@@ -42,9 +42,9 @@ from .optim import (
 class TrajectoryTrace:
     """Dense per-step record of one online run.
 
-    Arrays are indexed by step-1 (row 0 holds step t=1).  ``x`` and ``loss``
-    are the iterate the round loss was evaluated at and its value, before
-    the step was taken.
+    Arrays are indexed by step-1 (row 0 holds step t=1).  ``loss`` is the
+    round loss at the iterate the step starts from, and ``x_final`` the
+    iterate after the last step; a truncated prefix does not know its own.
     """
 
     kind: str
@@ -54,25 +54,20 @@ class TrajectoryTrace:
     problem_kind: str
     sigma: float
     loss: np.ndarray
-    x: np.ndarray
     g: np.ndarray
-    m: np.ndarray
     s: np.ndarray
     s_hat: np.ndarray
     alpha: np.ndarray
-    beta1: np.ndarray
     beta2: np.ndarray
     step_inf: np.ndarray
-    x_final: np.ndarray
+    x_final: np.ndarray | None
 
     def truncate(self, upto: int) -> "TrajectoryTrace":
         if not 1 <= upto <= self.horizon:
             raise ValueError(f"cannot truncate horizon {self.horizon} to {upto}")
-        # A trace whose iterates or first moments were dropped keeps them None.
-        prefix = {name: value[:upto] for name in
-                  ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2", "step_inf")
-                  if (value := getattr(self, name)) is not None}
-        final = self.x_final if upto == self.horizon else None if self.x is None else self.x[upto]
+        prefix = {name: getattr(self, name)[:upto]
+                  for name in ("loss", "g", "s", "s_hat", "alpha", "beta2", "step_inf")}
+        final = self.x_final if upto == self.horizon else None
         return replace(self, horizon=upto, x_final=final, **prefix)
 
 
@@ -103,14 +98,12 @@ def lane_groups(cells) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:] + [len(cells)])]
 
 
-def _first_nonfinite(lo, hi, loss, xs, gs, ms, ss, shs):
-    """(step offset, cell, code) of the earliest nonfinite value over steps
-    lo+1..hi, or None.  Within a step the first cell comes first, and within
-    a cell the loss, then the gradient, then the state after the step (the
-    moments and the next iterate), in the order a one-cell run meets them."""
-    loss = loss[:, lo:hi]
-    grad = gs[lo:hi]
-    state = (ms[lo:hi], ss[lo:hi], shs[lo:hi], xs[lo + 1:hi + 1])
+def _first_nonfinite(loss, grad, *state):
+    """(step offset, cell, code) of the earliest nonfinite value of a scan
+    block, or None: its losses (lanes, w), gradients and ``state`` after
+    each step (the moments and the next iterate), each (w, lanes, n).
+    Within a step the first cell comes first, and within a cell the loss,
+    then the gradient, then the state, as a one-cell run meets them."""
     if np.isfinite(loss).all() and all(np.isfinite(a).all() for a in (grad, *state)):
         return None
     bad_state = ~np.logical_and.reduce([np.isfinite(a).all(axis=2) for a in state]).T
@@ -127,7 +120,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     All cells start from the problem's initial point and see the same
     (seed, t) rounds, so one time loop serves them all.  The iterates are
     stacked as (lanes, n) in cell order, and the per-step records are
-    step-major, so each step's row of iterates, gradients and moments is one
+    step-major, so each step's row of gradients and moments is one
     contiguous (lanes, n) block.  The loop runs in scan blocks of
     _CHECK_EVERY steps, and every ufunc of its kernels and step tail takes
     same-shape (lanes, n) operands.  Per step it makes:
@@ -144,10 +137,11 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
 
     Only the gradient feeds the next step, so once per block the loop fills
     the next block's coefficient rows, copies the block's gradients and
-    states into the records, and computes the round losses of the recorded
-    iterates (``lanes_losses``) and the step norms of the block's steps.
-    Every operation is elementwise per lane, so each trace is bit-identical
-    to a one-cell run; the traces are views into the stacked records.
+    second moments into the records, and computes the round losses of the
+    block's iterates (``lanes_losses``) and the step norms of its steps.
+    The iterates and first moments, which no trace reads, are kept for one
+    block.  Every operation is elementwise per lane, so each trace is
+    bit-identical to a one-cell run; the traces are views into the records.
 
     A nonfinite loss, gradient or optimizer state raises NumericFailure for
     the earliest step at which any cell has one, naming that cell when
@@ -168,24 +162,24 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         raise ValueError("x0 lies outside the feasible region")
     n_lanes, n = len(cells), region.dim
     loss = np.empty((n_lanes, horizon))
-    # Step-major records (see above); row T of xs holds the final iterates.
-    xs = np.empty((horizon + 1, n_lanes, n))
-    gs, ms, ss, shs = (np.empty((horizon, n_lanes, n)) for _ in range(4))
-    alpha, beta1, beta2, step_inf = (np.empty((n_lanes, horizon)) for _ in range(4))
+    # Step-major records (see above).
+    gs, ss, shs = (np.empty((horizon, n_lanes, n)) for _ in range(3))
+    alpha, beta2, step_inf = (np.empty((n_lanes, horizon)) for _ in range(3))
     steps = np.arange(1, horizon + 1)
     width = min(_CHECK_EVERY, horizon)
-    # The gradients, and scale * m', of every lane at each step of the
-    # current scan block; the step taken is the negation of scale * m'.
-    grads, block = np.empty((width, n_lanes, n)), np.empty((width, n_lanes, n))
-    grad_rows, step_rows = list(grads), list(block)
+    # The scan block's iterates, row 0 the one it starts from, and its
+    # gradients, first moments and scale * m' (the step is -scale * m').
+    xs = np.empty((width + 1, n_lanes, n))
+    grads, moments, block = (np.empty((width, n_lanes, n)) for _ in range(3))
+    x_rows, grad_rows, step_rows = list(xs), list(grads), list(block)
     coefficients, plan = [], []
     for members in lane_groups(cells):
         rows = slice(members.start, members.stop)
         kind, hp = cells[rows.start].kind, cells[rows.start].hp
         column = np.array([[cells[j].hp.alpha] for j in members])
         alpha[rows] = scheduled_alpha(kind, hp, column, steps)
-        beta1[rows], beta2[rows] = step_betas(kind, hp, horizon)
-        group = CoefficientRows(hp, alpha[rows], beta1[rows.start], beta2[rows.start], width, n)
+        beta1, beta2[rows] = step_betas(kind, hp, horizon)
+        group = CoefficientRows(hp, alpha[rows], np.array(beta1), beta2[rows.start], width, n)
         coefficients.append(group)
         # Per step of a block, the kernel's coefficients, gradient rows and
         # scale * m' rows; then the group's states m', s', s_hat' of the
@@ -194,16 +188,16 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         plan.append((KERNELS[kind], list(zip(group.steps, grads[:, rows], block[:, rows])),
                      [zeros], [zeros], [zeros], rows))
     xs[0] = x0
-    x = xs[0]
     lanes_grad, project = problem.lanes_grad, region.project
     # Nonfinite values are reported through the scans below, not as warnings.
     with np.errstate(all="ignore"):
         for lo in range(0, horizon, width):
             hi = min(lo + width, horizon)
+            w = hi - lo
             for group in coefficients:
                 group.fill(lo)
-            for k, (t, x_next, g_row, step_row) in enumerate(
-                    zip(range(lo + 1, hi + 1), xs[lo + 1:hi + 1], grad_rows, step_rows)):
+            for k, (t, x, x_next, g_row, step_row) in enumerate(
+                    zip(range(lo + 1, hi + 1), x_rows, x_rows[1:], grad_rows, step_rows)):
                 lanes_grad(x, t, seed, g_row)
                 for kernel, block_steps, m_run, s_run, sh_run, _ in plan:
                     c, g, scaled = block_steps[k]
@@ -214,15 +208,16 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                     np.multiply(scale, m, scaled)
                 # The step tail of ``step``, once for every lane: x - scale * m'
                 # is x + delta bit for bit.
-                x = project(np.subtract(x, step_row, x_next), x_next)
-            gs[lo:hi] = grads[:hi - lo]
+                project(np.subtract(x, step_row, x_next), x_next)
+            gs[lo:hi] = grads[:w]
             for _, _, *runs, rows in plan:
-                for records, run in zip((ms, ss, shs), runs):
-                    records[lo:hi, rows] = np.concatenate(run[1:]).reshape(hi - lo, -1, n)
+                for states, run in zip((moments[:w], ss[lo:hi], shs[lo:hi]), runs):
+                    states[:, rows] = np.concatenate(run[1:]).reshape(w, -1, n)
                     del run[:-1]
-            step_inf[:, lo:hi] = np.abs(block[:hi - lo]).max(axis=2).T
-            loss[:, lo:hi] = problem.lanes_losses(xs[lo:hi].swapaxes(0, 1), lo + 1, seed)
-            failure = _first_nonfinite(lo, hi, loss, xs, gs, ms, ss, shs)
+            step_inf[:, lo:hi] = np.abs(block[:w]).max(axis=2).T
+            loss[:, lo:hi] = problem.lanes_losses(xs[:w].swapaxes(0, 1), lo + 1, seed)
+            failure = _first_nonfinite(loss[:, lo:hi], grads[:w], moments[:w], ss[lo:hi],
+                                       shs[lo:hi], xs[1:w + 1])
             if failure is not None:
                 offset, j, code = failure
                 t_bad = lo + offset + 1
@@ -231,12 +226,12 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 if label is not None:
                     message += f" in cell {label}"
                 raise NumericFailure(message, step=t_bad, cell=label)
+            xs[0] = xs[w]  # the next block starts from the last iterate
     return [TrajectoryTrace(
         kind=cell.kind, hp=cell.hp, seed=seed, horizon=horizon,
         problem_kind=problem.kind, sigma=float(problem.sigma),
-        loss=loss[j], x=xs[:horizon, j], g=gs[:, j], m=ms[:, j], s=ss[:, j],
-        s_hat=shs[:, j], alpha=alpha[j], beta1=beta1[j], beta2=beta2[j],
-        step_inf=step_inf[j], x_final=xs[horizon, j],
+        loss=loss[j], g=gs[:, j], s=ss[:, j], s_hat=shs[:, j], alpha=alpha[j],
+        beta2=beta2[j], step_inf=step_inf[j], x_final=xs[0, j].copy(),
     ) for j, cell in enumerate(cells)]
 
 

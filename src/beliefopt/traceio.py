@@ -32,7 +32,7 @@ from .regret import TrajectoryTrace, check_condition4, checkpoint_grid, gamma_se
 
 TRACE_HEADER = ("t, loss, cum_loss, grad_inf_norm, step_inf_norm, "
                 "alpha_t, beta2_t, cond4_min, cond4_max, gamma_min")
-_COLUMNS = [name.strip() for name in TRACE_HEADER.split(",")]
+TRACE_COLUMNS = [name.strip() for name in TRACE_HEADER.split(",")]
 COMPARE_HEADER = "optimizer,t,loss"
 
 #: past this many steps, auto thinning keeps every 10th row.
@@ -93,7 +93,7 @@ def trace_record(trace: TrajectoryTrace, steps: np.ndarray,
     return meta, np.column_stack([steps] + [c[steps - 1] for c in columns])
 
 
-def _stride(horizon: int, thin_stride) -> int:
+def resolve_stride(horizon: int, thin_stride) -> int:
     """The stride a ``thin_stride`` setting ("auto" or an int) keeps."""
     stride = auto_stride(horizon) if thin_stride == "auto" else int(thin_stride)
     if stride < 1:
@@ -104,7 +104,7 @@ def _stride(horizon: int, thin_stride) -> int:
 def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
                 thin_stride="auto", checkpoints=None) -> int:
     """Write one run's trace; returns the number of data rows written."""
-    stride = _stride(trace.horizon, thin_stride)
+    stride = resolve_stride(trace.horizon, thin_stride)
     meta, table = trace_record(trace, kept_steps(trace.horizon, stride, checkpoints), stride)
     lines = [f"# {key}: {value}" for key, value in meta]
     for cfg_line in config_text.splitlines():
@@ -112,7 +112,7 @@ def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
     lines.append(TRACE_HEADER)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        _write_rows(fh, "%d" + ", %.17g" * (len(_COLUMNS) - 1) + "\n", table)
+        _write_rows(fh, "%d" + ", %.17g" * (len(TRACE_COLUMNS) - 1) + "\n", table)
     return len(table)
 
 
@@ -141,10 +141,11 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def trace_run(tf: TraceFile, path: str) -> tuple[str, float, int, float, str]:
-    """(optimizer, alpha, seed, cond4_upper, cond4_upper as written) for
-    ``check``.  A trace without data rows or with an unparseable value is a
-    ConfigError, one without a key a CheckFailure."""
+def trace_run(tf: TraceFile, path: str) -> tuple[str, float, int]:
+    """(optimizer, alpha, seed) for ``check`` to re-run.  A trace without
+    data rows or with an unparseable value is a ConfigError, one without a
+    key a CheckFailure; cond4_upper is checked here too, as the re-run is
+    compared with it."""
     if not tf.row_lines:
         raise ConfigError(f"{path}: no data rows")
     for key in ("optimizer", "alpha", "seed", "cond4_upper"):
@@ -157,9 +158,8 @@ def trace_run(tf: TraceFile, path: str) -> tuple[str, float, int, float, str]:
         except ValueError:
             raise ConfigError(f"{path}: metadata '# {key}: {tf.meta[key]}' is not valid") from None
 
-    upper = value("cond4_upper", float)
-    return (tf.meta["optimizer"], value("alpha", float), value("seed", nonnegative_int),
-            upper, tf.meta["cond4_upper"])
+    value("cond4_upper", float)
+    return tf.meta["optimizer"], value("alpha", float), value("seed", nonnegative_int)
 
 
 def check_steps(tf: TraceFile, path: str, horizon: int) -> None:
@@ -191,15 +191,15 @@ def _same_value(stored: str, written: str) -> bool:
         return False
 
 
-def stored_mismatches(tf: TraceFile, trace: TrajectoryTrace, thin_stride) -> dict[str, str]:
+def stored_mismatches(tf: TraceFile, meta, table: np.ndarray) -> dict[str, str]:
     """The failure message of each metadata key and data column of ``tf``
-    that is not what ``write_trace`` writes for ``trace``, its re-run with
-    the ``thin_stride`` setting, keyed by name.
+    that is not what ``write_trace`` writes for its re-run, keyed by name:
+    ``meta`` and ``table`` are the re-run's ``trace_record`` at the file's
+    steps.
 
     Metadata compare by value, columns bit for bit at the file's rows; a
     column's message names the file line of its first differing row.
     """
-    meta, table = trace_record(trace, tf.steps, _stride(trace.horizon, thin_stride))
     found = {}
     for key, written in meta:
         if key not in tf.meta:
@@ -208,8 +208,8 @@ def stored_mismatches(tf: TraceFile, trace: TrajectoryTrace, thin_stride) -> dic
             found[key] = (f"metadata '# {key}: {tf.meta[key]}': "
                           f"stored {key} does not match the re-run")
     # %.17g writes every nan as "nan", which reads back as np.nan.
-    table[np.isnan(table)] = np.nan
-    for name, written in zip(_COLUMNS[1:], table.T[1:]):
+    table = np.where(np.isnan(table), np.nan, table)
+    for name, written in zip(TRACE_COLUMNS[1:], table.T[1:]):
         differ = tf.columns[name].view(np.int64) != written.view(np.int64)
         if differ.any():
             line = tf.row_lines[int(np.argmax(differ))]
@@ -246,7 +246,7 @@ def read_trace(path: str) -> TraceFile:
             continue
         if header is None:
             header = [part.strip() for part in line.split(",")]
-            if header != _COLUMNS:
+            if header != TRACE_COLUMNS:
                 raise ConfigError(f"{path}: unexpected trace header at line {lineno}")
             continue
         parts = [part.strip() for part in line.split(",")]

@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,7 +251,8 @@ class TestCheck:
 
     def test_a_re_run_that_overflows_exits_3_naming_its_trace(self, quad_cfg, tmp_path, capsys):
         # The embedded config of bad.csv starts the run at 1e300, whose
-        # first loss overflows; good.csv is checked in full before it.
+        # first loss overflows; good.csv is checked in full before it, and
+        # bad.csv, whose verdicts come from the re-run, prints none.
         good = self.trace_path(quad_cfg, tmp_path)
         bad = tmp_path / "bad.csv"
         text = good.read_text()
@@ -262,9 +264,8 @@ class TestCheck:
         bad.write_text(text)
         assert beliefopt.cli.main(["check", str(good), str(bad)]) == 3
         out, err = capsys.readouterr()
-        assert [line.partition(":")[0] for line in out.splitlines()] == \
-            [f"check {good}"] * 4 + [f"check {bad}"] * 2
-        assert out.count("PASS") == 6
+        assert [line.partition(":")[0] for line in out.splitlines()] == [f"check {good}"] * 4
+        assert out.count("PASS") == 4
         assert err == f"numeric failure: {bad}: nonfinite loss at step 1\n"
 
     def test_tampered_loss_is_detected(self, quad_cfg, tmp_path):
@@ -292,28 +293,34 @@ class TestCheck:
         assert "metadata" in result.stderr
 
 
-    @pytest.mark.parametrize("forgery, passes", [("band columns", 4), ("band upper", 4),
-                                                 ("upper by value", 3), ("no beta1", 3)])
-    def test_stored_values_must_match_the_re_run(self, tmp_path, capsys, forgery, passes):
-        # The band of the shipped softmax run fails.  Columns or an upper
-        # edge forged to pass it print four PASS lines, and the check fails
-        # on each stored value the re-run does not reproduce.  Metadata
-        # compare by value, not by text.
+    @pytest.mark.parametrize("forgery, upper", [
+        ("band columns", "0.0019999999999999996"), ("band upper", "0.0019999999999999996"),
+        ("upper by value", "1.9999999999999996e-3"), ("no beta1", "0.0019999999999999996"),
+    ], ids=["band columns", "band upper", "upper by value", "no beta1"])
+    def test_stored_values_must_match_the_re_run(self, tmp_path, capsys, forgery, upper):
+        # The band of the shipped softmax run fails.  The verdict lines come
+        # from the re-run, so columns or an upper edge forged to pass it
+        # still print the band's FAIL, and the check fails on each stored
+        # value the re-run does not reproduce.  Metadata compare by value,
+        # not by text, and an upper edge of the re-run's value keeps its
+        # text.
         lines = reference_trace("softmax.cfg", 64).splitlines()
         row = next(i for i, line in enumerate(lines) if line[:1].isdigit())
-        upper = lines.index("# cond4_upper: 0.0019999999999999996")
+        at = lines.index("# cond4_upper: 0.0019999999999999996")
         if forgery == "band columns":
             for i in range(row, len(lines)):
                 fields = lines[i].split(", ")
                 fields[7:9] = ["0", "0"]
                 lines[i] = ", ".join(fields)
-            why = [f"line {row + 1}: stored {name} does not match the re-run"
-                   for name in ("cond4_min", "cond4_max")]
+            why = ["cond4 band violated"] + [
+                f"line {row + 1}: stored {name} does not match the re-run"
+                for name in ("cond4_min", "cond4_max")]
         elif forgery == "band upper":
-            lines[upper] = "# cond4_upper: 1e9"
-            why = ["metadata '# cond4_upper: 1e9': stored cond4_upper does not match the re-run"]
+            lines[at] = "# cond4_upper: 1e9"
+            why = ["cond4 band violated",
+                   "metadata '# cond4_upper: 1e9': stored cond4_upper does not match the re-run"]
         elif forgery == "upper by value":
-            lines[upper] = "# cond4_upper: 1.9999999999999996e-3"
+            lines[at] = "# cond4_upper: 1.9999999999999996e-3"
             why = ["cond4 band violated"]
         else:
             lines.remove("# beta1: 0.90000000000000002")
@@ -322,7 +329,10 @@ class TestCheck:
         path.write_text("\n".join(lines) + "\n")
         assert beliefopt.cli.main(["check", str(path)]) == 4
         out, err = capsys.readouterr()
-        assert out.count("PASS") == passes
+        assert out.count("PASS") == 3
+        band = next(line for line in out.splitlines() if "cond4 band" in line)
+        assert band.startswith(f"check {path}: cond4 band FAIL (min=")
+        assert band.endswith(f" upper={upper})")
         assert err == "check failed: " + "; ".join(f"{path}: {w}" for w in why) + "\n"
 
 
@@ -1157,8 +1167,10 @@ class TestFanOut:
             got = self.main(monkeypatch, capsys, workers, ["bound", "--config", bound_cfg])
             assert got == (3, "", f"numeric failure: {message}\n")
 
-    # Every hindsight solve fails; the first cell's failure is reported, and
-    # bound prints nothing, not even the skipped cells before it.
+    # Every hindsight solve fails; the first cell's failure is reported,
+    # bound prints nothing, not even the skipped cells before it, and
+    # compare leaves no output directory: it writes only once every cell
+    # has been summarized.
     @pytest.mark.parametrize("argv, cell", [
         pytest.param(("bound",), "fastadabelief_alpha0.05", id="bound"),
         pytest.param(("compare", "--select-alpha", "final_regret"), "adam_alpha0.05",
@@ -1174,6 +1186,7 @@ class TestFanOut:
             got = self.main(monkeypatch, capsys, workers,
                             [argv[0], "--config", bound_cfg, *argv[1:]], out)
             assert got == (3, "", message)
+            assert out is None or not out.exists(), workers
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_finish_sees_each_trace_without_iterates_or_moments(self, cfg, monkeypatch,
@@ -1182,16 +1195,17 @@ class TestFanOut:
         config = load_config(cfg)
         problem = build_problem(config)
         cells = sweep_cells(config)
-        got = beliefopt.cli._drive(config, problem, 3, cells, lambda region, cell, trace: trace)
+        got = beliefopt.cli._drive(config, problem, 3, cells, lambda region, trace: trace)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         want = run_sweep(problem, cells, build_region(config, problem.dim),
                          config.run.horizon, 3)
         for trace, full in zip(got, want, strict=True):
             assert (trace.kind, trace.hp) == (full.kind, full.hp)
-            assert trace.x is None and trace.m is None
-            assert trace.x_final.tobytes() == full.x_final.tobytes()
-            assert trace.s_hat.tobytes() == full.s_hat.tobytes()
+            assert {"x", "m", "beta1"}.isdisjoint(vars(trace))
+            for name, value in vars(full).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(trace, name).tobytes() == value.tobytes(), name
 
 
 # ------------------------------------------------ exit-code property of run

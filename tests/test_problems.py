@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sweep import spied
 
 from beliefopt import problems
 from beliefopt.optim import HyperParams, box_region
@@ -558,10 +559,12 @@ class TestSoftmaxProblem:
         region = box_region(-2.0, 2.0, prob.dim)
         hp = HyperParams(alpha=0.05)
         horizon = problems._BLOCK_ROUNDS + extra
-        got = run_online(prob, "adam", hp, region, horizon, seed=2)
-        want = run_online(PerRound(), "adam", hp, region, horizon, seed=2)
-        for name in ("loss", "g", "x", "x_final"):
+        (fast, got_xs), (slow, want_xs) = spied(prob), spied(PerRound())
+        got = run_online(fast, "adam", hp, region, horizon, seed=2)
+        want = run_online(slow, "adam", hp, region, horizon, seed=2)
+        for name in ("loss", "g", "x_final"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got_xs, want_xs)
 
     def test_validates_penalties(self):
         ds = synth_classification(seed=0, n_classes=2, n_features=2, n_samples=4)

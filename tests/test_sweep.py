@@ -3,10 +3,12 @@
 Every lane of a sweep must be bit-identical to a run of its cell alone, and
 to a plain per-step loop over ``round_loss_grad`` and the one-lane ``step``
 (the reference below: its stepsizes, betas and step norms are computed per
-step from the hyperparameters, not by the engine).  Failures report the
-earliest step across lanes and, in a multi-cell sweep, the cell.
+step from the hyperparameters, not by the engine).  The iterates, which no
+trace keeps, are compared as a spy on ``lanes_grad`` sees them.  Failures
+report the earliest step across lanes and, in a multi-cell sweep, the cell.
 """
 
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -35,8 +37,7 @@ from beliefopt import (
 from beliefopt.cli import main
 from beliefopt.optim import scheduled_alpha
 
-TRACE_ARRAYS = ("loss", "x", "g", "m", "s", "s_hat", "alpha", "beta1", "beta2",
-                "step_inf", "x_final")
+TRACE_ARRAYS = ("loss", "g", "s", "s_hat", "alpha", "beta2", "step_inf", "x_final")
 
 # All seven rules at two alphas each.  adam appears in three blocks: the
 # second differs in beta1 (cell labels need distinct alphas, too), and the
@@ -132,11 +133,12 @@ def setup(family):
 
 
 def reference_run(problem, cell, region, horizon, seed):
-    """Per-step loop over round_loss_grad and step, recording what a trace holds."""
+    """Per-step loop over round_loss_grad and step, recording what a trace
+    holds and, as "x", the iterate each round starts from."""
     kind, hp = cell.kind, cell.hp
     x = np.asarray(problem.initial_point(region, seed), dtype=np.float64)
     m, s, s_hat = (np.zeros_like(x) for _ in range(3))
-    rows = {name: [] for name in TRACE_ARRAYS if name != "x_final"}
+    rows = {name: [] for name in ("x", *TRACE_ARRAYS) if name != "x_final"}
     for t in range(1, horizon + 1):
         f, g = problem.round_loss_grad(x, t, seed)
         rows["loss"].append(f)
@@ -146,10 +148,9 @@ def reference_run(problem, cell, region, horizon, seed):
         b1 = hp.beta1_at(t) if kind == "fastadabelief" else hp.beta1
         b2 = 0.0 if kind == "sgd_momentum" else hp.beta2_at(t)
         x, m, s, s_hat, delta, _ = step(kind, hp, t, a_t, b1, b2, g, x, m, s, s_hat, region)
-        for name, value in (("m", m), ("s", s), ("s_hat", s_hat)):
-            rows[name].append(value)
+        rows["s"].append(s)
+        rows["s_hat"].append(s_hat)
         rows["alpha"].append(a_t)
-        rows["beta1"].append(b1)
         rows["beta2"].append(b2)
         rows["step_inf"].append(float(np.max(np.abs(delta))))
     arrays = {name: np.array(values) for name, values in rows.items()}
@@ -176,9 +177,24 @@ def reference_prefix(want, horizon):
     return prefix
 
 
-def assert_same(trace, want):
-    for name in TRACE_ARRAYS:
-        got = getattr(trace, name)
+def spied(problem):
+    """``problem`` with a ``lanes_grad`` that records a copy of the stacked
+    iterates (lanes, n) of each call, and the list it records into."""
+    seen = []
+    lanes_grad = problem.lanes_grad
+
+    def spy(xs, t, seed, out):
+        seen.append(xs.copy())
+        return lanes_grad(xs, t, seed, out)
+
+    problem.lanes_grad = spy
+    return problem, seen
+
+
+def assert_same(trace, xs, want):
+    """The trace's arrays, and its iterates ``xs`` (T, n), equal ``want``."""
+    for name in ("x", *TRACE_ARRAYS):
+        got = xs if name == "x" else getattr(trace, name)
         assert np.array_equal(got, want[name]), name
         assert got.dtype == np.float64 and got.shape == np.shape(want[name]), name
 
@@ -212,14 +228,18 @@ def test_lane_groups_are_runs_of_consecutive_cells():
 ])
 def test_each_lane_equals_its_cell_run_alone(family, lanes, horizon):
     problem, region, cells, run = setup(family)
+    problem, seen = spied(problem)
     horizon = horizon or run.horizon
     cells = cells[-lanes:]
     traces = run_sweep(problem, cells, region, horizon, run.seed)
+    iterates = np.array(seen)
     assert [t.kind for t in traces] == [c.kind for c in cells]
-    for cell, trace in zip(cells, traces):
+    for j, (cell, trace) in enumerate(zip(cells, traces)):
         assert trace.hp == cell.hp
+        seen.clear()
         alone = run_online(problem, cell.kind, cell.hp, region, horizon, run.seed)
-        assert_same(trace, {name: getattr(alone, name) for name in TRACE_ARRAYS})
+        want = {name: getattr(alone, name) for name in TRACE_ARRAYS}
+        assert_same(trace, iterates[:, j], {**want, "x": np.array(seen)[:, 0]})
 
 
 # The coefficient rows are refilled and the state records written once per
@@ -232,10 +252,12 @@ def test_each_lane_equals_its_cell_run_alone(family, lanes, horizon):
 ])
 def test_each_lane_equals_the_per_step_reference(family, horizon):
     problem, region, cells, run = setup(family)
+    problem, seen = spied(problem)
     horizon = horizon or run.horizon
     traces = run_sweep(problem, cells, region, horizon, run.seed)
-    for trace, want in zip(traces, references(family)):
-        assert_same(trace, reference_prefix(want, horizon))
+    iterates = np.array(seen)
+    for j, (trace, want) in enumerate(zip(traces, references(family))):
+        assert_same(trace, iterates[:, j], reference_prefix(want, horizon))
 
 
 def counting(region):
@@ -264,6 +286,33 @@ def test_one_projection_per_step_and_block_step_norms(family, horizon):
     assert shapes == [(problem.dim,)] + [(len(cells), problem.dim)] * horizon
     for trace, want in zip(traces, references(family)):
         assert trace.step_inf.tobytes() == want["step_inf"][:horizon].tobytes()
+
+
+def test_the_records_hold_3n_plus_4_floats_per_lane_step():
+    # The traces hold the loss, gradient, s, s_hat, alpha, beta2 and step
+    # norm of every lane and step: 3n + 4 floats.  The iterates and first
+    # moments live for one scan block, and no beta1 row is kept, so nothing
+    # else grows with the horizon; records of x, m and beta1 would make it
+    # 5n + 5.  Measured on a quadratic, which caches nothing, as the traced
+    # memory the returned traces hold at T and 2T, whole scan blocks, so
+    # every cost that does not grow with T cancels.
+    problem, region, cells, run = setup("quadratic")
+    run_sweep(problem, cells, region, 256, run.seed)  # the region's lane-shaped bounds
+
+    def held(horizon):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traces = run_sweep(problem, cells, region, horizon, run.seed)
+            assert len(traces) == len(cells)
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    per_lane_step = (held(1024) - held(512)) / (512 * len(cells))
+    n = problem.dim
+    assert abs(per_lane_step - (3 * n + 4) * 8) < 4, per_lane_step
+    assert per_lane_step < 0.75 * (5 * n + 5) * 8
 
 
 # ------------------------------------------------- frozen softmax reference
@@ -318,7 +367,7 @@ def assert_same_bits(got, want, what):
 def test_softmax_rows_match_the_frozen_fancy_index_reference(classes, batch, lanes):
     dataset = synth_classification(seed=3, n_classes=classes, n_features=max(classes, 3),
                                    n_samples=150, separation=1.0)
-    problem = SoftmaxL2Problem(dataset, batch_size=batch, sigma1=0.01, sigma2=0.02)
+    problem, seen = spied(SoftmaxL2Problem(dataset, batch_size=batch, sigma1=0.01, sigma2=0.02))
     region = box_region(-5.0, 5.0, problem.dim)
     kinds = ["adam", "fastadabelief", "sgd_momentum", "adabelief", "sadam", "yogi", "adabound"]
     cells = []
@@ -333,7 +382,7 @@ def test_softmax_rows_match_the_frozen_fancy_index_reference(classes, batch, lan
     for t in range(1, horizon + 1):
         idx = sample_batch(dataset, batch, t, seed)
         x, y = dataset.features[idx], dataset.labels[idx]
-        xs = np.array([trace.x[t - 1] for trace in traces])
+        xs = seen[t - 1]
         grads = FrozenSoftmaxLanes(xs, classes, x, y).grad(0.01, 0.02)
         for trace, want in zip(traces, grads):
             assert_same_bits(trace.g[t - 1], want, ("gradient", t, trace.kind))

@@ -48,11 +48,9 @@ def traces(draw, finite=_FINITE, nonneg=_NONNEG, max_horizon=12):
         kind=draw(st.sampled_from(["adam", "fastadabelief"])),
         hp=HyperParams(alpha=0.01), seed=draw(st.integers(0, 2**32)),
         horizon=horizon, problem_kind="quadratic",
-        sigma=draw(_RATE), loss=series(finite, horizon), x=np.zeros((horizon, n)),
-        g=series(finite, (horizon, n)), m=np.zeros((horizon, n)), s=s,
-        s_hat=np.maximum.accumulate(s, axis=0), alpha=series(_RATE, horizon),
-        beta1=np.full(horizon, 0.9), beta2=series(finite, horizon),
-        step_inf=series(finite, horizon), x_final=np.zeros(n),
+        sigma=draw(_RATE), loss=series(finite, horizon), g=series(finite, (horizon, n)),
+        s=s, s_hat=np.maximum.accumulate(s, axis=0), alpha=series(_RATE, horizon),
+        beta2=series(finite, horizon), step_inf=series(finite, horizon), x_final=np.zeros(n),
     )
 
 
