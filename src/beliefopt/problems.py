@@ -26,8 +26,8 @@ Both problems serve a sweep (``regret.run_sweep``) through two calls:
 * ``lanes_grad(xs, t, seed, out)``: the round-t gradients at the stacked
   iterates xs (lanes, n), written into ``out`` (lanes, n), made every step
   (the sweep passes that step's row of its recorded gradients);
-* ``lanes_losses(xs, first, seed)``: the round losses (lanes, w) of the
-  recorded iterates xs (lanes, w, n) of rounds first .. first + w - 1, made
+* ``lanes_losses(xs, first, seed)``: the round losses (lanes, w) of a
+  block's iterates xs (lanes, w, n) of rounds first .. first + w - 1, made
   once per block of steps.  Only the gradient feeds the next step, so the
   losses are computed in bulk afterwards.
 
