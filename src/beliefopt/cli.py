@@ -235,28 +235,21 @@ def _reap(workers) -> None:
             os.waitpid(worker.pid, 0)
 
 
-def _first_failure(cells, failures) -> Exception:
+def _first_failure(cells, errors) -> Exception:
     """The error the one-process sweep over all ``cells`` would raise, from
-    [(shard, error)] in shard order: an error that is not a numeric failure
-    of a step or a cell (the first shard's), else the numeric failure at the
-    earliest (step, cell), with the cell named, else the first cell's failed
-    summary."""
-    def rank(failure):
-        shard, exc = failure
-        if not isinstance(exc, NumericFailure) or exc.step is None and exc.cell is None:
-            return 0, 0, 0
-        if exc.cell is None:  # a one-lane shard
-            return 1, exc.step, shard[0]
-        cell = next(j for j in shard if cells[j].label == exc.cell)
-        # A failure without a step comes after the whole sweep.
-        return (1, exc.step, cell) if exc.step is not None else (2, 0, cell)
+    the shards' errors in shard order: an error that is not a numeric
+    failure of a step or a cell (the first shard's), else the numeric
+    failure at the earliest (step, cell), else the first cell's failed
+    summary.  Every such failure names its cell."""
+    index = {cell.label: j for j, cell in enumerate(cells)}
 
-    shard, exc = min(failures, key=rank)
-    if isinstance(exc, NumericFailure) and exc.step is not None \
-            and exc.cell is None and len(cells) > 1:
-        label = cells[shard[0]].label
-        return NumericFailure(f"{exc} in cell {label}", step=exc.step, cell=label)
-    return exc
+    def rank(exc):
+        if not isinstance(exc, NumericFailure) or exc.cell is None:
+            return 0, 0, 0
+        # A failure without a step comes after the whole sweep.
+        return (1, exc.step, index[exc.cell]) if exc.step is not None else (2, 0, index[exc.cell])
+
+    return min(errors, key=rank)
 
 
 def _fan_out(cells, sweep, finish, start):
@@ -278,10 +271,9 @@ def _fan_out(cells, sweep, finish, start):
         for part in parts[1:]:
             workers.append(_fork(sweep, finish, part, workers))
         values, exc = _attempt(sweep, parts[0])
-        swept = [exc] + [_receive(worker)[1] for worker in workers]
-        failures = [(shard, exc) for shard, exc in zip(shards, swept) if exc is not None]
-        if failures:
-            raise _first_failure(cells, failures)
+        errors = [e for e in [exc] + [_receive(worker)[1] for worker in workers] if e is not None]
+        if errors:
+            raise _first_failure(cells, errors)
         start()
         for worker in workers:
             os.write(worker.go, b"g")

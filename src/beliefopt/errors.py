@@ -10,9 +10,9 @@ class ConfigError(Exception):
 class NumericFailure(RuntimeError):
     """Raised when a run produces NaN or infinite values.
 
-    ``step`` is the step of a sweep's first nonfinite value and ``cell`` the
-    label of its cell, None in a one-cell sweep; both are None for failures
-    outside a sweep's steps.
+    ``step`` is the step of a sweep's first nonfinite value, and ``cell``
+    the label of the cell whose step or summary failed, which the message
+    then names; each is None where it does not apply.
     """
 
     def __init__(self, message: str, step: int | None = None, cell: str | None = None):

@@ -83,9 +83,9 @@ class Cell:
 #: steps between two finiteness scans of the recorded trace
 _CHECK_EVERY = 256
 
-_NONFINITE = {1: "nonfinite loss at step {t}",
-              2: "nonfinite gradient at step {t}",
-              3: "nonfinite optimizer state after step {t}"}
+_NONFINITE = {1: "nonfinite loss at step {t} in cell {cell}",
+              2: "nonfinite gradient at step {t} in cell {cell}",
+              3: "nonfinite optimizer state after step {t} in cell {cell}"}
 
 
 def lane_groups(cells) -> list[range]:
@@ -101,9 +101,9 @@ def lane_groups(cells) -> list[range]:
 def _first_nonfinite(loss, grad, *state):
     """(step offset, cell, code) of the earliest nonfinite value of a scan
     block, or None: its losses (lanes, w), gradients and ``state`` after
-    each step (the moments and the next iterate), each (w, lanes, n).
-    Within a step the first cell comes first, and within a cell the loss,
-    then the gradient, then the state, as a one-cell run meets them."""
+    each step (s, s_hat and the step), each (w, lanes, n).  Within a step
+    the first cell comes first, and within a cell the loss, then the
+    gradient, then the state, as a one-cell run meets them."""
     if np.isfinite(loss).all() and all(np.isfinite(a).all() for a in (grad, *state)):
         return None
     bad_state = ~np.logical_and.reduce([np.isfinite(a).all(axis=2) for a in state]).T
@@ -129,8 +129,8 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
       the step's row of the block's gradients;
     * per lane group (``lane_groups``): one kernel call on the step's
       coefficient rows (``CoefficientRows``, alpha per lane) and the state
-      the group's last call returned, whose new state is kept for the
-      block's records, and one multiply that writes scale * m' into the
+      the group's last call returned, whose new s' and s_hat' are kept for
+      the block's records, and one multiply that writes scale * m' into the
       step's row of the block;
     * one step tail for all lanes: x - scale * m' written into the next
       row of iterates and projected there in place, two more ufunc calls.
@@ -139,13 +139,14 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     the next block's coefficient rows, copies the block's gradients and
     second moments into the records, and computes the round losses of the
     block's iterates (``lanes_losses``) and the step norms of its steps.
-    The iterates and first moments, which no trace reads, are kept for one
-    block.  Every operation is elementwise per lane, so each trace is
+    The iterates (kept for one block) and first moments (for one step) go
+    in no trace.  Every operation is elementwise per lane, so each trace is
     bit-identical to a one-cell run; the traces are views into the records.
 
-    A nonfinite loss, gradient or optimizer state raises NumericFailure for
-    the earliest step at which any cell has one, naming that cell when
-    there is more than one; its ``step`` and ``cell`` fields hold the same.
+    A nonfinite loss, gradient, s, s_hat or step (a nonfinite m' or scale
+    makes its step one) raises NumericFailure, as "... in cell <label>",
+    for the earliest step at which any cell has one; its ``step`` and
+    ``cell`` fields hold that step and label.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -168,9 +169,9 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     steps = np.arange(1, horizon + 1)
     width = min(_CHECK_EVERY, horizon)
     # The scan block's iterates, row 0 the one it starts from, and its
-    # gradients, first moments and scale * m' (the step is -scale * m').
+    # gradients and scale * m' (the step is -scale * m').
     xs = np.empty((width + 1, n_lanes, n))
-    grads, moments, block = (np.empty((width, n_lanes, n)) for _ in range(3))
+    grads, block = (np.empty((width, n_lanes, n)) for _ in range(2))
     x_rows, grad_rows, step_rows = list(xs), list(grads), list(block)
     coefficients, plan = [], []
     for members in lane_groups(cells):
@@ -182,8 +183,8 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         group = CoefficientRows(hp, alpha[rows], np.array(beta1), beta2[rows.start], width, n)
         coefficients.append(group)
         # Per step of a block, the kernel's coefficients, gradient rows and
-        # scale * m' rows; then the group's states m', s', s_hat' of the
-        # block's steps, after the one carried in from the block before.
+        # scale * m' rows; then the group's last m' and its s', s_hat' of
+        # the block's steps, after the ones carried in from the block before.
         zeros = np.zeros((len(members), n))
         plan.append((KERNELS[kind], list(zip(group.steps, grads[:, rows], block[:, rows])),
                      [zeros], [zeros], [zeros], rows))
@@ -202,7 +203,7 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 for kernel, block_steps, m_run, s_run, sh_run, _ in plan:
                     c, g, scaled = block_steps[k]
                     m, s, s_hat, scale = kernel(c, g, m_run[-1], s_run[-1], sh_run[-1])
-                    m_run.append(m)
+                    m_run[-1] = m
                     s_run.append(s)
                     sh_run.append(s_hat)
                     np.multiply(scale, m, scaled)
@@ -210,22 +211,18 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
                 # is x + delta bit for bit.
                 project(np.subtract(x, step_row, x_next), x_next)
             gs[lo:hi] = grads[:w]
-            for _, _, *runs, rows in plan:
-                for states, run in zip((moments[:w], ss[lo:hi], shs[lo:hi]), runs):
+            for _, _, _, *runs, rows in plan:
+                for states, run in zip((ss[lo:hi], shs[lo:hi]), runs):
                     states[:, rows] = np.concatenate(run[1:]).reshape(w, -1, n)
                     del run[:-1]
             step_inf[:, lo:hi] = np.abs(block[:w]).max(axis=2).T
             loss[:, lo:hi] = problem.lanes_losses(xs[:w].swapaxes(0, 1), lo + 1, seed)
-            failure = _first_nonfinite(loss[:, lo:hi], grads[:w], moments[:w], ss[lo:hi],
-                                       shs[lo:hi], xs[1:w + 1])
+            failure = _first_nonfinite(loss[:, lo:hi], grads[:w], ss[lo:hi], shs[lo:hi], block[:w])
             if failure is not None:
                 offset, j, code = failure
-                t_bad = lo + offset + 1
-                message = _NONFINITE[code].format(t=t_bad)
-                label = cells[j].label if n_lanes > 1 else None
-                if label is not None:
-                    message += f" in cell {label}"
-                raise NumericFailure(message, step=t_bad, cell=label)
+                t_bad, label = lo + offset + 1, cells[j].label
+                raise NumericFailure(_NONFINITE[code].format(t=t_bad, cell=label),
+                                     step=t_bad, cell=label)
             xs[0] = xs[w]  # the next block starts from the last iterate
     return [TrajectoryTrace(
         kind=cell.kind, hp=cell.hp, seed=seed, horizon=horizon,

@@ -152,6 +152,20 @@ class TestExitCodes:
         assert "numeric failure" in result.stderr
         assert "nonfinite loss" in result.stderr
 
+    def test_an_overflowing_step_exits_3_naming_its_step_and_cell(self, tmp_path):
+        # The second step, 1e308 * m', overflows, though the projection
+        # would clip the iterate back into the box and m' stays finite.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("[problem]\nkind = quadratic\ndim = 2\neig_min = 0.1\neig_max = 1.0\n"
+                       "x_star = 0.5\nx0_jitter = 1e-5\n\n"
+                       "[optimizer]\nkind = sgd_momentum\nalpha = 1e308\n\n"
+                       "[run]\nhorizon = 300\nregion_lo = -5\nregion_hi = 5\nseed = 0\n")
+        result = cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (3, "", "numeric failure: nonfinite optimizer state after step 2 "
+                    "in cell sgd_momentum_alpha1e+308\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_writes_a_trace_and_reports_the_run(self, quad_cfg, tmp_path):
@@ -266,7 +280,8 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert [line.partition(":")[0] for line in out.splitlines()] == [f"check {good}"] * 4
         assert out.count("PASS") == 4
-        assert err == f"numeric failure: {bad}: nonfinite loss at step 1\n"
+        assert err == (f"numeric failure: {bad}: nonfinite loss at step 1 "
+                       "in cell fastadabelief_alpha0.001\n")
 
     def test_tampered_loss_is_detected(self, quad_cfg, tmp_path):
         path = self.trace_path(quad_cfg, tmp_path)
@@ -706,6 +721,14 @@ def _check_binary(tmp_path, trace_text):
     return ["check", str(path)]
 
 
+def _binary_config(command):
+    def argv(tmp_path, trace_text):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_bytes(b"\xff\xfe[problem]\n")
+        return [command, "--config", str(cfg)]
+    return argv
+
+
 def _check_header_only(tmp_path, trace_text):
     path = tmp_path / "trace.csv"
     path.write_text(trace_text[:trace_text.index("\n1, ") + 1])
@@ -779,6 +802,9 @@ class TestExitCodeContract:
         pytest.param(_check_path(""), 2, "cannot read trace {tmp}", id="check-directory"),
         pytest.param(_check_binary, 2, "cannot read trace {tmp}/trace.csv",
                      id="check-binary-file"),
+        *(pytest.param(_binary_config(command), 2,
+                       "config error: cannot read config {tmp}/case.cfg: 'utf-8' codec",
+                       id=f"{command}-binary-config") for command in ("run", "compare", "bound")),
         pytest.param(_check_tampered("# alpha: 0.001", "# alpha: fast"), 2,
                      "trace.csv: metadata '# alpha: fast'", id="check-bad-alpha"),
         pytest.param(_check_tampered("# seed: 3", "# seed: three"), 2,
@@ -1076,15 +1102,23 @@ class TestFanOut:
 
     def test_an_error_before_the_steps_outranks_a_numeric_failure(self, cfg):
         cells = sweep_cells(load_config(cfg))
-        numeric = NumericFailure("nonfinite loss at step 1", step=1, cell=None)
+
+        def failed(j, step):
+            where = f"at step {step}" if step is not None else "in its summary"
+            return NumericFailure(f"{where} in cell {cells[j].label}", step, cells[j].label)
+
         first, second = ValueError("first"), ValueError("second")
-        failures = [([5], numeric), ([2, 3, 4], first), ([0, 1], second)]
-        assert beliefopt.cli._first_failure(cells, failures) is first
-        failures = [([6, 7], NumericFailure("nonfinite loss at step 2", step=2, cell=None)),
-                    ([5], numeric)]
-        named = beliefopt.cli._first_failure(cells, failures)
-        assert (str(named), named.step, named.cell) == \
-            ("nonfinite loss at step 1 in cell sgd_momentum_alpha0.01", 1, "sgd_momentum_alpha0.01")
+        assert beliefopt.cli._first_failure(cells, [failed(5, 1), first, second]) is first
+        # The earliest step wins, then the first cell, in any shard order.
+        earliest = failed(2, 3)
+        errors = [failed(6, 3), failed(0, 4), earliest, failed(1, None)]
+        assert beliefopt.cli._first_failure(cells, errors) is earliest
+        # A failed summary ranks after every step failure, the first cell's
+        # first among summaries.
+        summary = failed(1, None)
+        errors = [failed(6, None), failed(7, 300), summary]
+        assert beliefopt.cli._first_failure(cells, errors).step == 300
+        assert beliefopt.cli._first_failure(cells, [failed(6, None), summary]) is summary
 
     # With three workers the children sweep cells 2-4 (the adam group) and
     # 0, 1, 5.  The second child cannot start: its fork fails, or the

@@ -432,16 +432,30 @@ ADAM = Cell("adam_alpha0.01", "adam", HyperParams(alpha=0.01))
 
 
 @pytest.mark.parametrize("what, message", [
-    ("loss", "nonfinite loss at step 300"),
-    ("gradient", "nonfinite gradient at step 300"),
-    ("state", "nonfinite optimizer state after step 300"),
+    ("loss", "nonfinite loss at step 300 in cell adam"),
+    ("gradient", "nonfinite gradient at step 300 in cell adam"),
+    ("state", "nonfinite optimizer state after step 300 in cell adam"),
 ])
-def test_one_cell_keeps_the_plain_failure_message(what, message):
+def test_one_cell_failure_names_its_step_and_cell(what, message):
     # Step 300 lies past the first finiteness scan, so the scan offsets count.
     problem = poisoned(bowl(), [(what, 300, 0)])
     with pytest.raises(NumericFailure) as info:
         run_online(problem, "adam", HyperParams(alpha=0.01), box_region(-2.0, 2.0, 2), 600, 0)
-    assert str(info.value) == message
+    assert (str(info.value), info.value.step, info.value.cell) == (message, 300, "adam")
+
+
+def test_a_step_that_overflows_fails_while_the_moments_stay_finite():
+    # sgd_momentum steps by -alpha * m'.  From 0, where the gradient is
+    # -0.5, the first step, 1e308 * 0.5, is finite and the iterate is
+    # clipped to 5; the second, -1e308 * (0.9 * -0.5 + 4.5), overflows,
+    # while m', s and s_hat stay finite and the projection would clip the
+    # iterate back into the box.
+    sgd = Cell("sgd_momentum_alpha1e+308", "sgd_momentum", HyperParams(alpha=1e308))
+    region = box_region(-5.0, 5.0, 2)
+    with pytest.raises(NumericFailure) as info:
+        run_sweep(bowl(), [ADAM, sgd], region, 20, 0)
+    assert (str(info.value), info.value.step, info.value.cell) == \
+        (f"nonfinite optimizer state after step 2 in cell {sgd.label}", 2, sgd.label)
 
 
 def test_multi_cell_failure_names_the_earliest_cell():
@@ -510,7 +524,7 @@ def test_real_problems_keep_the_one_cell_failure_order(family, spots, message):
     cell = cells[0]
     with pytest.raises(NumericFailure) as info:
         run_online(poisoned(problem, spots), cell.kind, cell.hp, region, 600, run.seed)
-    assert str(info.value) == message
+    assert str(info.value) == f"{message} in cell {cell.kind}"
 
 
 # The first three cells stack in cell order: two fastadabelief lanes, then
@@ -539,7 +553,7 @@ def test_failures_carry_their_step_and_cell(family):
     with pytest.raises(NumericFailure) as info:
         run_sweep(poisoned(problem, [("loss", 3, 0)]), cells[:1], region, 600, run.seed)
     assert (str(info.value), info.value.step, info.value.cell) == \
-        ("nonfinite loss at step 3", 3, None)
+        (f"nonfinite loss at step 3 in cell {cells[0].label}", 3, cells[0].label)
 
 
 def test_cli_reports_the_failing_cell_with_exit_3(tmp_path, capsys):
