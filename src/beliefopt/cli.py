@@ -40,7 +40,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .config import RunConfig, build_problem, build_region, load_config, parse_config, sweep_cells
-from .errors import CheckFailure, ConfigError, NumericFailure
+from .errors import BatchMemoryError, CheckFailure, ConfigError, NumericFailure
 from .optim import BOUNDED_RULE
 from .regret import (
     R_RULE,
@@ -308,16 +308,21 @@ def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, start=lambda: N
     config's region.
 
     Each shard summarizes its cells right after its sweep; only once every
-    shard has run and summarized do ``start()`` and the writes run.  Records
-    refused at once are a config error naming the [run] line, the same for
-    every worker count; a numeric failure inside ``summarize`` names its
-    cell.
+    shard has run and summarized do ``start()`` and the writes run.  Memory
+    refused to the sweep's records or to the problem's minibatch block is a
+    config error naming the [run] horizon or the [problem] batch_size, the
+    same for every worker count; a numeric failure inside ``summarize``
+    names its cell.
     """
     region = build_region(cfg, problem.dim)
 
     def sweep(part):
         try:
             traces = run_sweep(problem, part, region, cfg.run.horizon, seed)
+        except BatchMemoryError:
+            raise ConfigError(f"{cfg.source}: line {cfg.problem_line}: [problem] "
+                              f"{cfg.problem.kind}: batch_size = {cfg.problem.batch_size} "
+                              "does not fit in memory") from None
         except MemoryError:
             raise ConfigError(f"{cfg.source}: line {cfg.run_line}: [run] horizon = "
                               f"{cfg.run.horizon} does not fit in memory") from None

@@ -326,8 +326,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig):
-    """The problem a config describes; a value it rejects is a ConfigError
-    naming the config's source and its [problem] line."""
+    """The problem a config describes; a value it rejects, or a problem too
+    large to hold, is a ConfigError naming the config's source and its
+    [problem] line."""
     ps = cfg.problem
     try:
         if ps.kind == "quadratic":
@@ -345,9 +346,9 @@ def build_problem(cfg: RunConfig):
             dataset = load_csv(ps.source)
         return SoftmaxL2Problem(dataset, batch_size=ps.batch_size,
                                 sigma1=ps.sigma1, sigma2=ps.sigma2)
-    except (OSError, ValueError) as exc:
-        msg = _fail(cfg.problem_line, f"[problem] {ps.kind}: {exc}")
-        raise _in_source(cfg.source, msg) from None
+    except (OSError, ValueError, MemoryError) as exc:
+        why = " does not fit in memory" if isinstance(exc, MemoryError) else f": {exc}"
+        raise _in_source(cfg.source, _fail(cfg.problem_line, f"[problem] {ps.kind}{why}")) from None
 
 
 def build_region(cfg: RunConfig, dim: int):

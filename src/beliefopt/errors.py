@@ -21,5 +21,9 @@ class NumericFailure(RuntimeError):
         self.cell = cell
 
 
+class BatchMemoryError(MemoryError):
+    """Raised when a problem's block of minibatches does not fit in memory."""
+
+
 class CheckFailure(Exception):
     """Raised when a requested validity check fails on otherwise sound data."""

@@ -1,16 +1,24 @@
 """Projected online optimizers over box-constrained domains.
 
 Seven step rules share one state layout (first moment ``m``, second moment
-``s``, running max ``s_hat``) and one projection primitive.  With gradient
-``g`` at step ``t`` (1-based) the updates are, elementwise:
+``s``, running max ``s_hat``) and one projection primitive.  Each rule is
+one of four moment recursions plus a stepsize of its own, the elementwise
+scale in x' = P(x - scale*m').  With gradient ``g`` at step ``t`` (1-based)
+and the step's betas b1, b2 (``step_betas``), elementwise:
 
-    sgd_momentum   m' = b1*m + g                     x' = P(x - a_t*m')
-    adam           m' EMA(b1), v' = EMA(b2) of g^2   x' = P(x - a_t*m'/(sqrt(v')+eps))
-    yogi           v' = v - (1-b2)*sign(v-g^2)*g^2   divisor sqrt(v')+eps
-    adabound       rate = clip(a_t/sqrt(v'), eta_l(t), eta_u(t)),  x' = P(x - rate*m')
-    adabelief      s' = EMA(b2) of (g-m')^2, sh' = max(sh, s')     divisor sqrt(sh')+eps
-    sadam          v' = EMA(b2_t) of g^2              divisor v' + delta/t   (no sqrt)
-    fastadabelief  s' = EMA(b1_t, b2_t belief), sh' = max(sh, s')  divisor sh' + delta/t
+    rule           recursion   scale
+    sgd_momentum   heavy-ball  a_t
+    adam           adam        a_t / (sqrt(v') + eps)
+    yogi           yogi        a_t / (sqrt(v') + eps)
+    adabound       adam        clip(a_t / sqrt(v'), eta_l(t), eta_u(t))
+    adabelief      belief      a_t / (sqrt(sh') + eps)
+    sadam          adam        a_t / (v' + delta/t)     (no sqrt)
+    fastadabelief  belief      a_t / (sh' + delta/t)
+
+    heavy-ball  m' = b1*m + g
+    adam        m' = EMA(b1) of g, v' = EMA(b2) of g^2
+    yogi        adam's m', v' = v - (1-b2)*sign(v-g^2)*g^2
+    belief      adam's m', s' = EMA(b2) of (g-m')^2, sh' = max(sh, s')
 
 The two strongly-convex rules (sadam, fastadabelief) divide by their second
 moment linearly; the vanishing offset ``delta/t`` keeps the divisor positive.
@@ -287,94 +295,62 @@ class CoefficientRows:
             rows[:len(t)] = value
 
 
-# Rule kernels: (c, g, m, s, s_hat) -> (m', s', s_hat', scale), where c is
-# the step's StepCoefficients and scale is the elementwise stepsize
-# multiplying m'.  Arrays are (n,) for one lane or (lanes, n) for a stack of
-# lanes.  ``step`` passes scalar coefficients (a_t may be a (lanes, 1)
-# column of per-lane stepsizes); ``run_sweep`` passes the (lanes, n) rows of
-# ``CoefficientRows``, so every ufunc in its loop takes same-shape operands,
-# the cheapest numpy dispatch.  A row holds the scalar of its step
-# and lane, so the two give the same bits.  Every operation is elementwise
-# and no argument is written in place, so a lane's values never depend on the
-# other lanes or on the lane count.  ``run_sweep`` calls the kernels of all
-# its lane groups through KERNELS and runs one step tail for all of them,
-# and ``region_stepsize_table`` calls them with no tail.  ``step``, one
-# kernel call plus the tail, is the tests' per-step reference and a name
-# the benchmark's layer spans wrap.  Kernels that wrote their state into the
-# sweep's records through ``out=`` instead measured no faster.
+# The rules as (recursion, stepsize) pairs.  A recursion maps (c, g, m, s,
+# s_hat) to (m', s', s_hat'), and a stepsize maps (c, m', s', s_hat') to the
+# scale multiplying m'; c is the step's StepCoefficients.  Arrays are (n,)
+# for one lane or (lanes, n) for a stack of lanes.  ``step`` passes scalar
+# coefficients (a_t may be a (lanes, 1) column of per-lane stepsizes);
+# ``run_sweep`` passes the (lanes, n) rows of ``CoefficientRows``, so every
+# ufunc in its loop takes same-shape operands, the cheapest numpy dispatch.
+# A row holds the scalar of its step and lane, so the two give the same
+# bits.  Every operation is elementwise and no argument is written in place,
+# so a lane's values never depend on the other lanes or on the lane count.
+# ``region_stepsize_table`` calls only the recursions.  Recursions that
+# wrote into the sweep's records through ``out=`` measured no faster.
 
 
-def _sgd_momentum(c, g, m, s, s_hat):
-    """Heavy-ball update m' = beta1*m + g (no EMA damping on the gradient)."""
-    m = c.b1 * m + g
-    return m, s, s_hat, np.full_like(m, c.a_t)
+def _heavy_ball(c, g, m, s, s_hat):
+    return c.b1 * m + g, s, s_hat
 
 
-def _adam(c, g, m, s, s_hat):
-    m = c.b1 * m + c.one_minus_b1 * g
-    v = c.b2 * s + c.one_minus_b2 * g * g
-    return m, v, s_hat, c.a_t / (np.sqrt(v) + c.eps)
+def _adam_moments(c, g, m, s, s_hat):
+    return c.b1 * m + c.one_minus_b1 * g, c.b2 * s + c.one_minus_b2 * g * g, s_hat
 
 
-def _yogi(c, g, m, s, s_hat):
-    """Adam-shaped, but the second moment moves additively:
-    v' = v - (1-beta2) * sign(v - g^2) * g^2."""
+def _yogi_moments(c, g, m, s, s_hat):
     m = c.b1 * m + c.one_minus_b1 * g
     g2 = g * g
-    v = s - c.one_minus_b2 * np.sign(s - g2) * g2
-    return m, v, s_hat, c.a_t / (np.sqrt(v) + c.eps)
+    return m, s - c.one_minus_b2 * np.sign(s - g2) * g2, s_hat
 
 
-def _adabound(c, g, m, s, s_hat):
-    """Adam with the per-coordinate rate alpha_t/sqrt(v) clipped into the
-    closing interval [eta_l(t), eta_u(t)] around eta_final."""
+def _belief_moments(c, g, m, s, s_hat):
+    """The second moment averages (g - m')^2, and a running max keeps the
+    divisor nondecreasing."""
     m = c.b1 * m + c.one_minus_b1 * g
-    v = c.b2 * s + c.one_minus_b2 * g * g
-    # Where v = 0 the raw rate is unbounded and the clip lands on eta_u.
+    resid = g - m
+    s = c.b2 * s + c.one_minus_b2 * resid * resid
+    return m, s, np.maximum(s_hat, s)
+
+
+def _root_divisor(c, m, v, s_hat):
+    return c.a_t / (np.sqrt(v) + c.eps)
+
+
+def _adabound_rate(c, m, v, s_hat):
+    """The rate alpha_t/sqrt(v) clipped into [eta_l(t), eta_u(t)], which
+    closes around eta_final; where v = 0 the clip lands on eta_u."""
     raw = np.divide(c.a_t, np.sqrt(v), out=np.full(v.shape, np.inf), where=v > 0)
-    return m, v, s_hat, _clip(raw, c.eta_l, c.eta_u, raw)
-
-
-def _adabelief(c, g, m, s, s_hat):
-    """Belief rule: the second moment averages (g - m')^2 and a running max
-    keeps the divisor sqrt(s_hat) + epsilon nondecreasing."""
-    m = c.b1 * m + c.one_minus_b1 * g
-    resid = g - m
-    s = c.b2 * s + c.one_minus_b2 * resid * resid
-    s_hat = np.maximum(s_hat, s)
-    return m, s, s_hat, c.a_t / (np.sqrt(s_hat) + c.eps)
-
-
-def _sadam(c, g, m, s, s_hat):
-    """Squared-gradient average with the 1 - c/t schedule, divided linearly:
-    x' = P(x - a_t * m' / (v' + delta/t))."""
-    m = c.b1 * m + c.one_minus_b1 * g
-    v = c.b2 * s + c.one_minus_b2 * g * g
-    return m, v, s_hat, c.a_t / (v + c.delta_t)
-
-
-def _fastadabelief(c, g, m, s, s_hat):
-    """Belief second moment with running max, divided linearly with the
-    vanishing offset:  x' = P(x - (alpha/t) * m' / (s_hat' + delta/t)).
-
-    The first-moment coefficient decays as beta1 * lam**t; with the default
-    lam = 1 it stays constant.
-    """
-    m = c.b1 * m + c.one_minus_b1 * g
-    resid = g - m
-    s = c.b2 * s + c.one_minus_b2 * resid * resid
-    s_hat = np.maximum(s_hat, s)
-    return m, s, s_hat, c.a_t / (s_hat + c.delta_t)
+    return _clip(raw, c.eta_l, c.eta_u, raw)
 
 
 KERNELS = {
-    "sgd_momentum": _sgd_momentum,
-    "adam": _adam,
-    "yogi": _yogi,
-    "adabound": _adabound,
-    "adabelief": _adabelief,
-    "sadam": _sadam,
-    "fastadabelief": _fastadabelief,
+    "sgd_momentum": (_heavy_ball, lambda c, m, s, s_hat: np.full_like(m, c.a_t)),
+    "adam": (_adam_moments, _root_divisor),
+    "yogi": (_yogi_moments, _root_divisor),
+    "adabound": (_adam_moments, _adabound_rate),
+    "adabelief": (_belief_moments, lambda c, m, s, s_hat: c.a_t / (np.sqrt(s_hat) + c.eps)),
+    "sadam": (_adam_moments, lambda c, m, v, s_hat: c.a_t / (v + c.delta_t)),
+    "fastadabelief": (_belief_moments, lambda c, m, s, s_hat: c.a_t / (s_hat + c.delta_t)),
 }
 
 
@@ -384,13 +360,15 @@ def step(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,
     """Apply rule ``kind`` at step t to one state or a stack of lane states.
 
     Returns (x', m', s', s_hat', delta, scale) with delta = -scale * m' the
-    pre-projection step and x' = P(x + delta).  Shapes follow the kernels:
+    pre-projection step and x' = P(x + delta).  Shapes follow the table:
     (n,) arrays, or (lanes, n) with a_t a scalar or a (lanes, 1) column.
     a_t, b1 and b2 come from ``scheduled_alpha`` and ``step_betas``; the
     caller checks the gradient and the new state for nonfinite values.
     """
     c = step_coefficients(hp, t, a_t, b1, b2)
-    m, s, s_hat, scale = KERNELS[kind](c, g, m, s, s_hat)
+    recursion, stepsize = KERNELS[kind]
+    m, s, s_hat = recursion(c, g, m, s, s_hat)
+    scale = stepsize(c, m, s, s_hat)
     delta = -scale * m
     return region.project(x + delta), m, s, s_hat, delta, scale
 
@@ -400,7 +378,7 @@ def stepsize_probe(kind: str, m: np.ndarray, s: np.ndarray, t: int,
     """Signed displacement Delta_t at a frozen (m, s), without any state change.
 
     These are the stylized comparison formulas (all written with a square
-    root so the five rules are on one scale), not the step kernels:
+    root so the five rules are on one scale), not the step rules:
 
         sgd_momentum    -a_t * m
         adam            -a_t * m / sqrt(s)          (s is the g^2 average)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BatchMemoryError
 from .optim import FeasibleRegion
 
 
@@ -562,10 +563,13 @@ class SoftmaxL2Problem:
             # Release the old block before drawing the next, so that the
             # draw never runs with two blocks held.
             self._block = x = y = onehot = None
-            rows = _draw_rounds(self.dataset, self.batch_size, first,
-                                max(count, _BLOCK_ROUNDS), seed)
-            start, x, y = first, self.dataset.features[rows], self.dataset.labels[rows]
-            onehot = np.eye(self.dataset.n_classes)[y]
+            try:
+                rows = _draw_rounds(self.dataset, self.batch_size, first,
+                                    max(count, _BLOCK_ROUNDS), seed)
+                start, x, y = first, self.dataset.features[rows], self.dataset.labels[rows]
+                onehot = np.eye(self.dataset.n_classes)[y]
+            except MemoryError as exc:
+                raise BatchMemoryError(str(exc)) from None
             self._block = (seed, start, x, y, onehot)
         return first - start, x, y, onehot
 

@@ -122,16 +122,16 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
     stacked as (lanes, n) in cell order, and the per-step records are
     step-major, so each step's row of gradients and moments is one
     contiguous (lanes, n) block.  The loop runs in scan blocks of
-    _CHECK_EVERY steps, and every ufunc of its kernels and step tail takes
+    _CHECK_EVERY steps, and every ufunc of its rules and step tail takes
     same-shape (lanes, n) operands.  Per step it makes:
 
     * one gradient call for all lanes (``lanes_grad``), which writes into
       the step's row of the block's gradients;
-    * per lane group (``lane_groups``): one kernel call on the step's
-      coefficient rows (``CoefficientRows``, alpha per lane) and the state
-      the group's last call returned, whose new s' and s_hat' are kept for
-      the block's records, and one multiply that writes scale * m' into the
-      step's row of the block;
+    * per lane group (``lane_groups``): one call of its rule's recursion
+      (``optim.KERNELS``) on the step's coefficient rows (``CoefficientRows``,
+      alpha per lane) and the state the group's last call returned, whose
+      new s' and s_hat' are kept for the block's records, and one multiply
+      that writes the rule's stepsize times m' into the step's row;
     * one step tail for all lanes: x - scale * m' written into the next
       row of iterates and projected there in place, two more ufunc calls.
 
@@ -182,11 +182,11 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
         beta1, beta2[rows] = step_betas(kind, hp, horizon)
         group = CoefficientRows(hp, alpha[rows], np.array(beta1), beta2[rows.start], width, n)
         coefficients.append(group)
-        # Per step of a block, the kernel's coefficients, gradient rows and
-        # scale * m' rows; then the group's last m' and its s', s_hat' of
-        # the block's steps, after the ones carried in from the block before.
+        # The rule's recursion and stepsize; per step of a block, their
+        # coefficients, gradient rows and scale * m' rows; then the group's
+        # last m' and its s', s_hat' of the block's steps after those carried in.
         zeros = np.zeros((len(members), n))
-        plan.append((KERNELS[kind], list(zip(group.steps, grads[:, rows], block[:, rows])),
+        plan.append((*KERNELS[kind], list(zip(group.steps, grads[:, rows], block[:, rows])),
                      [zeros], [zeros], [zeros], rows))
     xs[0] = x0
     lanes_grad, project = problem.lanes_grad, region.project
@@ -200,19 +200,19 @@ def run_sweep(problem, cells, region: FeasibleRegion, horizon: int,
             for k, (t, x, x_next, g_row, step_row) in enumerate(
                     zip(range(lo + 1, hi + 1), x_rows, x_rows[1:], grad_rows, step_rows)):
                 lanes_grad(x, t, seed, g_row)
-                for kernel, block_steps, m_run, s_run, sh_run, _ in plan:
+                for recursion, stepsize, block_steps, m_run, s_run, sh_run, _ in plan:
                     c, g, scaled = block_steps[k]
-                    m, s, s_hat, scale = kernel(c, g, m_run[-1], s_run[-1], sh_run[-1])
+                    m, s, s_hat = recursion(c, g, m_run[-1], s_run[-1], sh_run[-1])
                     m_run[-1] = m
                     s_run.append(s)
                     sh_run.append(s_hat)
-                    np.multiply(scale, m, scaled)
+                    np.multiply(stepsize(c, m, s, s_hat), m, scaled)
                 # The step tail of ``step``, once for every lane: x - scale * m'
                 # is x + delta bit for bit.
                 project(np.subtract(x, step_row, x_next), x_next)
             gs[lo:hi] = grads[:w]
-            for _, _, _, *runs, rows in plan:
-                for states, run in zip((ss[lo:hi], shs[lo:hi]), runs):
+            for *_, s_run, sh_run, rows in plan:
+                for states, run in zip((ss[lo:hi], shs[lo:hi]), (s_run, sh_run)):
                     states[:, rows] = np.concatenate(run[1:]).reshape(w, -1, n)
                     del run[:-1]
             step_inf[:, lo:hi] = np.abs(block[:w]).max(axis=2).T
@@ -692,10 +692,10 @@ def _probe_hyperparams(kind: str) -> HyperParams:
 def region_stepsize_table():
     """|Delta_t| for the five comparison rules on the three scripts.
 
-    Each rule's own recursions evolve (m, s) along the scripts (by running
-    the real step kernels, one script per lane; no iterate is kept, as the
-    probe never reads one), then the probe evaluates the displacement at
-    each of ``_PROBE_STEPS``.  Returns rows of (region, optimizer, t, m, s,
+    Each rule's own recursion (of ``optim.KERNELS``) evolves (m, s) along
+    the scripts, one script per lane; no iterate or stepsize is computed,
+    as the probe reads neither.  The probe then evaluates the displacement
+    at each of ``_PROBE_STEPS``.  Returns rows of (region, optimizer, t, m, s,
     delta_abs).
     """
     scripts = region_scenarios()
@@ -706,9 +706,8 @@ def region_stepsize_table():
         b1, b2 = step_betas(kind, hp, _SCRIPT_LENGTH)
         m = s = s_hat = np.zeros((len(scripts), 1))
         for t in range(1, _SCRIPT_LENGTH + 1):
-            c = step_coefficients(hp, t, scheduled_alpha(kind, hp, hp.alpha, t),
-                                  b1[t - 1], b2[t - 1])
-            m, s, s_hat, _ = KERNELS[kind](c, grads[t - 1], m, s, s_hat)
+            c = step_coefficients(hp, t, None, b1[t - 1], b2[t - 1])
+            m, s, s_hat = KERNELS[kind][0](c, grads[t - 1], m, s, s_hat)
             if t in _PROBE_STEPS:
                 delta_t = stepsize_probe(kind, m, s, t, hp)
                 for lane, name in enumerate(scripts):

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -872,28 +873,43 @@ class TestExitCodeContract:
         assert words.replace("{tmp}", str(tmp_path)) in result.stderr
 
     @pytest.mark.parametrize("command", ["run", "compare", "bound", "check"])
-    def test_a_horizon_too_long_to_hold_exits_2_naming_the_run_line(self, tmp_path, trace_text,
-                                                                    command):
-        # numpy refuses the records of 10**12 steps at once, before a step.
-        huge = "horizon = 1000000000000"
+    @pytest.mark.parametrize("family, huge, refused", [
+        # numpy refuses at once the records of 10**12 steps, before a step;
+        pytest.param("quadratic", "horizon = 1000000000000", "[run] horizon = 1000000000000",
+                     id="horizon"),
+        # the 10**6 x 10**6 matrix and the 10**11 samples, building the problem;
+        pytest.param("quadratic", "dim = 1000000", "[problem] quadratic", id="dim"),
+        pytest.param("softmax", "samples = 100000000000", "[problem] softmax", id="samples"),
+        # and the minibatch block of 10**9 draws a round, at the first step.
+        pytest.param("softmax", "batch_size = 1000000000",
+                     "[problem] softmax: batch_size = 1000000000", id="batch-size"),
+    ])
+    def test_a_config_too_large_to_hold_exits_2_naming_its_line(self, tmp_path, trace_text,
+                                                                command, family, huge, refused):
+        text = COMPARE if command == "compare" else QUADRATIC
+        if family == "softmax":
+            text = SOFTMAX[:SOFTMAX.index("\n\n")] + text[text.index("\n\n"):]
+        key = huge.split(" = ")[0]
+        text = re.sub(rf"(?m)^{key} = .*$", huge, text)
         if command == "check":
+            def embedded(config):
+                return "".join(f"#cfg: {line}\n" for line in config.splitlines())
             path = tmp_path / "trace.csv"
-            text = trace_text.replace("#cfg: horizon = 50", f"#cfg: {huge}")
+            text = trace_text.replace(embedded(QUADRATIC), embedded(text))
             argv = ["check", str(path)]
         else:
             path = tmp_path / "case.cfg"
-            text = COMPARE.replace("horizon = 40", huge) if command == "compare" \
-                else QUADRATIC.replace("horizon = 50", huge)
             argv = [command, "--config", str(path)]
             if command != "bound":
                 argv += ["--out", str(tmp_path / "out")]
         assert huge in text
         path.write_text(text)
-        line = [raw.removeprefix("#cfg: ") for raw in text.splitlines()].index("[run]") + 1
+        section = "[run]" if key == "horizon" else "[problem]"
+        line = [raw.removeprefix("#cfg: ") for raw in text.splitlines()].index(section) + 1
         result = cli(*argv, preexec_fn=capped_memory)
         assert result.returncode == 2, result.stderr
         assert result.stderr == \
-            f"config error: {path}: line {line}: [run] {huge} does not fit in memory\n"
+            f"config error: {path}: line {line}: {refused} does not fit in memory\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])

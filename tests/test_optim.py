@@ -367,7 +367,9 @@ def test_kernels_match_the_written_out_formulas_bit_for_bit(kind, state, lanes):
             rows.fill(lo)
             coeffs = rows.steps[t - 1 - lo]
         with np.errstate(all="ignore"):
-            got = KERNELS[kind](coeffs, g, m, s, s_hat)
+            recursion, stepsize = KERNELS[kind]
+            got = recursion(coeffs, g, m, s, s_hat)
+            got += (stepsize(coeffs, *got),)
             want = written_out(kind, hp, t, a_t, b1, b2, g, m, s, s_hat)
         for name, a, b in zip(("m", "s", "s_hat", "scale"), got, want):
             assert a.shape == shape and a.dtype == np.float64, (name, t)
