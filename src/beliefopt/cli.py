@@ -17,9 +17,11 @@ Subcommands:
 * ``probe``    print the stepsize magnitude table for the three gradient
                scripts.
 
-Every command that runs the engine does so through ``_drive``; ``run``
-and ``compare`` write their files, and ``run``, ``compare`` and ``bound``
-print, only once every cell has run and been summarized.
+Every command that runs the engine does so through ``_drive``, the one
+function that sweeps and forks workers.  Given ``run``'s or ``compare``'s
+output directory, it creates it and has each worker write its own traces
+only once every cell has run and been summarized; ``run``, ``compare`` and
+``bound`` print only after that.
 
 Exit codes: 0 success, 1 usage, 2 config problem, 3 numeric failure or a
 lost sweep worker, 4 failed check.  A numeric failure names the trace
@@ -34,7 +36,6 @@ import pickle
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import BinaryIO
 
 import numpy as np
@@ -252,67 +253,22 @@ def _first_failure(cells, errors) -> Exception:
     return min(errors, key=rank)
 
 
-def _fan_out(cells, sweep, finish, start):
-    """[finish(cell, value)] for every cell, in cell order, where ``sweep``
-    gives each cell of its part a value.
+def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, out=None):
+    """[summarize(region, trace)] for every cell, in cell order, over the
+    config's region; with ``out``, [(summary, path, rows)], each cell's
+    trace written into the directory ``out``.
 
-    The cells are split into ``_shards``.  Each shard runs ``sweep`` on its
-    cells: shard 0 here, every other one in a forked child that reports
-    over a pipe.  Only once every shard has succeeded does ``start()`` run
-    and each shard call ``finish`` on its own cells; a child sends back
-    what ``finish`` returned.  Lanes are bit-identical to one-cell runs, so
-    the split changes no result.  A failure is raised as the one-process
-    sweep over all the cells would raise it, and no child outlives the call.
-    """
-    shards = _shards(cells)
-    parts = [[cells[j] for j in shard] for shard in shards]
-    workers = []
-    try:
-        for part in parts[1:]:
-            workers.append(_fork(sweep, finish, part, workers))
-        values, exc = _attempt(sweep, parts[0])
-        errors = [e for e in [exc] + [_receive(worker)[1] for worker in workers] if e is not None]
-        if errors:
-            raise _first_failure(cells, errors)
-        start()
-        for worker in workers:
-            os.write(worker.go, b"g")
-        reports = [_finish_shard(finish, parts[0], values)] + [_receive(w) for w in workers]
-    finally:
-        _reap(workers)
-    results = [None] * len(cells)
-    failed = []
-    for shard, (done, exc) in zip(shards, reports):
-        for j, value in zip(shard, done):
-            results[j] = value
-        if exc is not None:
-            failed.append((shard[len(done)], exc))
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return results
-
-
-def _write_trace(out: str, cfg: RunConfig, cell, trace):
-    """Write ``cell``'s trace CSV into ``out``; returns (path, rows)."""
-    path = os.path.join(out, f"trace_{cell.label}.csv")
-    with _writing(path):
-        rows = write_trace(path, trace, config_text=cfg.text,
-                           thin_stride=cfg.run.thin_stride, checkpoints=cfg.run.checkpoints)
-    return path, rows
-
-
-def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, start=lambda: None,
-           write=lambda cell, trace, summary: summary):
-    """[write(cell, trace, summarize(region, trace))] for every cell,
-    in cell order, from ``run_sweep`` on each shard of ``_fan_out`` over the
-    config's region.
-
-    Each shard summarizes its cells right after its sweep; only once every
-    shard has run and summarized do ``start()`` and the writes run.  Memory
-    refused to the sweep's records or to the problem's minibatch block is a
-    config error naming the [run] horizon or the [problem] batch_size, the
-    same for every worker count; a numeric failure inside ``summarize``
-    names its cell.
+    The cells are split into ``_shards``.  Each shard runs ``run_sweep`` on
+    its cells and summarizes them: shard 0 here, every other one in a forked
+    child that reports over a pipe.  Only once every shard has succeeded is
+    ``out`` created and each shard writes its own traces; a child sends
+    back its summaries.  Lanes are bit-identical to one-cell runs, so the
+    split changes no result.  A failure is raised as the one-process sweep
+    over all the cells would raise it, and no child outlives the call.
+    Memory refused to the sweep's records or to the problem's minibatch
+    block is a config error naming the [run] horizon or the [problem]
+    batch_size, the same for every worker count; a numeric failure inside
+    ``summarize`` names its cell.
     """
     region = build_region(cfg, problem.dim)
 
@@ -334,36 +290,55 @@ def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, start=lambda: N
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} in cell {cell.label}", cell=cell.label) from None
 
-    return _fan_out(cells, sweep, lambda cell, swept: write(cell, *swept), start)
+    def finish(cell, swept):
+        trace, summary = swept
+        if out is None:
+            return summary
+        path = os.path.join(out, f"trace_{cell.label}.csv")
+        with _writing(path):
+            rows = write_trace(path, trace, config_text=cfg.text,
+                               thin_stride=cfg.run.thin_stride, checkpoints=cfg.run.checkpoints)
+        return summary, path, rows
 
-
-def _sweep(args, cfg: RunConfig, summarize):
-    """Run and summarize every cell of the config, then write its trace
-    into the output directory, created once every cell has run and been
-    summarized.
-
-    Returns (out, problem, cells, [(summarize(problem, region, trace), path,
-    rows)] in cell order); each shard of ``_fan_out`` summarizes and writes
-    its own cells.
-    """
-    out = _out_path(args, cfg)
-    problem = build_problem(cfg)
-    cells = sweep_cells(cfg)
-
-    def write(cell, trace, summary):
-        return summary, *_write_trace(out, cfg, cell, trace)
-
-    return out, problem, cells, _drive(cfg, problem, _seed(args, cfg), cells,
-                                       partial(summarize, problem), lambda: _make_dir(out), write)
+    shards = _shards(cells)
+    parts = [[cells[j] for j in shard] for shard in shards]
+    workers = []
+    try:
+        for part in parts[1:]:
+            workers.append(_fork(sweep, finish, part, workers))
+        values, exc = _attempt(sweep, parts[0])
+        errors = [e for e in [exc] + [_receive(worker)[1] for worker in workers] if e is not None]
+        if errors:
+            raise _first_failure(cells, errors)
+        if out is not None:
+            _make_dir(out)
+        for worker in workers:
+            os.write(worker.go, b"g")
+        reports = [_finish_shard(finish, parts[0], values)] + [_receive(w) for w in workers]
+    finally:
+        _reap(workers)
+    results = [None] * len(cells)
+    failed = []
+    for shard, (done, exc) in zip(shards, reports):
+        for j, value in zip(shard, done):
+            results[j] = value
+        if exc is not None:
+            failed.append((shard[len(done)], exc))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    out = _out_path(args, cfg)
+    problem = build_problem(cfg)
+    cells = sweep_cells(cfg)
 
-    def summarize(problem, region, trace):
+    def summarize(region, trace):
         return problem.full_loss(trace.x_final), float(np.sum(trace.loss))
 
-    _, _, cells, results = _sweep(args, cfg, summarize)
+    results = _drive(cfg, problem, _seed(args, cfg), cells, summarize, out)
     for cell, ((final_loss, cum_loss), path, rows) in zip(cells, results):
         print(f"run {cell.label}: horizon={cfg.run.horizon} "
               f"final_loss={g17(final_loss)} "
@@ -374,15 +349,18 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
+    out = _out_path(args, cfg)
+    problem = build_problem(cfg)
+    cells = sweep_cells(cfg)
 
-    def summarize(problem, region, trace):
+    def summarize(region, trace):
         if args.select_alpha == "final_regret":
             score = float(compute_regret(problem, region, trace, cfg.run.checkpoints).regret[-1])
         else:
             score = problem.full_loss(trace.x_final)
         return score, trace.loss
 
-    out, problem, cells, results = _sweep(args, cfg, summarize)
+    results = _drive(cfg, problem, _seed(args, cfg), cells, summarize, out)
     best = {}  # kind -> (alpha, score, loss series), kinds in order of first cell
     for cell, ((score, loss), _, _) in zip(cells, results):
         if cell.kind not in best or score < best[cell.kind][1]:
@@ -404,9 +382,10 @@ def cmd_compare(args) -> int:
         if rivals:
             top_kind = min(rivals, key=rivals.get)
             top = rivals[top_kind]
-            ratio = fab / top if top != 0 else float("inf")
+            # A ratio of scores compares them only when both are positive.
+            ratio = f"{fab / top:.6g}" if fab > 0 and top > 0 else "n/a"
             print(f"compare summary: fastadabelief={g17(fab)} "
-                  f"best_baseline={top_kind}:{g17(top)} ratio={ratio:.6g}")
+                  f"best_baseline={top_kind}:{g17(top)} ratio={ratio}")
     print(f"compare wrote {csv_path} and {svg_path}")
     return 0
 

@@ -240,6 +240,19 @@ class TestCompare:
         for name in ("compare.csv", "compare.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_the_summary_prints_no_ratio_of_scores_that_are_not_positive(self, tmp_path):
+        # Both final losses are negative, fastadabelief's the lower one: a
+        # ratio of the two would read as fastadabelief doing 39 times worse.
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text("[problem]\nkind = quadratic\ndim = 2\nx0 = zeros\nx0_jitter = 0\n"
+                       "[optimizer]\nkind = fastadabelief\nalpha = 1\nbeta2_mode = sadam\n"
+                       "[optimizer]\nkind = sgd_momentum\nalpha = 0.001\n"
+                       "[run]\nhorizon = 5\n")
+        result = cli("compare", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        assert ("compare summary: fastadabelief=-0.12848871907121531 "
+                "best_baseline=sgd_momentum:-0.0032896165878837373 ratio=n/a\n") in result.stdout
+
     def test_regret_based_selection(self, cmp_cfg, tmp_path):
         out = tmp_path / "out"
         result = cli("compare", "--config", cmp_cfg, "--out", str(out),
@@ -263,6 +276,26 @@ class TestCheck:
         assert "gamma positivity PASS" in result.stdout
         assert "re-run reproduces losses PASS" in result.stdout
         assert "finite zeta PASS" in result.stdout
+
+    @pytest.mark.parametrize("no_color", [None, "1"])
+    def test_verdicts_are_colored_on_a_terminal_unless_no_color_is_set(
+            self, quad_cfg, tmp_path, monkeypatch, capsys, no_color):
+        good = self.trace_path(quad_cfg, tmp_path)
+        bad = tmp_path / "bad.csv"
+        # A stored loss the re-run does not reproduce fails that verdict.
+        bad.write_text(re.sub(r"(?m)^(1, )[^,]+", r"\g<1>9.9", good.read_text(), count=1))
+        if no_color is None:
+            monkeypatch.delenv("NO_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("NO_COLOR", no_color)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert beliefopt.cli.main(["check", str(good), str(bad)]) == 4
+        out = capsys.readouterr().out
+        passed, failed = ("PASS", "FAIL") if no_color else ("\x1b[32mPASS\x1b[0m",
+                                                              "\x1b[31mFAIL\x1b[0m")
+        assert f"check {good}: re-run reproduces losses {passed}\n" in out
+        assert f"check {bad}: re-run reproduces losses {failed}\n" in out
+        assert ("\x1b[" in out) == (no_color is None)
 
     def test_a_re_run_that_overflows_exits_3_naming_its_trace(self, quad_cfg, tmp_path, capsys):
         # The embedded config of bad.csv starts the run at 1e300, whose
@@ -1000,6 +1033,14 @@ seed = 3
 """
 
 
+class TwoArgumentError(Exception):
+    """Pickles with one argument, so unpickling it raises TypeError."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
 class TestFanOut:
     """``run``, ``compare`` and ``bound`` shard their lane groups over forked
     workers.  Every worker count gives the same bytes and the same failures,
@@ -1237,6 +1278,37 @@ class TestFanOut:
                             [argv[0], "--config", bound_cfg, *argv[1:]], out)
             assert got == (3, "", message)
             assert out is None or not out.exists(), workers
+
+    def test_an_exception_that_cannot_be_unpickled_arrives_as_its_text(self, cfg,
+                                                                          monkeypatch):
+        # The child's shard (cells 0, 1, 6 and 7 on two workers) fails in
+        # ``summarize`` with an exception that pickles but cannot be
+        # unpickled, so it travels as a RuntimeError holding its text.
+        monkeypatch.setattr(beliefopt.cli, "_worker_count", lambda: 2)
+        config = load_config(cfg)
+        parent = os.getpid()
+
+        def summarize(region, trace):
+            if os.getpid() != parent:
+                raise TwoArgumentError("child summary", "lost")
+            return trace.kind
+
+        with pytest.raises(RuntimeError) as info:
+            beliefopt.cli._drive(config, build_problem(config), 3, sweep_cells(config),
+                                 summarize)
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == "TwoArgumentError: child summary"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_host_without_the_affinity_call_runs_in_one_process(self, cfg, tmp_path,
+                                                                   monkeypatch, capsys):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert beliefopt.cli._worker_count() == 1
+        out = tmp_path / "out"
+        assert beliefopt.cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count(f"trace={out}") == 8
+        assert len(list(out.glob("trace_*.csv"))) == 8
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_finish_sees_each_trace_without_iterates_or_moments(self, cfg, monkeypatch,

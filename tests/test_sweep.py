@@ -8,6 +8,7 @@ trace keeps, are compared as a spy on ``lanes_grad`` sees them.  Failures
 report the earliest step across lanes and, in a multi-cell sweep, the cell.
 """
 
+import gc
 import tracemalloc
 from dataclasses import replace
 from functools import cache
@@ -300,6 +301,10 @@ def test_the_records_hold_3n_plus_4_floats_per_lane_step():
     run_sweep(problem, cells, region, 256, run.seed)  # the region's lane-shaped bounds
 
     def held(horizon):
+        # A full collection inside the window frees the interpreter's free
+        # lists, and when one runs depends on every test before this one.
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -308,6 +313,7 @@ def test_the_records_hold_3n_plus_4_floats_per_lane_step():
             return tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+            gc.enable()
 
     per_lane_step = (held(1024) - held(512)) / (512 * len(cells))
     n = problem.dim
