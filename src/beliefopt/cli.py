@@ -9,8 +9,9 @@ Subcommands:
                compare.csv plus compare.svg for the winners;
 * ``check``    validate trace CSVs: a deterministic re-run from the
                embedded config, one trace at a time, that must reproduce
-               every stored column and metadata value, and the increment
-               band and weight positivity of that re-run at the file's rows;
+               the rows the run keeps, every stored column and metadata
+               value, and the increment band and weight positivity of that
+               re-run at those rows;
 * ``bound``    print measured constants and the closed-form regret budget
                against measured regret at each checkpoint; its belief-rule
                cells are sharded like ``run``'s;
@@ -59,8 +60,7 @@ from .regret import (
 )
 from .svgchart import write_compare_svg
 from .traceio import (TRACE_COLUMNS, check_steps, g17, nonnegative_int, read_trace,
-                      resolve_stride, stored_mismatches, trace_record, trace_run,
-                      write_compare_csv, write_trace)
+                      stored_mismatches, trace_record, trace_run, write_compare_csv, write_trace)
 
 
 def _use_color() -> bool:
@@ -401,15 +401,16 @@ def _check_one(path: str) -> list[str]:
                  if c.kind == kind and c.hp.alpha == alpha), None)
     if cell is None:
         raise CheckFailure(f"{path}: embedded config has no {kind} cell with alpha={alpha:g}")
-    check_steps(tf, path, cfg.run.horizon)
     try:
         [trace] = _drive(cfg, build_problem(cfg), seed, [cell], lambda region, trace: trace)
     except NumericFailure as exc:
         raise NumericFailure(f"{path}: {exc}") from None
-    # The verdicts and the comparison read one record of the re-run, at the
-    # file's rows; a stored upper edge of the same value keeps its text.
-    meta, table = trace_record(trace, tf.steps,
-                               resolve_stride(cfg.run.horizon, cfg.run.thin_stride))
+    # Only now, as the re-run refuses a horizon too large to hold: the file
+    # must hold the rows the run keeps, and the verdicts and the comparison
+    # read the re-run's record of them; a stored upper edge of the same
+    # value keeps its text.
+    meta, table = trace_record(trace, cfg.run.thin_stride, cfg.run.checkpoints)
+    check_steps(tf, path, table[:, 0])
     differ = stored_mismatches(tf, meta, table)
     cols = dict(zip(TRACE_COLUMNS, table.T))
     upper_text = dict(meta)["cond4_upper"] if "cond4_upper" in differ else tf.meta["cond4_upper"]

@@ -302,17 +302,16 @@ def best_in_hindsight(problem, region: FeasibleRegion, trace: TrajectoryTrace,
     return x_star, upto * f_avg(x_star)
 
 
-def checkpoint_grid(horizon: int) -> list[int]:
-    """Geometric checkpoints 128, 256, ... capped at and including T."""
+def checkpoint_grid(horizon: int, points=None) -> list[int]:
+    """A run's checkpoints: ``points`` plus T, sorted and deduplicated, or by
+    default the geometric grid 128, 256, ... capped at and including T."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    points = []
-    c = 128
-    while c <= horizon:
-        points.append(c)
-        c *= 2
-    if not points or points[-1] != horizon:
-        points.append(horizon)
+    if points is None:
+        points = [2 ** k for k in range(7, horizon.bit_length())]
+    points = sorted({int(c) for c in points} | {horizon})
+    if points[0] < 1 or points[-1] > horizon:
+        raise ValueError("checkpoints must lie in [1, horizon]")
     return points
 
 
@@ -382,11 +381,7 @@ def compute_regret(problem, region: FeasibleRegion, trace: TrajectoryTrace,
     the tiny per-round excesses of near-converged runs survive the
     accumulation.
     """
-    if checkpoints is None:
-        checkpoints = checkpoint_grid(trace.horizon)
-    checkpoints = sorted({int(c) for c in checkpoints} | {trace.horizon})
-    if checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
-        raise ValueError("checkpoints must lie in [1, horizon]")
+    checkpoints = checkpoint_grid(trace.horizon, checkpoints)
     regret = np.empty(len(checkpoints))
     warm = None
     x_star = None
@@ -619,11 +614,13 @@ def check_condition3(trace: TrajectoryTrace) -> Condition3Result:
     g2 = trace.g ** 2
     w = (1.0 - trace.beta2)[:, None] * g2
     w_t = np.zeros(trace.g.shape[1])
-    # Only the W recursion runs step by step; everything else is computed
-    # on the whole trace, in place in the two (T, n) arrays.
-    for i, b2 in enumerate(trace.beta2):
-        w[i] += b2 * w_t
-        w_t = w[i]
+    carry = np.empty_like(w_t)
+    # Only the W recursion runs step by step, on (n,) rows alike in shape
+    # (a broadcast beta2 row, not a scalar); everything else is computed on
+    # the whole trace, in place in the two (T, n) arrays.
+    for b2, row in zip(np.broadcast_to(trace.beta2[:, None], w.shape), w):
+        row += np.multiply(b2, w_t, out=carry)
+        w_t = row
     t = np.arange(1, trace.horizon + 1, dtype=np.float64)[:, None]
     lhs = np.sqrt(w, out=w)
     lhs *= t / trace.hp.alpha

@@ -10,8 +10,9 @@ The file layout is stable so downstream checks can rely on it:
   step_inf_norm, alpha_t, beta2_t, cond4_min, cond4_max, gamma_min``;
 * data rows serialized with %.17g so floats round-trip bit-exactly.
 
-``trace_record`` builds what ``write_trace`` writes, and
-``stored_mismatches`` compares a read trace with it for ``check``.
+``trace_record`` chooses a trace's rows and builds what ``write_trace``
+writes; ``check_steps`` and ``stored_mismatches`` compare a read trace with
+it for ``check``.
 
 The writers format their rows a table at a time: the kept values go into
 one float64 table, and blocks of _BLOCK_ROWS rows go through one row
@@ -55,24 +56,19 @@ def _write_rows(fh, row: str, table: np.ndarray) -> None:
         fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def auto_stride(horizon: int) -> int:
-    return 1 if horizon <= _DENSE_LIMIT else 10
-
-
-def kept_steps(horizon: int, stride: int, checkpoints=None) -> np.ndarray:
-    if checkpoints is None:
-        checkpoints = checkpoint_grid(horizon)
-    keep = set(range(1, horizon + 1, stride))
-    keep.update(int(c) for c in checkpoints)
-    keep.add(horizon)
-    return np.array(sorted(keep), dtype=np.int64)
-
-
-def trace_record(trace: TrajectoryTrace, steps: np.ndarray,
-                 stride: int) -> tuple[list[tuple[str, str]], np.ndarray]:
-    """What ``write_trace`` writes for ``trace`` at thinning ``stride``: its
-    metadata as (key, text) pairs, and the float64 table of its data rows at
-    the 1-based ``steps``, one column per TRACE_HEADER field."""
+def trace_record(trace: TrajectoryTrace, thin_stride="auto",
+                 checkpoints=None) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """What ``write_trace`` writes for ``trace``: its metadata as (key, text)
+    pairs, and the float64 table of its data rows, one column per
+    TRACE_HEADER field.  The rows are every ``thin_stride``-th step ("auto":
+    1, or 10 past _DENSE_LIMIT steps) and ``checkpoint_grid(T, checkpoints)``."""
+    horizon = trace.horizon
+    stride = (1 if horizon <= _DENSE_LIMIT else 10) if thin_stride == "auto" else int(thin_stride)
+    if stride < 1:
+        raise ValueError("thin_stride must be >= 1")
+    # A set, not np.union1d, whose first call imports numpy.ma.
+    keep = set(range(1, horizon + 1, stride)).union(checkpoint_grid(horizon, checkpoints))
+    steps = np.array(sorted(keep), dtype=np.int64)
     band = check_condition4(trace, trace.sigma)
     gamma = gamma_series(trace)
     cum_loss = np.cumsum(trace.loss)
@@ -83,7 +79,7 @@ def trace_record(trace: TrajectoryTrace, steps: np.ndarray,
         ("alpha", g17(trace.hp.alpha)),
         ("beta1", g17(trace.hp.beta1)),
         ("sigma", g17(trace.sigma)),
-        ("horizon", str(trace.horizon)),
+        ("horizon", str(horizon)),
         ("problem", trace.problem_kind),
         ("cond4_upper", g17(band.upper)),
         ("thin_stride", str(stride)),
@@ -93,19 +89,10 @@ def trace_record(trace: TrajectoryTrace, steps: np.ndarray,
     return meta, np.column_stack([steps] + [c[steps - 1] for c in columns])
 
 
-def resolve_stride(horizon: int, thin_stride) -> int:
-    """The stride a ``thin_stride`` setting ("auto" or an int) keeps."""
-    stride = auto_stride(horizon) if thin_stride == "auto" else int(thin_stride)
-    if stride < 1:
-        raise ValueError("thin_stride must be >= 1")
-    return stride
-
-
 def write_trace(path: str, trace: TrajectoryTrace, config_text: str = "",
                 thin_stride="auto", checkpoints=None) -> int:
     """Write one run's trace; returns the number of data rows written."""
-    stride = resolve_stride(trace.horizon, thin_stride)
-    meta, table = trace_record(trace, kept_steps(trace.horizon, stride, checkpoints), stride)
+    meta, table = trace_record(trace, thin_stride, checkpoints)
     lines = [f"# {key}: {value}" for key, value in meta]
     for cfg_line in config_text.splitlines():
         lines.append(f"#cfg: {cfg_line}")
@@ -127,10 +114,6 @@ class TraceFile:
     config_lines: list[int]
     #: the file line of each data row
     row_lines: list[int]
-
-    @property
-    def steps(self) -> np.ndarray:
-        return self.columns["t"].astype(np.int64)
 
 
 def nonnegative_int(text: str) -> int:
@@ -162,22 +145,21 @@ def trace_run(tf: TraceFile, path: str) -> tuple[str, float, int]:
     return tf.meta["optimizer"], value("alpha", float), value("seed", nonnegative_int)
 
 
-def check_steps(tf: TraceFile, path: str, horizon: int) -> None:
-    """Every row's t must be an integer step of the run, 1..horizon, and
-    larger than the row before's."""
+def check_steps(tf: TraceFile, path: str, steps: np.ndarray) -> None:
+    """The file's t column must be ``steps``, the steps its run keeps, row
+    for row.  The message names the first row that differs, or the last
+    row when the trace ends early."""
     t = tf.columns["t"]
-    integer = np.isfinite(t) & (np.floor(t) == t)
-    earlier = np.concatenate([[0.0], t[:-1]])
-    bad = ~(integer & (t >= 1) & (t <= horizon) & (t > earlier))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not integer[i]:
-            why = "is not an integer step"
-        elif not 1 <= t[i] <= horizon:
-            why = f"lies outside the run's steps 1..{horizon}"
-        else:
-            why = f"does not follow the previous row's t = {g17(earlier[i])}"
-        raise ConfigError(f"{path}: line {tf.row_lines[i]}: t = {g17(t[i])} {why}")
+    common = min(len(t), len(steps))
+    differ = np.flatnonzero(t[:common] != steps[:common])
+    i = int(differ[0]) if differ.size else common
+    if i < len(t):
+        keeps = f"step {int(steps[i])}" if i < len(steps) else f"no step after {int(steps[-1])}"
+        raise ConfigError(f"{path}: line {tf.row_lines[i]}: "
+                          f"t = {g17(t[i])} where the run keeps {keeps}")
+    if i < len(steps):
+        raise ConfigError(f"{path}: line {tf.row_lines[-1]}: the trace ends at t = {g17(t[-1])} "
+                          f"where the run keeps step {int(steps[i])} next")
 
 
 def _same_value(stored: str, written: str) -> bool:
@@ -194,8 +176,8 @@ def _same_value(stored: str, written: str) -> bool:
 def stored_mismatches(tf: TraceFile, meta, table: np.ndarray) -> dict[str, str]:
     """The failure message of each metadata key and data column of ``tf``
     that is not what ``write_trace`` writes for its re-run, keyed by name:
-    ``meta`` and ``table`` are the re-run's ``trace_record`` at the file's
-    steps.
+    ``meta`` and ``table`` are the re-run's ``trace_record``, whose rows
+    ``check_steps`` has matched with the file's.
 
     Metadata compare by value, columns bit for bit at the file's rows; a
     column's message names the file line of its first differing row.

@@ -100,10 +100,16 @@ region_hi = 1e300
 """
 
 
+def cli_env():
+    """A subprocess run's environment: no color, and the RuntimeWarning and
+    ResourceWarning filters that pyproject gives only the pytest process."""
+    return dict(os.environ, NO_COLOR="1",
+                PYTHONWARNINGS="error::RuntimeWarning,error::ResourceWarning")
+
+
 def cli(*argv, cwd=None, preexec_fn=None):
-    env = dict(os.environ, NO_COLOR="1")
     return subprocess.run([sys.executable, "-m", "beliefopt", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=env,
+                          capture_output=True, text=True, cwd=cwd, env=cli_env(),
                           preexec_fn=preexec_fn)
 
 
@@ -118,6 +124,18 @@ def quad_cfg(tmp_path):
     path = tmp_path / "quad.cfg"
     path.write_text(QUADRATIC)
     return str(path)
+
+
+def test_subprocess_runs_fail_on_a_runtime_warning_the_package_raises():
+    # fit_growth's matmul overflows on these regrets, a RuntimeWarning that
+    # pyproject's filters would never see in a fresh interpreter.
+    code = "from beliefopt.regret import fit_growth; fit_growth([1, 2, 3, 4], [1e308] * 4)"
+    warned = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(cli_env(), PYTHONWARNINGS=""))
+    assert warned.returncode == 0 and "RuntimeWarning: overflow" in warned.stderr
+    failed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=cli_env())
+    assert failed.returncode == 1 and "RuntimeWarning: overflow" in failed.stderr
 
 
 class TestExitCodes:
@@ -180,7 +198,7 @@ class TestRun:
         tf = read_trace(str(trace_path))
         assert tf.meta["optimizer"] == "fastadabelief"
         assert tf.meta["seed"] == "3"
-        assert tf.steps[-1] == 50
+        assert tf.columns["t"][-1] == 50
         # The embedded copy drops the trailing newline, nothing else.
         assert tf.config_text == QUADRATIC.rstrip("\n")
 
@@ -778,6 +796,15 @@ def _check_tampered(old, new):
     return argv
 
 
+def _check_lines(edit):
+    """``check`` on the trace whose lines ``edit`` makes of the fixture's."""
+    def argv(tmp_path, trace_text):
+        path = tmp_path / "trace.csv"
+        path.write_text("".join(edit(trace_text.splitlines(keepends=True))))
+        return ["check", str(path)]
+    return argv
+
+
 def _out_under_file(command, text, *below):
     """``command --out`` at or below an existing file ``{tmp}/afile``."""
     def argv(tmp_path, trace_text):
@@ -858,23 +885,58 @@ class TestExitCodeContract:
         pytest.param(_check_tampered("#cfg: alpha = 0.001", "#cfg: alpha = 0.001, 0.001"), 2,
                      "{tmp}/trace.csv: line 17: duplicate sweep cell fastadabelief_alpha0.001",
                      id="check-duplicate-embedded-cell"),
-        # Data rows start at line 30 with t = 1.  t = 0 on the last row would
-        # index step -1, which wraps to step 50.
+        # Data rows start at line 30 with t = 1.
         pytest.param(_check_tampered("\n50, ", "\n0, "), 2,
-                     "{tmp}/trace.csv: line 79: t = 0 lies outside the run's steps 1..50",
+                     "{tmp}/trace.csv: line 79: t = 0 where the run keeps step 50",
                      id="check-step-zero"),
         pytest.param(_check_tampered("\n50, ", "\n99999, "), 2,
-                     "{tmp}/trace.csv: line 79: t = 99999 lies outside the run's steps 1..50",
+                     "{tmp}/trace.csv: line 79: t = 99999 where the run keeps step 50",
                      id="check-step-past-horizon"),
         pytest.param(_check_tampered("\n10, ", "\nnan, "), 2,
-                     "{tmp}/trace.csv: line 39: t = nan is not an integer step",
+                     "{tmp}/trace.csv: line 39: t = nan where the run keeps step 10",
                      id="check-step-nan"),
         pytest.param(_check_tampered("\n2, ", "\n1.5, "), 2,
-                     "{tmp}/trace.csv: line 31: t = 1.5 is not an integer step",
+                     "{tmp}/trace.csv: line 31: t = 1.5 where the run keeps step 2",
                      id="check-step-fraction"),
         pytest.param(_check_tampered("\n3, ", "\n2, "), 2,
-                     "{tmp}/trace.csv: line 32: t = 2 does not follow the previous row's t = 2",
+                     "{tmp}/trace.csv: line 32: t = 2 where the run keeps step 3",
                      id="check-step-repeated"),
+        # Whole rows missing, repeated or extra: the rows that remain would
+        # all reproduce.  Row k is line 29 + k.
+        *(pytest.param(_check_lines(lambda lines, k=k: lines[:29 + k]), 2,
+                       f"{{tmp}}/trace.csv: line {29 + k}: the trace ends at t = {k} "
+                       f"where the run keeps step {k + 1} next", id=f"check-cut-after-row-{k}")
+          for k in (1, 8, 49)),
+        pytest.param(_check_lines(lambda lines: lines[:38] + lines[39:]), 2,
+                     "{tmp}/trace.csv: line 39: t = 11 where the run keeps step 10",
+                     id="check-row-dropped"),
+        pytest.param(_check_lines(lambda lines: lines[:39] + lines[38:]), 2,
+                     "{tmp}/trace.csv: line 40: t = 10 where the run keeps step 11",
+                     id="check-row-repeated"),
+        pytest.param(_check_lines(lambda lines: lines + lines[-1:]), 2,
+                     "{tmp}/trace.csv: line 80: t = 50 where the run keeps no step after 50",
+                     id="check-row-past-the-last"),
+        pytest.param(_check_lines(lambda lines: lines[:29] + lines[29::10]), 2,
+                     "{tmp}/trace.csv: line 31: t = 11 where the run keeps step 2",
+                     id="check-rows-thinned"),
+        # The refusals of read_trace and of the re-run's cell lookup.
+        pytest.param(_check_tampered("\nt, loss,", "\nstep, loss,"), 2,
+                     "{tmp}/trace.csv: unexpected trace header at line 29",
+                     id="check-renamed-header"),
+        pytest.param(_check_tampered("\n10, ", "\n"), 2,
+                     "{tmp}/trace.csv: line 39 has 9 fields, expected 10",
+                     id="check-field-removed"),
+        pytest.param(_check_tampered("\n10, ", "\n10, x"), 2,
+                     "{tmp}/trace.csv: non-numeric field at line 39",
+                     id="check-non-numeric-field"),
+        pytest.param(_check_lines(lambda lines: [line for line in lines if line[0] == "#"]), 2,
+                     "{tmp}/trace.csv: no header row found", id="check-metadata-only"),
+        pytest.param(_check_lines(lambda lines: [line for line in lines
+                                                 if not line.startswith("#cfg:")]), 4,
+                     "{tmp}/trace.csv: no embedded config to re-run", id="check-no-config"),
+        pytest.param(_check_tampered("# alpha: 0.001", "# alpha: 0.002"), 4,
+                     "{tmp}/trace.csv: embedded config has no fastadabelief cell with alpha=0.002",
+                     id="check-alpha-not-in-config"),
         pytest.param(_check_header_only, 2, "{tmp}/trace.csv: no data rows",
                      id="check-no-rows"),
         pytest.param(_out_under_file("run", QUADRATIC, "sub"), 2,

@@ -6,6 +6,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -152,6 +153,17 @@ def test_write_trace_bytes_match_value_by_value_formatting(data, trace, cfg_line
             got = fh.read()
     assert got == want.encode("utf-8")
     assert rows == want_rows
+
+
+@pytest.mark.parametrize("point", [0, -3, "T + 1"])
+def test_write_trace_refuses_a_checkpoint_outside_the_run(tmp_path, point):
+    trace = TrajectoryTrace(
+        kind="adam", hp=HyperParams(alpha=0.01), seed=0, horizon=5, problem_kind="quadratic",
+        sigma=1.0, loss=np.ones(5), g=np.ones((5, 1)), s=np.ones((5, 1)), s_hat=np.ones((5, 1)),
+        alpha=np.ones(5), beta2=np.full(5, 0.5), step_inf=np.ones(5), x_final=np.zeros(1))
+    point = trace.horizon + 1 if point == "T + 1" else point
+    with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, horizon\]"):
+        write_trace(str(tmp_path / "trace.csv"), trace, checkpoints=[point])
 
 
 def reference_compare_text(series):
