@@ -133,7 +133,7 @@ def _raw_sections(text: str, linenos):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in ("problem", "optimizer", "run"):
+            if name not in _SECTIONS:
                 raise _fail(lineno, f"unknown section [{name}]")
             current = {}
             sections.append((name, current, lineno))
@@ -271,6 +271,10 @@ def _parse_run(raw: dict, header_line: int) -> RunSpec:
     return spec
 
 
+#: each section's parser; only [optimizer] may repeat
+_SECTIONS = {"problem": _parse_problem, "optimizer": _parse_optimizer, "run": _parse_run}
+
+
 def parse_config(text: str, source: str = "", linenos=None) -> RunConfig:
     """The config ``text`` describes.  Errors name ``source`` (a file name)
     and a line, counted by ``linenos`` (one number per line of ``text``)
@@ -282,35 +286,20 @@ def parse_config(text: str, source: str = "", linenos=None) -> RunConfig:
 
 
 def _parse(text: str, linenos, source: str) -> RunConfig:
-    problem = None
-    problem_line = 0
-    run = None
-    run_line = 0
-    optimizers = []
-    optimizer_lines = []
+    found = {name: [] for name in _SECTIONS}  # name -> [(spec, header line)]
     for name, raw, header_line in _raw_sections(text, linenos):
-        if name == "problem":
-            if problem is not None:
-                raise _fail(header_line, "duplicate [problem] section")
-            problem = _parse_problem(raw, header_line)
-            problem_line = header_line
-        elif name == "run":
-            if run is not None:
-                raise _fail(header_line, "duplicate [run] section")
-            run = _parse_run(raw, header_line)
-            run_line = header_line
-        else:
-            optimizers.append(_parse_optimizer(raw, header_line))
-            optimizer_lines.append(header_line)
-    if problem is None:
-        raise ConfigError("config has no [problem] section")
-    if not optimizers:
-        raise ConfigError("config has no [optimizer] section")
-    if run is None:
-        run = RunSpec()
-    return RunConfig(problem=problem, optimizers=optimizers, run=run, text=text,
+        if found[name] and name != "optimizer":
+            raise _fail(header_line, f"duplicate [{name}] section")
+        found[name].append((_SECTIONS[name](raw, header_line), header_line))
+    for name in ("problem", "optimizer"):
+        if not found[name]:
+            raise ConfigError(f"config has no [{name}] section")
+    [(problem, problem_line)] = found["problem"]
+    run, run_line = found["run"][0] if found["run"] else (RunSpec(), 0)
+    optimizers, optimizer_lines = zip(*found["optimizer"])
+    return RunConfig(problem=problem, optimizers=list(optimizers), run=run, text=text,
                      source=source, problem_line=problem_line,
-                     optimizer_lines=tuple(optimizer_lines), run_line=run_line)
+                     optimizer_lines=optimizer_lines, run_line=run_line)
 
 
 def load_config(path: str) -> RunConfig:

@@ -335,25 +335,24 @@ class RegretReport:
     sqrt_fit: GrowthFit | None
 
 
+def _centered(v: np.ndarray) -> tuple[float, np.ndarray]:
+    # Centered about v[0] first, so that a constant v has exact zero deviations.
+    shift = v - v[0]
+    return float(v[0] + shift.mean()), shift - shift.mean()
+
+
 def _ols(u: np.ndarray, y: np.ndarray, model: str) -> GrowthFit:
-    design = np.column_stack([np.ones_like(u), u])
-    gram = design.T @ design
-    if abs(np.linalg.det(gram)) < 1e-300:
+    # Centered sums of y / 2^e: exact and below 1 in magnitude, so no square overflows.
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    (u_mean, du), (y_mean, dy) = _centered(u), _centered(np.ldexp(y, -e))
+    ss_u, ss_tot = float(du @ du), float(dy @ dy)
+    if not ss_u > 0.0:
         raise ValueError("degenerate design matrix for growth fit")
-    coef = np.linalg.solve(gram, design.T @ y)
-    resid = y - design @ coef
-    ss_res = float(resid @ resid)
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
-        # Constant y: the fit is exact in exact arithmetic, so only rule
-        # out residuals beyond what the normal-equation solve can leak.
-        scale = max(1.0, float(abs(y.mean())))
-        r2 = 1.0 if ss_res <= y.size * (1e-12 * scale) ** 2 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return GrowthFit(model=model, intercept=float(coef[0]), slope=float(coef[1]),
-                     r_squared=r2)
+    slope = float(du @ dy) / ss_u
+    resid = dy - slope * du
+    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0.0 else 1.0
+    return GrowthFit(model=model, intercept=math.ldexp(y_mean - slope * u_mean, e),
+                     slope=math.ldexp(slope, e), r_squared=r2)
 
 
 def fit_growth(checkpoints, regret) -> tuple[GrowthFit, GrowthFit]:

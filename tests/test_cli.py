@@ -127,9 +127,10 @@ def quad_cfg(tmp_path):
 
 
 def test_subprocess_runs_fail_on_a_runtime_warning_the_package_raises():
-    # fit_growth's matmul overflows on these regrets, a RuntimeWarning that
+    # The stepsize division overflows on these values, a RuntimeWarning that
     # pyproject's filters would never see in a fresh interpreter.
-    code = "from beliefopt.regret import fit_growth; fit_growth([1, 2, 3, 4], [1e308] * 4)"
+    code = ("import numpy as np; from beliefopt.optim import HyperParams, scheduled_alpha; "
+            "scheduled_alpha('adam', HyperParams(), 1e308, np.float64(1e-20))")
     warned = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(cli_env(), PYTHONWARNINGS=""))
     assert warned.returncode == 0 and "RuntimeWarning: overflow" in warned.stderr
@@ -270,6 +271,19 @@ class TestCompare:
         assert result.returncode == 0, result.stderr
         assert ("compare summary: fastadabelief=-0.12848871907121531 "
                 "best_baseline=sgd_momentum:-0.0032896165878837373 ratio=n/a\n") in result.stdout
+
+    def test_a_chart_past_max_points_leaves_numpy_ma_unimported(self, tmp_path):
+        # The chart subsamples a series longer than svgchart.MAX_POINTS (1600);
+        # numpy.ma, which np.unique imports, would add about 1.7 MB of memory.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(COMPARE.replace("horizon = 40", "horizon = 2000"))
+        argv = ["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = (f"import sys; from beliefopt.cli import main; status = main({argv!r}); "
+                "print(status, 'numpy.ma' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=cli_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
 
     def test_regret_based_selection(self, cmp_cfg, tmp_path):
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from test_sweep import spied
@@ -315,6 +315,51 @@ class TestGrowthFits:
         log_fit, sqrt_fit = fit_growth(t, np.full(4, 5.0))
         assert log_fit.r_squared == 1.0
         assert sqrt_fit.r_squared == 1.0
+
+    @pytest.mark.parametrize("value", [0.1, -3.3, 7.7, 1e-300, 1e308])
+    def test_a_constant_series_of_any_length_is_an_exact_fit(self, value):
+        # The plain mean of [0.1] * 6 is not 0.1: centered on it, the series
+        # has nonzero deviations and an R^2 of -1.33.
+        for n in range(4, 41):
+            for fit in fit_growth(np.arange(1.0, n + 1), np.full(n, value)):
+                assert (fit.intercept, fit.slope, fit.r_squared) == (value, 0.0, 1.0), n
+
+    @pytest.mark.parametrize("regret", [[1e308] * 4, [1e160, 2e160, 3e160, 4e160]],
+                             ids=["1e308", "1e160"])
+    def test_regrets_too_large_to_square_give_finite_fits(self, regret):
+        for fit in fit_growth([128, 256, 512, 1024], regret):
+            assert math.isfinite(fit.intercept) and math.isfinite(fit.slope)
+            assert 0.0 <= fit.r_squared <= 1.0
+
+    def test_the_fits_of_the_largest_regrets_by_value(self):
+        for fit in fit_growth([128, 256, 512, 1024], [1e308] * 4):
+            assert (fit.intercept, fit.slope, fit.r_squared) == (1e308, 0.0, 1.0)
+        _, sqrt_fit = fit_growth([128, 256, 512, 1024], [1e160, 2e160, 3e160, 4e160])
+        assert sqrt_fit.r_squared == pytest.approx(0.9771236166328253, rel=1e-12)
+
+    def test_a_regressor_without_spread_is_degenerate(self):
+        # Four neighbouring floats near 1e300 share one log.
+        t = [1e300]
+        for _ in range(3):
+            t.append(float(np.nextafter(t[-1], np.inf)))
+        with pytest.raises(ValueError, match="degenerate design matrix"):
+            fit_growth(t, [1.0, 2.0, 3.0, 4.0])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(t=st.lists(st.integers(1, 10**6), min_size=4, max_size=12, unique=True).map(sorted),
+           data=st.data(), k=st.integers(-256, 256))
+    def test_scaling_the_regret_by_a_power_of_two_scales_the_fit_exactly(self, t, data, k):
+        # Nonzero |y| and |y * 2^k| within [2^-512, 2^512] keep every sum,
+        # slope and intercept of both fits normal, so both fits compute on
+        # the same scaled series and differ only in the final power of two.
+        magnitude = st.floats(2.0 ** -256, 2.0 ** 256)
+        value = st.one_of(st.just(0.0), magnitude, magnitude.map(float.__neg__))
+        y = np.array(data.draw(st.lists(value, min_size=len(t), max_size=len(t))))
+        assume(np.any(y != 0))
+        for fit, scaled in zip(fit_growth(t, y), fit_growth(t, np.ldexp(y, k))):
+            assert scaled.r_squared.hex() == fit.r_squared.hex()
+            assert scaled.slope.hex() == math.ldexp(fit.slope, k).hex()
+            assert scaled.intercept.hex() == math.ldexp(fit.intercept, k).hex()
 
     def test_model_labels(self):
         t = np.array([1.0, 2.0, 3.0, 4.0])
