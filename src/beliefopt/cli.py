@@ -276,12 +276,11 @@ def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, out=None):
         try:
             traces = run_sweep(problem, part, region, cfg.run.horizon, seed)
         except BatchMemoryError:
-            raise ConfigError(f"{cfg.source}: line {cfg.problem_line}: [problem] "
-                              f"{cfg.problem.kind}: batch_size = {cfg.problem.batch_size} "
-                              "does not fit in memory") from None
+            raise cfg.error(cfg.problem_line, f"[problem] {cfg.problem.kind}: batch_size = "
+                            f"{cfg.problem.batch_size} does not fit in memory") from None
         except MemoryError:
-            raise ConfigError(f"{cfg.source}: line {cfg.run_line}: [run] horizon = "
-                              f"{cfg.run.horizon} does not fit in memory") from None
+            raise cfg.error(cfg.run_line, f"[run] horizon = {cfg.run.horizon} "
+                            "does not fit in memory") from None
         return [(trace, named(cell, trace)) for cell, trace in zip(part, traces)]
 
     def named(cell, trace):
@@ -452,33 +451,29 @@ def cmd_bound(args) -> int:
     cells = sweep_cells(cfg)
     bounded = [cell for cell in cells if cell.kind == BOUNDED_RULE]
     if not bounded:
-        raise ConfigError(f"config has no {BOUNDED_RULE} cell to bound")
+        raise ConfigError(f"{cfg.source}: config has no {BOUNDED_RULE} cell to bound")
     problem = build_problem(cfg)
-    lines = [line for spec, line in zip(cfg.optimizers, cfg.optimizer_lines)
-             for _ in spec.alphas]
+    lines = [spec.line for spec in cfg.optimizers for _ in spec.alphas]
     width = cfg.run.region_hi - cfg.run.region_lo
     for cell, line in zip(cells, lines):
         if cell.kind != BOUNDED_RULE:
             continue
         leaves = budget_domain(problem.dim, width, cfg.run.horizon, cell.hp)
-        if leaves == "schedule":
-            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.kind}: "
-                              f"schedule = {cell.hp.step_schedule} voids the regret budget, "
-                              "which is derived for the alpha/t stepsize")
-        if leaves == "D_inf":
-            raise ConfigError(
-                f"{cfg.source}: line {cfg.run_line}: [run] region_hi - region_lo = {width:g} "
-                "is too wide for the regret budget, whose D_inf^2 overflows")
-        if leaves in ("delta", "r"):
-            why = ("too large for the regret budget, whose delta^2 overflows" if leaves == "delta"
-                   else f"too small for the regret budget over {cfg.run.horizon} steps, "
-                   "whose r^2 can overflow")
-            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.kind}: "
-                              f"delta = {cell.hp.delta:g} is {why}")
-        if leaves == "budget":
-            raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
-                              "the regret budget is not finite even with zero gradients, "
-                              "so no run has a finite budget")
+        where = f"[optimizer] {cell.kind}: "
+        voided = {  # budget_domain's verdict -> the header line and the message
+            "schedule": (line, f"{where}schedule = {cell.hp.step_schedule} voids the regret "
+                               "budget, which is derived for the alpha/t stepsize"),
+            "D_inf": (cfg.run_line, f"[run] region_hi - region_lo = {width:g} is too wide "
+                                    "for the regret budget, whose D_inf^2 overflows"),
+            "delta": (line, f"{where}delta = {cell.hp.delta:g} is too large for the regret "
+                            "budget, whose delta^2 overflows"),
+            "r": (line, f"{where}delta = {cell.hp.delta:g} is too small for the regret budget "
+                        f"over {cfg.run.horizon} steps, whose r^2 can overflow"),
+            "budget": (line, f"[optimizer] {cell.label}: the regret budget is not finite even "
+                             "with zero gradients, so no run has a finite budget"),
+        }
+        if leaves is not None:
+            raise cfg.error(*voided[leaves])
 
     def summarize(region, trace):
         report = compute_regret(problem, region, trace, cfg.run.checkpoints)
@@ -495,9 +490,8 @@ def cmd_bound(args) -> int:
         for upto, regret, constants in zip(report.checkpoints, report.regret.tolist(), measured):
             budget = theoretical_bound(constants)
             if not np.isfinite(budget):
-                raise ConfigError(f"{cfg.source}: line {line}: [optimizer] {cell.label}: "
-                                  f"the regret budget at checkpoint {upto} is {g17(budget)}, "
-                                  "not a finite number")
+                raise cfg.error(line, f"[optimizer] {cell.label}: the regret budget at "
+                                f"checkpoint {upto} is {g17(budget)}, not a finite number")
             ratio = regret / budget if budget > 0 else float("inf")
             print(f"bound {cell.label}: {upto:10d}  {g17(regret)}  "
                   f"{g17(budget)}  {ratio:.6g}")
@@ -528,34 +522,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="beliefopt",
         description="online convex optimization runs, regret reports, and checks")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {}  # flag -> a parent parser that declares it
+    for flag, options in (("--config", {"required": True}), ("--out", {"default": None}),
+                          ("--seed", {"type": nonnegative_int, "default": None})):
+        shared[flag] = argparse.ArgumentParser(add_help=False)
+        shared[flag].add_argument(flag, **options)
 
-    p_run = sub.add_parser("run", help="run every sweep cell and write traces")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=nonnegative_int, default=None)
-    p_run.set_defaults(func=cmd_run)
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help, parents=[shared[flag] for flag in flags])
+        p.set_defaults(func=func)
+        return p
 
-    p_cmp = sub.add_parser("compare", help="sweep, select best alpha per optimizer, plot")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--seed", type=nonnegative_int, default=None)
-    p_cmp.add_argument("--select-alpha", choices=("final_loss", "final_regret"),
-                       default="final_loss")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_chk = sub.add_parser("check", help="validate trace CSVs")
-    p_chk.add_argument("traces", nargs="+", metavar="TRACE")
-    p_chk.set_defaults(func=cmd_check)
-
-    p_bnd = sub.add_parser("bound", help="closed-form budget vs measured regret")
-    p_bnd.add_argument("--config", required=True)
-    p_bnd.add_argument("--seed", type=nonnegative_int, default=None)
-    p_bnd.set_defaults(func=cmd_bound)
-
-    p_prb = sub.add_parser("probe", help="stepsize table on the gradient scripts")
-    p_prb.add_argument("--out", default=None)
-    p_prb.set_defaults(func=cmd_probe)
+    command("run", cmd_run, "run every sweep cell and write traces", "--config", "--out", "--seed")
+    command("compare", cmd_compare, "sweep, select best alpha per optimizer, plot",
+            "--config", "--out", "--seed").add_argument(
+        "--select-alpha", choices=("final_loss", "final_regret"), default="final_loss")
+    command("check", cmd_check, "validate trace CSVs").add_argument(
+        "traces", nargs="+", metavar="TRACE")
+    command("bound", cmd_bound, "closed-form budget vs measured regret", "--config", "--seed")
+    command("probe", cmd_probe, "stepsize table on the gradient scripts", "--out")
     return parser
+
+
+#: the exit code and stderr prefix of each error a command ends with
+_EXITS = {ConfigError: (2, "config error"), NumericFailure: (3, "numeric failure"),
+          WorkerLost: (3, "run failed"), CheckFailure: (4, "check failed")}
 
 
 def main(argv=None) -> int:
@@ -566,18 +557,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except WorkerLost as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 3
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as exc:
+        code, prefix = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

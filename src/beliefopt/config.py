@@ -82,6 +82,7 @@ class OptimizerSpec:
     schedule: str | None = None
     eta_final: float = HyperParams.eta_final
     bound_gamma: float = HyperParams.bound_gamma
+    line: int = field(default=0, metadata={"key": False})  # its header's line, not a key
 
     def hyperparams(self, alpha: float) -> HyperParams:
         shared = {f.name: getattr(self, f.name) for f in fields(HyperParams)
@@ -106,13 +107,14 @@ class RunConfig:
     optimizers: list[OptimizerSpec]
     run: RunSpec
     text: str = field(repr=False, default="")
-    #: the file the text came from and the lines of its [problem],
-    #: [optimizer] and [run] headers, named by the errors of build_problem,
-    #: sweep_cells and ``bound``
+    #: the file the text came from and its [problem] and [run] header lines
     source: str = ""
     problem_line: int = 0
-    optimizer_lines: tuple[int, ...] = ()
     run_line: int = 0
+
+    def error(self, line: int, msg: str) -> ConfigError:
+        """A ConfigError naming this config's source and ``line``."""
+        return _in_source(self.source, _fail(line, msg))
 
 
 def _fail(lineno: int, msg: str) -> ConfigError:
@@ -172,7 +174,8 @@ def _integer(text: str, lineno: int, key: str, low: int | None = None) -> int:
 
 
 def _plain_fields(spec_type) -> dict:
-    return {f.name: f for f in fields(spec_type) if f.type in _PLAIN_TYPES}
+    return {f.name: f for f in fields(spec_type)
+            if f.type in _PLAIN_TYPES and f.metadata.get("key", True)}
 
 
 def _parse_plain(spec, raw: dict, section: str, special=()) -> None:
@@ -223,7 +226,7 @@ def _parse_problem(raw: dict, header_line: int) -> QuadraticSpec | SoftmaxSpec:
 
 def _parse_optimizer(raw: dict, header_line: int) -> OptimizerSpec:
     kind = _pop_kind(raw, header_line, "optimizer", OPTIMIZER_KINDS)
-    spec = OptimizerSpec(kind=kind)
+    spec = OptimizerSpec(kind=kind, line=header_line)
     _parse_plain(spec, raw, "optimizer", special=("alpha", "schedule"))
     if "alpha" in raw:
         value, lineno = raw["alpha"]
@@ -296,15 +299,14 @@ def _parse(text: str, linenos, source: str) -> RunConfig:
             raise ConfigError(f"config has no [{name}] section")
     [(problem, problem_line)] = found["problem"]
     run, run_line = found["run"][0] if found["run"] else (RunSpec(), 0)
-    optimizers, optimizer_lines = zip(*found["optimizer"])
-    return RunConfig(problem=problem, optimizers=list(optimizers), run=run, text=text,
-                     source=source, problem_line=problem_line,
-                     optimizer_lines=optimizer_lines, run_line=run_line)
+    return RunConfig(problem=problem, optimizers=[spec for spec, _ in found["optimizer"]],
+                     run=run, text=text, source=source, problem_line=problem_line,
+                     run_line=run_line)
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -337,7 +339,7 @@ def build_problem(cfg: RunConfig):
                                 sigma1=ps.sigma1, sigma2=ps.sigma2)
     except (OSError, ValueError, MemoryError) as exc:
         why = " does not fit in memory" if isinstance(exc, MemoryError) else f": {exc}"
-        raise _in_source(cfg.source, _fail(cfg.problem_line, f"[problem] {ps.kind}{why}")) from None
+        raise cfg.error(cfg.problem_line, f"[problem] {ps.kind}{why}") from None
 
 
 def build_region(cfg: RunConfig, dim: int):
@@ -349,12 +351,11 @@ def sweep_cells(cfg: RunConfig) -> list[Cell]:
     naming the config's source and the [optimizer] line that repeats it."""
     cells = []
     seen = set()
-    lines = cfg.optimizer_lines or (0,) * len(cfg.optimizers)
-    for spec, line in zip(cfg.optimizers, lines):
+    for spec in cfg.optimizers:
         for alpha in spec.alphas:
             label = f"{spec.kind}_alpha{alpha:g}"
             if label in seen:
-                raise _in_source(cfg.source, _fail(line, f"duplicate sweep cell {label}"))
+                raise cfg.error(spec.line, f"duplicate sweep cell {label}")
             seen.add(label)
             cells.append(Cell(label=label, kind=spec.kind, hp=spec.hyperparams(alpha)))
     return cells

@@ -106,11 +106,12 @@ def synth_classification(seed: int, n_classes: int = 10, n_features: int = 20,
 
 
 def load_csv(path: str) -> Dataset:
-    """Read rows of ``label, f1, ..., fd``.
+    """Read rows of ``label, f1, ..., fd`` from UTF-8 text, with or without
+    a byte-order mark.
 
-    A first line whose feature fields are not all numeric is treated as a
-    header and skipped (labels may be arbitrary tokens, so the label field
-    says nothing).  Labels are reindexed densely in order of first
+    A first non-blank line whose feature fields are not all numeric is
+    treated as a header and skipped (labels may be arbitrary tokens, so the
+    label field says nothing).  Labels are reindexed densely in order of first
     appearance.  Ragged or non-numeric feature rows raise ValueError naming
     the offending line.
     """
@@ -118,13 +119,15 @@ def load_csv(path: str) -> Dataset:
     labels: list[int] = []
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    maybe_header = True  # until the first non-blank line
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and len(parts) >= 2:
+            first, maybe_header = maybe_header, False
+            if first and len(parts) >= 2:
                 try:
                     for p in parts[1:]:
                         float(p)

@@ -341,6 +341,14 @@ def _centered(v: np.ndarray) -> tuple[float, np.ndarray]:
     return float(v[0] + shift.mean()), shift - shift.mean()
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, or an infinity of x's sign past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _ols(u: np.ndarray, y: np.ndarray, model: str) -> GrowthFit:
     # Centered sums of y / 2^e: exact and below 1 in magnitude, so no square overflows.
     e = int(np.frexp(np.max(np.abs(y)))[1])
@@ -351,8 +359,8 @@ def _ols(u: np.ndarray, y: np.ndarray, model: str) -> GrowthFit:
     slope = float(du @ dy) / ss_u
     resid = dy - slope * du
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0.0 else 1.0
-    return GrowthFit(model=model, intercept=math.ldexp(y_mean - slope * u_mean, e),
-                     slope=math.ldexp(slope, e), r_squared=r2)
+    return GrowthFit(model=model, intercept=_ldexp(y_mean - slope * u_mean, e),
+                     slope=_ldexp(slope, e), r_squared=r2)
 
 
 def fit_growth(checkpoints, regret) -> tuple[GrowthFit, GrowthFit]:

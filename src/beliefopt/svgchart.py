@@ -55,6 +55,16 @@ def _tick_label(value: float) -> str:
     return f"{value:g}"
 
 
+def _text(x, y, size: int, body: str, anchor: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{anchor}>{body}</text>'
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int = 1) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"/>')
+
+
 def write_compare_svg(path: str, series: dict[str, np.ndarray],
                       title: str = "loss vs step") -> None:
     if not series:
@@ -92,8 +102,7 @@ def write_compare_svg(path: str, series: dict[str, np.ndarray],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{WIDTH // 2}" y="24" font-family="monospace" font-size="16" '
-        f'text-anchor="middle">{title}</text>',
+        _text(WIDTH // 2, 24, 16, title, "middle"),
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
@@ -111,42 +120,22 @@ def write_compare_svg(path: str, series: dict[str, np.ndarray],
         if not y_lo <= value <= y_hi:
             continue
         ypix = py(value)
-        parts.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(ypix)}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{_fmt(ypix)}" stroke="#dddddd" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{MARGIN_L - 6}" y="{_fmt(ypix + 4)}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{label}</text>')
+        parts.append(_line(MARGIN_L, _fmt(ypix), WIDTH - MARGIN_R, _fmt(ypix), "#dddddd"))
+        parts.append(_text(MARGIN_L - 6, _fmt(ypix + 4), 11, label, "end"))
     for value in _nice_ticks(x_lo, x_hi):
-        xpix = px(value)
-        parts.append(
-            f'<line x1="{_fmt(xpix)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(xpix)}" '
-            f'y2="{HEIGHT - MARGIN_B + 5}" stroke="#333333" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{_fmt(xpix)}" y="{HEIGHT - MARGIN_B + 18}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{_tick_label(round(value))}</text>')
-    axis_label = "log10 loss" if log_y else "loss"
-    parts.append(
-        f'<text x="16" y="{MARGIN_T - 10}" font-family="monospace" font-size="12">'
-        f'{axis_label}</text>')
-    parts.append(
-        f'<text x="{WIDTH - MARGIN_R}" y="{HEIGHT - 8}" font-family="monospace" '
-        f'font-size="12" text-anchor="end">t</text>')
+        xpix = _fmt(px(value))
+        parts.append(_line(xpix, HEIGHT - MARGIN_B, xpix, HEIGHT - MARGIN_B + 5, "#333333"))
+        parts.append(_text(xpix, HEIGHT - MARGIN_B + 18, 11, _tick_label(round(value)), "middle"))
+    parts.append(_text(16, MARGIN_T - 10, 12, "log10 loss" if log_y else "loss"))
+    parts.append(_text(WIDTH - MARGIN_R, HEIGHT - 8, 12, "t", "end"))
     for j, (name, x, y) in enumerate(zip(series, xs_all, ys_all)):
         color = PALETTE[j % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(float(a)))},{_fmt(py(float(b)))}"
-                          for a, b in zip(x, y))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>')
+        points = " ".join(f"{_fmt(px(float(a)))},{_fmt(py(float(b)))}" for a, b in zip(x, y))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = MARGIN_T + 16 + 16 * j
         lx = WIDTH - MARGIN_R - 190
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>')
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="monospace" font-size="12">'
-            f'{name}</text>')
+        parts.append(_line(lx, ly - 4, lx + 22, ly - 4, color, 2))
+        parts.append(_text(lx + 28, ly, 12, name))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -224,7 +224,11 @@ def read_trace(path: str) -> TraceFile:
         if line.startswith("#"):
             key, sep, value = line[1:].partition(":")
             if sep:
-                meta[key.strip()] = value.strip()
+                key = key.strip()
+                if key in meta:
+                    raise ConfigError(f"{path}: line {lineno}: metadata line '# {key}: ...' "
+                                      "repeated")
+                meta[key] = value.strip()
             continue
         if header is None:
             header = [part.strip() for part in line.split(",")]

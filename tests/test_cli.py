@@ -12,6 +12,7 @@ import os
 import pathlib
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -447,7 +448,8 @@ class TestBound:
                        "\n[run]\nhorizon = 1000000000000\n")
         result = cli("bound", "--config", str(cfg))
         assert result.returncode == 2, result.stderr
-        assert result.stderr == "config error: config has no fastadabelief cell to bound\n"
+        assert result.stderr == (f"config error: {cfg}: "
+                                 "config has no fastadabelief cell to bound\n")
 
     @pytest.mark.parametrize("lo, hi, width", [("-1e300", "1e300", "2e+300"),
                                                ("-1e308", "1e308", "inf")])
@@ -727,6 +729,23 @@ def test_seed0_files_match_the_bench_reference_digests(workload, workers, tmp_pa
     assert got == references[workload]["files"]
 
 
+def test_the_readme_quick_start_runs_verbatim(tmp_path, monkeypatch, capsys):
+    # Each line of README's "Quick start" block, from a directory holding
+    # configs/, exits 0 and writes every file its stdout names.
+    block = (ROOT / "README.md").read_text().split("## Quick start", 1)[1].split("```")[1]
+    commands = [line.split() for line in block.strip().splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["beliefopt", name] for name in ("run", "check", "bound", "compare", "probe")]
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert beliefopt.cli.main(argv[1:]) == 0, argv
+        written = re.findall(r"(?:trace=|wrote | and )(\S+)", capsys.readouterr().out)
+        assert bool(written) == (argv[1] in ("run", "compare", "probe")), argv
+        for path in written:
+            assert (tmp_path / path).stat().st_size > 0, path
+
+
 class TestNonFiniteInputs:
     """Values that parse as numbers but make a run meaningless, or crash it
     later, are config errors that name their line."""
@@ -930,6 +949,10 @@ class TestExitCodeContract:
         pytest.param(_check_lines(lambda lines: lines + lines[-1:]), 2,
                      "{tmp}/trace.csv: line 80: t = 50 where the run keeps no step after 50",
                      id="check-row-past-the-last"),
+        # Two seeds stated above the real ones: the first repeat is line 3.
+        pytest.param(_check_lines(lambda lines: ["# seed: 5\n", "# alpha: 999\n"] + lines), 2,
+                     "{tmp}/trace.csv: line 3: metadata line '# seed: ...' repeated",
+                     id="check-metadata-repeated"),
         pytest.param(_check_lines(lambda lines: lines[:29] + lines[29::10]), 2,
                      "{tmp}/trace.csv: line 31: t = 11 where the run keeps step 2",
                      id="check-rows-thinned"),

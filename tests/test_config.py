@@ -1,7 +1,7 @@
 """Config parsing, validation diagnostics, and object construction."""
 
 import pathlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -95,6 +95,13 @@ class TestParsing:
         path.write_text("[problem]\nkind = cubic\n")
         with pytest.raises(ConfigError, match="broken.cfg: line 2"):
             load_config(str(path))
+
+    def test_load_config_reads_past_a_byte_order_mark(self, tmp_path):
+        plain = load_config(str(ROOT / "configs" / "quadratic.cfg"))
+        path = tmp_path / "bom.cfg"
+        path.write_text(plain.text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf[problem]")
+        assert load_config(str(path)) == replace(plain, source=str(path))
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -193,6 +200,13 @@ class TestOptimizerSection:
                "[optimizer]\nkind = yogi\n"
         cfg = parse_config(text)
         assert [o.kind for o in cfg.optimizers] == ["adam", "yogi"]
+
+    def test_each_section_keeps_its_header_line_which_is_no_key(self):
+        text = "[problem]\nkind = quadratic\n\n[optimizer]\nkind = adam\n\n" \
+               "[optimizer]\nkind = yogi\n"
+        assert [o.line for o in parse_config(text).optimizers] == [4, 7]
+        with pytest.raises(ConfigError, match=r"line 6: unknown \[optimizer\] key 'line'"):
+            parse_config(MINIMAL + "line = 9\n")
 
 
 class TestRunSection:
@@ -393,6 +407,7 @@ class TestSchema:
             "kind": "adam", "alphas": (0.001,), "beta1": 0.9, "lam": 1.0,
             "beta2_mode": "constant", "beta2": 0.999, "beta2_c": 0.9, "delta": 0.1,
             "epsilon": 1e-8, "schedule": None, "eta_final": 0.1, "bound_gamma": 1e-3,
+            "line": 4,
         }
         assert asdict(quad.run) == {
             "horizon": 1000, "region_lo": -5.0, "region_hi": 5.0, "seed": 0,

@@ -335,6 +335,22 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0,1,2\n1,3,4\n0,5,6\n1,7,8\n", encoding="utf-8-sig")
+        ds = load_csv(str(path))
+        assert ds.n_classes == 2
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+
+    def test_the_header_is_the_first_non_blank_line(self, tmp_path):
+        path = self.write(tmp_path, "\n\nlabel,f1,f2\ncat,1.0,2.0\ndog,3.0,4.0\n")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4]])
+        # Only that line: a later non-numeric row is an error, not a header.
+        path = self.write(tmp_path, "\nlabel,f1\nname,f1\ncat,1.0\n")
+        with pytest.raises(ValueError, match="line 3: non-numeric feature"):
+            load_csv(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = self.write(tmp_path, "a,1.0\n\nb,2.0\n\n")
         ds = load_csv(path)

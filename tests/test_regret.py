@@ -1,6 +1,7 @@
 """Tests for the online-run laboratory: traces, hindsight, fits, checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,20 @@ class TestGrowthFits:
             assert (fit.intercept, fit.slope, fit.r_squared) == (1e308, 0.0, 1.0)
         _, sqrt_fit = fit_growth([128, 256, 512, 1024], [1e160, 2e160, 3e160, 4e160])
         assert sqrt_fit.r_squared == pytest.approx(0.9771236166328253, rel=1e-12)
+
+    def test_a_slope_or_intercept_past_the_float_range_is_infinite(self):
+        # Finite regrets whose sqrt fit has a scaled slope of 1.16 at binary
+        # exponent 1024, one past the float range.
+        t, y = [1, 2, 3, 4], [-1.7e308, 1.7e308, -1.7e308, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_growth(t, y)
+        log_fit, sqrt_fit = fits
+        assert (sqrt_fit.intercept, sqrt_fit.slope) == (-math.inf, math.inf)
+        assert math.isfinite(log_fit.intercept) and math.isfinite(log_fit.slope)
+        # R^2 is that of the series scaled into range.
+        for fit, small in zip(fits, fit_growth(t, np.ldexp(y, -4))):
+            assert fit.r_squared.hex() == small.r_squared.hex()
 
     def test_a_regressor_without_spread_is_degenerate(self):
         # Four neighbouring floats near 1e300 share one log.
