@@ -1,5 +1,7 @@
 """Adaptive online optimizers and the regret laboratory around them."""
 
+from types import ModuleType as _ModuleType
+
 from .config import (
     RunConfig,
     build_problem,
@@ -60,58 +62,6 @@ from .traceio import read_trace, write_compare_csv, write_trace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundConstants",
-    "Cell",
-    "CheckFailure",
-    "Condition3Result",
-    "Condition4Result",
-    "ConfigError",
-    "Dataset",
-    "FeasibleRegion",
-    "GrowthFit",
-    "HyperParams",
-    "NumericFailure",
-    "OPTIMIZER_KINDS",
-    "QuadraticProblem",
-    "RegretReport",
-    "RunConfig",
-    "SoftmaxL2Problem",
-    "TrajectoryTrace",
-    "best_in_hindsight",
-    "box_region",
-    "build_problem",
-    "build_region",
-    "check_condition3",
-    "check_condition4",
-    "check_gamma_psd",
-    "checkpoint_grid",
-    "compute_regret",
-    "finite_diff_grad",
-    "fit_growth",
-    "lane_groups",
-    "load_config",
-    "load_csv",
-    "measure_constants",
-    "parse_config",
-    "project_weighted",
-    "quadratic_grad",
-    "quadratic_loss",
-    "read_trace",
-    "region_scenarios",
-    "region_stepsize_table",
-    "run_online",
-    "run_sweep",
-    "sample_batch",
-    "softmax_l2_grad",
-    "softmax_l2_loss",
-    "step",
-    "stepsize_probe",
-    "sweep_cells",
-    "synth_classification",
-    "theoretical_bound",
-    "validate_hyperparams",
-    "write_compare_csv",
-    "write_compare_svg",
-    "write_trace",
-]
+#: every public name imported above, sorted; the submodules are left out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -84,10 +84,9 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _out_path(args, cfg: RunConfig) -> str:
-    """The output directory, not yet created; a file in its way is rejected
-    here, before the run."""
-    out = args.out or cfg.run.out_dir or "."
+def _out_path(out: str) -> str:
+    """The output directory ``out``, not yet created; a file in its way is
+    rejected here, before the run."""
     parent = os.path.abspath(out)
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
@@ -312,7 +311,10 @@ def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, out=None):
         if out is not None:
             _make_dir(out)
         for worker in workers:
-            os.write(worker.go, b"g")
+            try:
+                os.write(worker.go, b"g")
+            except BrokenPipeError:
+                pass  # the worker died; _receive below reports it lost
         reports = [_finish_shard(finish, parts[0], values)] + [_receive(w) for w in workers]
     finally:
         _reap(workers)
@@ -330,7 +332,7 @@ def _drive(cfg: RunConfig, problem, seed: int, cells, summarize, out=None):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _out_path(args, cfg)
+    out = _out_path(args.out or cfg.run.out_dir or ".")
     problem = build_problem(cfg)
     cells = sweep_cells(cfg)
 
@@ -348,7 +350,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    out = _out_path(args, cfg)
+    out = _out_path(args.out or cfg.run.out_dir or ".")
     problem = build_problem(cfg)
     cells = sweep_cells(cfg)
 
@@ -501,6 +503,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.out:
+        _out_path(args.out)
     rows = region_stepsize_table()
     header = f"{'region':8s} {'optimizer':15s} {'t':>5s} {'|step|':>12s}"
     print(header)

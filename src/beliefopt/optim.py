@@ -39,16 +39,6 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-OPTIMIZER_KINDS = (
-    "sgd_momentum",
-    "adam",
-    "yogi",
-    "adabound",
-    "adabelief",
-    "sadam",
-    "fastadabelief",
-)
-
 #: the strongly-convex rules, which divide by the second moment linearly
 LINEAR_DIVISOR_RULES = ("sadam", "fastadabelief")
 #: the belief rules, whose divisor is the running max s_hat
@@ -93,7 +83,8 @@ class HyperParams:
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
         if self.beta2_mode not in BETA2_MODES:
-            raise ValueError(f"beta2_mode must be 'constant' or 'sadam', got {self.beta2_mode!r}")
+            modes = " or ".join(map(repr, BETA2_MODES))
+            raise ValueError(f"beta2_mode must be {modes}, got {self.beta2_mode!r}")
         if self.beta2_mode == "constant" and not 0.0 <= self.beta2 < 1.0:
             raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
         if self.beta2_mode == "sadam" and not 0.0 < self.beta2_c < 1.0:
@@ -352,6 +343,7 @@ KERNELS = {
     "sadam": (_adam_moments, lambda c, m, v, s_hat: c.a_t / (v + c.delta_t)),
     "fastadabelief": (_belief_moments, lambda c, m, s, s_hat: c.a_t / (s_hat + c.delta_t)),
 }
+OPTIMIZER_KINDS = tuple(KERNELS)
 
 
 def step(kind: str, hp: HyperParams, t: int, a_t, b1: float, b2: float,

@@ -25,7 +25,8 @@ Both problems serve a sweep (``regret.run_sweep``) through two calls:
 
 * ``lanes_grad(xs, t, seed, out)``: the round-t gradients at the stacked
   iterates xs (lanes, n), written into ``out`` (lanes, n), made every step
-  (the sweep passes that step's row of its recorded gradients);
+  (the sweep passes that step's row of its scan block's gradient buffer,
+  which it copies into its records after each block);
 * ``lanes_losses(xs, first, seed)``: the round losses (lanes, w) of a
   block's iterates xs (lanes, w, n) of rounds first .. first + w - 1, made
   once per block of steps.  Only the gradient feeds the next step, so the
@@ -36,6 +37,7 @@ Both problems serve a sweep (``regret.run_sweep``) through two calls:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +114,8 @@ def load_csv(path: str) -> Dataset:
     A first non-blank line whose feature fields are not all numeric is
     treated as a header and skipped (labels may be arbitrary tokens, so the
     label field says nothing).  Labels are reindexed densely in order of first
-    appearance.  Ragged or non-numeric feature rows raise ValueError naming
+    appearance.  Ragged rows and non-numeric or non-finite features (``nan``,
+    ``inf``, or values like ``1e400`` that overflow) raise ValueError naming
     the offending line.
     """
     label_ids: dict[str, int] = {}
@@ -144,6 +147,9 @@ def load_csv(path: str) -> Dataset:
                 feats = [float(p) for p in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: non-numeric feature: {exc}") from None
+            bad = next((p for p, f in zip(parts[1:], feats) if not math.isfinite(f)), None)
+            if bad is not None:
+                raise ValueError(f"{path} line {lineno}: non-finite feature {bad!r}")
             key = parts[0]
             if key not in label_ids:
                 label_ids[key] = len(label_ids)

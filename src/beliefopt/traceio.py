@@ -211,6 +211,9 @@ def read_trace(path: str) -> TraceFile:
             lines = list(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from None
+    if lines and lines[0].startswith("\ufeff"):
+        raise ConfigError(f"{path}: line 1: the file starts with a UTF-8 byte-order mark; "
+                          "a trace is plain UTF-8")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip():

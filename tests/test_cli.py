@@ -13,6 +13,7 @@ import pathlib
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -666,6 +667,13 @@ class TestProbe:
         assert result.returncode == 0
         assert "probe wrote" not in result.stdout
 
+    def test_an_out_path_at_a_file_is_refused_before_the_table(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        result = cli("probe", "--out", str(afile))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"config error: cannot write {afile}: {afile} is not a directory\n"
+
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -1059,6 +1067,28 @@ class TestExitCodeContract:
         assert words in result.stderr
         assert not (tmp_path / "out").exists()
 
+    # A feature that is not a finite number would make the run's first loss
+    # nonfinite (exit 3); it is refused with the dataset's line instead.
+    @pytest.mark.parametrize("spelling", ["nan", "inf", "1e400"])
+    def test_a_non_finite_dataset_feature_exits_2_naming_its_line(self, tmp_path, spelling):
+        data = tmp_path / "data.csv"
+        data.write_text(f"label,f1,f2\n0,1.0,2.0\n1,{spelling},0.5\n0,0.5,1.0\n1,2.0,1.5\n")
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(SOFTMAX.replace("batch_size = 4", f"batch_size = 4\nsource = {data}"))
+        result = cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        assert result.stderr == (f"config error: {cfg}: line 1: [problem] softmax: "
+                                 f"{data} line 3: non-finite feature '{spelling}'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_trace_saved_with_a_byte_order_mark_says_so(self, tmp_path, trace_text):
+        path = tmp_path / "trace.csv"
+        path.write_text(trace_text, encoding="utf-8-sig")
+        result = cli("check", str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (f"config error: {path}: line 1: the file starts with a UTF-8 "
+                                 "byte-order mark; a trace is plain UTF-8\n")
+
 
 # Four lane groups of 2, 3, 1 and 2 lanes; 300 steps cross the first
 # 256-step finiteness scan.
@@ -1329,6 +1359,38 @@ class TestFanOut:
         assert stderr == ("run failed: the sweep worker for cells adam_alpha0.05, adam_alpha0.01, "
                           "adam_alpha0.002 ended without reporting (exit status 7)\n")
         assert out.exists() == (stage == "write_trace")
+
+    # With two workers the parent sweeps cells 2-5 and the child 0, 1, 6, 7.
+    # The child is killed once it has reported its sweep, before it is told
+    # to go on: the run fails, and the parent's traces stay written.
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_worker_that_dies_before_go_fails_the_run(self, cfg, tmp_path, monkeypatch,
+                                                        capsys, command):
+        fork, make_dir = beliefopt.cli._fork, beliefopt.cli._make_dir
+        children = []
+
+        def recorded_fork(*args):
+            children.append(fork(*args))
+            return children[-1]
+
+        def killing_make_dir(out):
+            for child in children:
+                os.kill(child.pid, signal.SIGKILL)
+                # Wait for its death but leave it for _drive to reap.
+                os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+            return make_dir(out)
+
+        monkeypatch.setattr(beliefopt.cli, "_fork", recorded_fork)
+        monkeypatch.setattr(beliefopt.cli, "_make_dir", killing_make_dir)
+        out = tmp_path / "out"
+        code, stdout, stderr = self.main(monkeypatch, capsys, 2, [command, "--config", cfg], out)
+        assert (code, stdout) == (3, "")
+        assert stderr == ("run failed: the sweep worker for cells fastadabelief_alpha0.05, "
+                          "fastadabelief_alpha0.01, adabelief_alpha0.05, adabelief_alpha0.01 "
+                          "ended without reporting (signal 9)\n")
+        cells = sweep_cells(load_config(cfg))
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            f"trace_{cells[j].label}.csv" for j in (2, 3, 4, 5))
 
     def test_bound_prints_the_same_bytes_on_every_worker_count(self, bound_cfg, monkeypatch,
                                                                 capsys):

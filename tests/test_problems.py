@@ -330,6 +330,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("spelling", ["nan", "-inf", "1e400"])
+    def test_non_finite_feature_names_line(self, tmp_path, spelling):
+        path = self.write(tmp_path, f"a,1.0,2.0\nb,3.0,{spelling}\n")
+        with pytest.raises(ValueError, match=f"line 2: non-finite feature '{spelling}'"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "label,f1\n")
         with pytest.raises(ValueError, match="no data rows"):
